@@ -3,8 +3,8 @@ sharp constants and extremal bubbles, subcritical maximizers on bounded
 domains, and concentration diagnostics."""
 
 from .errors import (BudgetExceeded, ConfigError, ConstraintViolated,
-                     DegenerateInput, EnergyBudgetExceeded, FracSobolevError,
-                     InvalidGrid, InvalidMask, InvalidOrder,
+                     DegenerateInput, FracSobolevError, InvalidGrid,
+                     InvalidMask, InvalidOrder,
                      NegativeOrderOnNonMeanZero, NonRealResult,
                      OverlappingAtoms, TailTooFat, UnderResolved,
                      UnsupportedOrder)

@@ -55,6 +55,13 @@ _FLAG_TYPES = {
     "emit-fields": bool, "reproducible": bool,
 }
 
+# constructor parameter named by an InvalidGrid/InvalidOrder -> config key
+_PARAM_KEYS = {
+    "dim": "N", "points_per_dim": "M", "max_points": "M", "half_width": "L",
+    "s": "s", "eps": "eps-schedule", "eps_schedule": "eps-schedule",
+    "max_iters": "max-iters", "tol": "tol", "damping": "damping",
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -151,7 +158,7 @@ def parse_config(args, file=None):
     try:
         grid = make_grid(typed["N"], typed["M"], typed["L"])
     except InvalidGrid as exc:
-        raise ConfigError("M" if "points" in str(exc) or "cap" in str(exc) else "L", str(exc))
+        raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
     try:
         schedule = tuple(float(tok) for tok in str(typed["eps-schedule"]).split(",") if tok.strip())
@@ -165,8 +172,7 @@ def parse_config(args, file=None):
         for eps in schedule:
             ExponentPack(dim=typed["N"], s=typed["s"], eps=eps)
     except InvalidOrder as exc:
-        key = "s" if "(0, N/2)" in str(exc) else "eps-schedule"
-        raise ConfigError(key, str(exc))
+        raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
     omega_raw = typed["omega"]
     if omega_raw is None:
@@ -179,9 +185,11 @@ def parse_config(args, file=None):
             shape = json.loads(omega_raw)
         except json.JSONDecodeError as exc:
             raise ConfigError("omega", f"not valid JSON: {exc}")
+        if not isinstance(shape, dict):
+            raise ConfigError("omega", f"expected a JSON object, got {omega_raw!r}")
     try:
         mask = DomainMask.from_shape(grid, shape)
-    except (InvalidMask, KeyError) as exc:
+    except (InvalidMask, InvalidGrid, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("omega", str(exc))
 
     try:
@@ -189,9 +197,7 @@ def parse_config(args, file=None):
                               damping=typed["damping"], seed=typed["seed"],
                               eps_schedule=schedule)
     except InvalidOrder as exc:
-        msg = str(exc)
-        key = "tol" if "tol" in msg else ("damping" if "damping" in msg else "eps-schedule")
-        raise ConfigError(key, msg)
+        raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
     lam = typed["lam"] if typed["lam"] is not None else typed["L"] / 8.0
     if not lam > 0:

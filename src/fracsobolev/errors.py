@@ -13,14 +13,22 @@ __all__ = [
     "TailTooFat",
     "UnderResolved",
     "OverlappingAtoms",
-    "EnergyBudgetExceeded",
     "BudgetExceeded",
     "ConfigError",
 ]
 
 
 class FracSobolevError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``param`` names the offending constructor parameter when there is one
+    (for example ``"points_per_dim"``), so callers can map it to their own
+    configuration keys; it is None otherwise.
+    """
+
+    def __init__(self, *args, param=None):
+        super().__init__(*args)
+        self.param = param
 
 
 class InvalidGrid(FracSobolevError):
@@ -65,10 +73,6 @@ class UnderResolved(FracSobolevError):
 
 class OverlappingAtoms(FracSobolevError):
     """Localization balls of distinct atoms intersect or leave the box."""
-
-
-class EnergyBudgetExceeded(FracSobolevError):
-    """Combined field energy and atom mass exceed the admissible budget."""
 
 
 class BudgetExceeded(FracSobolevError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import (EnergyBudgetExceeded, InvalidOrder, OverlappingAtoms,
+from .errors import (BudgetExceeded, InvalidOrder, OverlappingAtoms,
                      TailTooFat, UnderResolved)
 from .norms import ExponentPack, hs_dot_norm_sq
 from .spectral import Field
@@ -288,7 +288,7 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
 
     ``sigma`` is the hole radius rho_sigma: phi_sigma vanishes on
     B_sigma(x_j) and equals one outside B_2sigma(x_j).  The glued bubbles
-    are localized inside the holes.  Raises EnergyBudgetExceeded when
+    are localized inside the holes.  Raises BudgetExceeded when
     ||u||^2 + sum mu_j reaches one.
     """
     if mask is not None and np.any(u.values[~mask.inside] != 0.0):
@@ -296,7 +296,7 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
     energy = hs_dot_norm_sq(u, pack.s) if np.any(u.values) else 0.0
     budget = energy + sum(atoms.masses) if len(atoms.masses) else energy
     if budget >= 1.0:
-        raise EnergyBudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")
+        raise BudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")
     phi = np.ones(grid.shape)
     snapped = [_snap_to_mask(p, mask) if mask is not None else p for p in atoms.points]
     for p in snapped:

@@ -43,12 +43,12 @@ class ExponentPack:
     def __post_init__(self):
         N, s = self.dim, self.s
         if not (0.0 < s < N / 2.0):
-            raise InvalidOrder(f"s must lie in (0, N/2) = (0, {N / 2.0}), got {s}")
+            raise InvalidOrder(f"s must lie in (0, N/2) = (0, {N / 2.0}), got {s}", param="s")
         two_star = 2.0 * N / (N - 2.0 * s)
         if not (0.0 <= self.eps < two_star - 2.0):
             raise InvalidOrder(
-                f"eps must lie in [0, 2*-2) = [0, {two_star - 2.0}), got {self.eps}"
-            )
+                f"eps must lie in [0, 2*-2) = [0, {two_star - 2.0}), got {self.eps}",
+                param="eps")
         object.__setattr__(self, "two_star", two_star)
 
     @property
@@ -167,11 +167,7 @@ def hs_dot_norm_sq(u, s):
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
     c = forward_transform(u).coeffs
-    xi = u.grid.xi_norm
-    w = np.zeros_like(xi)
-    nz = xi > 0
-    w[nz] = xi[nz] ** (2.0 * s)
-    return float(np.sum(w * np.abs(c) ** 2))
+    return float(np.sum(u.grid.multiplier(2.0 * s) * np.abs(c) ** 2))
 
 
 def hs_full_norm_sq(u, s):

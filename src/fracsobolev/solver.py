@@ -49,13 +49,20 @@ class SolverConfig:
     cg_max_iters: int = 2000
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise InvalidOrder(f"max_iters must be >= 1, got {self.max_iters}", param="max_iters")
         if not self.tol > 0:
-            raise InvalidOrder(f"tol must be positive, got {self.tol}")
+            raise InvalidOrder(f"tol must be positive, got {self.tol}", param="tol")
         if not (0.0 < self.damping <= 1.0):
-            raise InvalidOrder(f"damping must lie in (0, 1], got {self.damping}")
+            raise InvalidOrder(f"damping must lie in (0, 1], got {self.damping}", param="damping")
         sched = tuple(float(e) for e in self.eps_schedule)
         if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise InvalidOrder("eps_schedule must be strictly decreasing")
+            raise InvalidOrder("eps_schedule must be strictly decreasing", param="eps_schedule")
+        if not self.cg_tol > 0:
+            raise InvalidOrder(f"cg_tol must be positive, got {self.cg_tol}", param="cg_tol")
+        if self.cg_max_iters < 1:
+            raise InvalidOrder(f"cg_max_iters must be >= 1, got {self.cg_max_iters}",
+                               param="cg_max_iters")
         object.__setattr__(self, "eps_schedule", sched)
 
 

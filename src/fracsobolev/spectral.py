@@ -13,7 +13,12 @@ holds with no extra weights, and the homogeneous Sobolev norm is the plain
 spectral sum  sum |xi|^(2s) |coeffs|^2.
 
 The zero-frequency multiplier of |xi|^sigma is 0 for sigma > 0, 1 for
-sigma == 0 and 0 for sigma < 0 (pseudo-inverse on mean-zero fields).
+sigma == 0 and 0 for sigma < 0 (pseudo-inverse on mean-zero fields).  It is
+built once per grid and order by ``Grid.multiplier`` and shared, read-only,
+by frac_power, hs_inner and the homogeneous norm.  The imaginary-residue
+check runs in inverse_transform only, which takes coefficients from outside;
+frac_power maps a real field through an even real multiplier, so its result
+is real by construction.
 """
 
 import json
@@ -62,6 +67,7 @@ class Grid:
         xi = np.sqrt(sum(m * m for m in mats))
         xi.setflags(write=False)
         object.__setattr__(self, "_xi", xi)
+        object.__setattr__(self, "_multipliers", {})
         self._axis.setflags(write=False)
 
     @property
@@ -81,6 +87,24 @@ class Grid:
     def xi_norm(self):
         """|xi| on the full frequency lattice, shape (M,)*N."""
         return self._xi
+
+    def multiplier(self, sigma):
+        """|xi|^sigma on the full frequency lattice, cached and read-only.
+
+        The zero mode is 1 for sigma == 0 and 0 otherwise.
+        """
+        key = float(sigma)
+        mult = self._multipliers.get(key)
+        if mult is None:
+            xi = self._xi
+            mult = np.empty_like(xi)
+            nz = xi > 0
+            mult[nz] = xi[nz] ** key
+            mult[~nz] = 1.0 if key == 0 else 0.0
+            mult.setflags(write=False)
+            # setdefault keeps one array per order when threads race here
+            mult = self._multipliers.setdefault(key, mult)
+        return mult
 
     def coords(self):
         """Cell-center coordinate arrays, one per axis, each shaped (M,)*N."""
@@ -124,14 +148,16 @@ class SpectralField:
 def make_grid(dim, points_per_dim, half_width, max_points=DEFAULT_MAX_POINTS):
     """Build a Grid; raises InvalidGrid on bad parameters or memory-cap breach."""
     if dim < 1:
-        raise InvalidGrid(f"dim must be >= 1, got {dim}")
+        raise InvalidGrid(f"dim must be >= 1, got {dim}", param="dim")
     M = int(points_per_dim)
     if M < 4 or (M & (M - 1)) != 0:
-        raise InvalidGrid(f"points_per_dim must be a power of two >= 4, got {points_per_dim}")
+        raise InvalidGrid(f"points_per_dim must be a power of two >= 4, got {points_per_dim}",
+                          param="points_per_dim")
     if not half_width > 0:
-        raise InvalidGrid(f"half_width must be positive, got {half_width}")
+        raise InvalidGrid(f"half_width must be positive, got {half_width}", param="half_width")
     if M ** dim > max_points:
-        raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {max_points}")
+        raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {max_points}",
+                          param="max_points")
     return Grid(dim=int(dim), points_per_dim=M, half_width=float(half_width))
 
 
@@ -154,15 +180,6 @@ def inverse_transform(U):
     return Field(grid=g, values=w.real)
 
 
-def _multiplier(grid, sigma):
-    xi = grid.xi_norm
-    mult = np.empty_like(xi)
-    nz = xi > 0
-    mult[nz] = xi[nz] ** sigma
-    mult[~nz] = 1.0 if sigma == 0 else 0.0
-    return mult
-
-
 def frac_power(u, sigma):
     """Apply (-Laplacian)^(sigma/2), the Fourier multiplier |xi|^sigma.
 
@@ -180,16 +197,17 @@ def frac_power(u, sigma):
             raise NegativeOrderOnNonMeanZero(
                 f"zero mode {zero_amp:.3e} exceeds {_MEAN_TOL:.0e} of norm {total:.3e}"
             )
-    out = SpectralField(grid=u.grid, coeffs=_multiplier(u.grid, sigma) * U.coeffs)
-    return inverse_transform(out)
+    g = u.grid
+    # real field times even real multiplier keeps conjugate symmetry: no residue scan
+    w = np.fft.ifftn(g.multiplier(sigma) * U.coeffs, norm="ortho") / g.cell_volume ** 0.5
+    return Field(grid=g, values=w.real)
 
 
 def hs_inner(u, v, s):
     """Homogeneous H^s inner product  sum |xi|^(2s) Re(u_hat conj(v_hat))."""
     cu = forward_transform(u).coeffs
     cv = forward_transform(v).coeffs
-    w = _multiplier(u.grid, 2.0 * s)
-    return float(np.sum(w * (cu * np.conj(cv)).real))
+    return float(np.sum(u.grid.multiplier(2.0 * s) * (cu * np.conj(cv)).real))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,33 @@ class TestParseConfig:
             parse_config(["sweep", "--eps-schedule", "0.4,0.8"])
         assert err.value.key == "eps-schedule"
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("N", "0", "N"),
+        ("M", "3", "M"),
+        ("L", "-1", "L"),
+        ("s", "0.5", "s"),
+        ("eps-schedule", "0.4,0.8", "eps-schedule"),
+        ("tol", "0", "tol"),
+        ("damping", "0", "damping"),
+        ("max-iters", "0", "max-iters"),
+        ("max-iters", "-3", "max-iters"),
+    ])
+    def test_bad_value_names_its_key(self, flag, value, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(["solve", f"--{flag}", value])
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("omega", [
+        [1.0],
+        {"kind": "interval", "bounds": 3},
+        {"kind": "interval", "bounds": [1.0]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    ])
+    def test_malformed_omega_names_key(self, omega):
+        with pytest.raises(ConfigError) as err:
+            parse_config(["solve", "--omega", json.dumps(omega)])
+        assert err.value.key == "omega"
+
     def test_omega_json_parses(self):
         cfg = parse_config(["solve", "--omega",
                             json.dumps({"kind": "interval", "bounds": [-0.5, 0.5]})])
@@ -71,6 +98,12 @@ class TestExitCodes:
         code = main(["sweep", "--omega",
                      json.dumps({"kind": "interval", "bounds": [-9.0, 9.0]})])
         assert code == 2
+
+    def test_zero_max_iters_exit_2(self, tmp_path, capsys):
+        code = main(["solve", "--max-iters", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "max-iters" in capsys.readouterr().err
+        assert not (tmp_path / "solve.csv").exists()
 
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",

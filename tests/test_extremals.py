@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsobolev import (AtomSpec, BubbleSpec, CutoffSpec, DomainMask,
-                         EnergyBudgetExceeded, ExponentPack, Field,
+                         BudgetExceeded, ExponentPack, Field,
                          InvalidOrder, OverlappingAtoms, TailTooFat,
                          UnderResolved, critical_exponent, cutoff_field,
                          glued_bubble_parts, glued_bubbles, hs_dot_norm_sq,
@@ -278,7 +278,7 @@ class TestRecoverySequence:
     def test_budget_enforced(self, rec_ctx):
         g, pack, mask, u, _ = rec_ctx
         fat = AtomSpec(points=((0.5,),), masses=(0.8,))  # 0.25 + 0.8 > 1
-        with pytest.raises(EnergyBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             recovery_sequence(u, fat, 0.05, 0.25, g, mask, pack)
 
     def test_budget_stays_below_one_and_stable(self, rec_ctx):

@@ -40,6 +40,14 @@ class TestSolverConfig:
         with pytest.raises(InvalidOrder):
             SolverConfig(tol=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", 0), ("max_iters", -3), ("cg_max_iters", 0), ("cg_tol", 0.0),
+    ])
+    def test_rejects_bad_iteration_limits(self, field, value):
+        with pytest.raises(InvalidOrder) as err:
+            SolverConfig(**{field: value})
+        assert err.value.param == field
+
 
 class TestSolve:
     def test_converges_and_respects_invariants(self, ctx, solved):

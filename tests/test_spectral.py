@@ -134,6 +134,32 @@ class TestFracPower:
         assert np.max(np.abs(back.values - u.values)) < 1e-9 * np.max(np.abs(u.values))
 
 
+class TestMultiplier:
+    @pytest.mark.parametrize("sigma,zero_mode", [(0.5, 0.0), (0.0, 1.0), (-0.5, 0.0)])
+    def test_zero_mode(self, grid2d, sigma, zero_mode):
+        mult = grid2d.multiplier(sigma)
+        assert mult[0, 0] == zero_mode
+        nz = grid2d.xi_norm > 0
+        assert np.array_equal(mult[nz], grid2d.xi_norm[nz] ** sigma)
+
+    def test_cached_and_read_only(self, grid1d):
+        mult = grid1d.multiplier(0.5)
+        assert grid1d.multiplier(0.5) is mult
+        assert not mult.flags.writeable
+        with pytest.raises(ValueError):
+            mult[1] = 0.0
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, -0.5])
+    def test_frac_power_matches_reference(self, grid1d, rng, sigma):
+        vals = rng.standard_normal(grid1d.shape)
+        u = Field(grid=grid1d, values=vals - vals.mean())
+        xi = grid1d.xi_norm
+        w = np.zeros_like(xi)
+        w[xi > 0] = xi[xi > 0] ** sigma
+        ref = inverse_transform(SpectralField(grid1d, w * forward_transform(u).coeffs))
+        assert np.array_equal(frac_power(u, sigma).values, ref.values)
+
+
 class TestDumpFormat:
     def test_round_trip(self, grid2d, rng):
         u = random_field(grid2d, rng)

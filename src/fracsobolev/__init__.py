@@ -3,14 +3,14 @@ sharp constants and extremal bubbles, subcritical maximizers on bounded
 domains, and concentration diagnostics."""
 
 from .errors import (BudgetExceeded, ConfigError, ConstraintViolated,
-                     DegenerateInput, FracSobolevError, InvalidGrid,
-                     InvalidMask, InvalidOrder,
+                     DegenerateInput, FracSobolevError, InnerSolveFailed,
+                     InvalidGrid, InvalidMask, InvalidOrder,
                      NegativeOrderOnNonMeanZero, NonRealResult,
                      OverlappingAtoms, TailTooFat, UnderResolved,
                      UnsupportedOrder)
-from .spectral import (Field, Grid, SpectralField, field_from_bytes,
-                       field_to_bytes, forward_transform, frac_power,
-                       hs_inner, inverse_transform, make_grid)
+from .spectral import (Field, Grid, SpectralField, apply_multiplier,
+                       field_from_bytes, field_to_bytes, forward_transform,
+                       frac_power, hs_inner, inverse_transform, make_grid)
 from .norms import (DomainMask, ExponentPack, gagliardo_seminorm_sq,
                     hoelder_envelope, hs_dot_norm_sq, hs_full_norm_sq,
                     lp_integral, sobolev_quotient, subcritical_value)

@@ -9,6 +9,7 @@ __all__ = [
     "InvalidOrder",
     "UnsupportedOrder",
     "DegenerateInput",
+    "InnerSolveFailed",
     "ConstraintViolated",
     "TailTooFat",
     "UnderResolved",
@@ -57,6 +58,10 @@ class UnsupportedOrder(FracSobolevError):
 
 class DegenerateInput(FracSobolevError):
     """Input field is numerically zero where a nonzero field is required."""
+
+
+class InnerSolveFailed(FracSobolevError):
+    """Inner conjugate-gradient solve ended above its residual tolerance."""
 
 
 class ConstraintViolated(FracSobolevError):

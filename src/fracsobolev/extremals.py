@@ -257,7 +257,7 @@ def atom_localizations(atoms, grid, mask=None, radii=None, ball_fraction=0.25):
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             gap = float(np.linalg.norm(np.subtract(out[i][0], out[j][0])))
-            if 2.0 * out[i][1] + 2.0 * out[j][1] >= gap:
+            if 2.0 * out[i][1] + 2.0 * out[j][1] > gap:
                 raise OverlappingAtoms(f"double balls of atoms {i} and {j} intersect")
     return out
 

@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import forward_transform
+from .spectral import apply_multiplier, forward_transform
 
 __all__ = [
     "DomainMask",
@@ -163,11 +163,12 @@ def lp_integral(u, p, mask=None):
 
 
 def hs_dot_norm_sq(u, s):
-    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2."""
+    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2,
+    computed as the squared L2 norm of (-Lap)^(s/2) u."""
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
-    c = forward_transform(u).coeffs
-    return float(np.sum(u.grid.multiplier(2.0 * s) * np.abs(c) ** 2))
+    a = apply_multiplier(u.values, u.grid, s)
+    return float(np.sum(a * a)) * u.grid.cell_volume
 
 
 def hs_full_norm_sq(u, s):

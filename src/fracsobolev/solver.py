@@ -4,11 +4,12 @@ Each step solves the domain-restricted operator equation
 
     P (-Lap)^s P w = |u_k|^(2*-2-eps) u_k   on the inside cells
 
-by conjugate gradients (the operator is applied spectrally, FFT per
-iteration), then renormalizes to the unit homogeneous sphere with a damped
-mix against the previous iterate.  The fixed point satisfies the discrete
-constrained stationarity condition, so the Euler-Lagrange residual of a
-converged solve is limited only by the tolerances.
+by conjugate gradients preconditioned with P (-Lap)^(-s) P, the pseudo-inverse
+of the whole-box operator restricted to the domain (each operator is one
+real FFT pair), then renormalizes to the unit homogeneous sphere with a
+damped mix against the previous iterate.  The fixed point satisfies the
+discrete constrained stationarity condition, so the Euler-Lagrange residual
+of a converged solve is limited only by the tolerances.
 """
 
 import math
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, FracSobolevError, InvalidOrder
+from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
 from .norms import hs_dot_norm_sq, hoelder_envelope, subcritical_value
-from .spectral import Field, frac_power
+from .spectral import Field, apply_multiplier, frac_power
 from . import diagnostics
 
 __all__ = [
@@ -119,33 +120,56 @@ def default_initial_field(mask, seed=0, perturbation=0.01):
 
 def _restricted_op(grid, inside, s):
     def apply(w):
-        masked = Field(grid=grid, values=np.where(inside, w, 0.0))
-        return np.where(inside, frac_power(masked, 2.0 * s).values, 0.0)
+        return np.where(inside, apply_multiplier(np.where(inside, w, 0.0), grid, 2.0 * s), 0.0)
     return apply
 
 
-def _cg(apply_op, rhs, x0, tol, max_iters):
-    x = x0.copy()
-    r = rhs - apply_op(x)
-    p = r.copy()
-    rs = float(np.dot(r.ravel(), r.ravel()))
+def _precond(grid, inside, s):
+    # P (-Lap)^(-s) P: SPD on domain-supported fields, which are never constant,
+    # so annihilating the zero mode loses nothing and needs no mean check
+    def apply(r):
+        return np.where(inside, apply_multiplier(r, grid, -2.0 * s), 0.0)
+    return apply
+
+
+def _cg(apply_op, precond, rhs, x0, tol, max_iters):
+    """Preconditioned CG; returns (x, iterations).
+
+    Stops when the unpreconditioned residual satisfies ||r|| <= tol ||rhs||
+    and raises InnerSolveFailed when the loop ends before that.
+    """
     b_norm = math.sqrt(float(np.dot(rhs.ravel(), rhs.ravel())))
     if b_norm == 0.0:
-        return np.zeros_like(rhs)
-    for _ in range(max_iters):
+        return np.zeros_like(rhs), 0
+    x = x0.copy()
+    r = rhs - apply_op(x)
+    r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+    if r_norm <= tol * b_norm:
+        return x, 0
+    z = precond(r)
+    p = z.copy()
+    rz = float(np.dot(r.ravel(), z.ravel()))
+    iters = 0
+    while iters < max_iters:
         Ap = apply_op(p)
         denom = float(np.dot(p.ravel(), Ap.ravel()))
         if denom <= 0.0:
             break
-        alpha = rs / denom
+        iters += 1
+        alpha = rz / denom
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(np.dot(r.ravel(), r.ravel()))
-        if math.sqrt(rs_new) <= tol * b_norm:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+        r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+        if r_norm <= tol * b_norm:
+            return x, iters
+        z = precond(r)
+        rz_new = float(np.dot(r.ravel(), z.ravel()))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise InnerSolveFailed(
+        f"inner CG stopped after {iters} iterations at relative residual "
+        f"{r_norm / b_norm:.3e} (tolerance {tol:.0e})"
+    )
 
 
 def solve(pack, mask, config, init=None):
@@ -153,7 +177,8 @@ def solve(pack, mask, config, init=None):
 
     Returns a SolveResult; ``converged`` is False when max_iters is reached
     without the relative F_eps change dropping below tol.  Raises
-    DegenerateInput if the iteration collapses to numerical zero.
+    DegenerateInput if the iteration collapses to numerical zero and
+    InnerSolveFailed if an inner CG solve misses cg_tol.
     """
     grid = mask.grid
     q = pack.subcritical_exponent - 2.0
@@ -169,6 +194,7 @@ def solve(pack, mask, config, init=None):
     u = u_vals / nrm
 
     apply_op = _restricted_op(grid, mask.inside, pack.s)
+    precond = _precond(grid, mask.inside, pack.s)
     pexp = pack.subcritical_exponent
     h_vol = grid.cell_volume
 
@@ -182,7 +208,7 @@ def solve(pack, mask, config, init=None):
     iters = 0
     for iters in range(1, config.max_iters + 1):
         rhs = mask.restrict(np.abs(u) ** q * u)
-        w = _cg(apply_op, rhs, w, config.cg_tol, config.cg_max_iters)
+        w, _ = _cg(apply_op, precond, rhs, w, config.cg_tol, config.cg_max_iters)
         w_norm = math.sqrt(hs_dot_norm_sq(Field(grid=grid, values=w), pack.s))
         if not w_norm > 0.0 or not np.isfinite(w_norm):
             raise DegenerateInput("iteration collapsed to numerical zero")

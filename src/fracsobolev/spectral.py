@@ -12,13 +12,18 @@ With this scaling the discrete Plancherel identity
 holds with no extra weights, and the homogeneous Sobolev norm is the plain
 spectral sum  sum |xi|^(2s) |coeffs|^2.
 
-The zero-frequency multiplier of |xi|^sigma is 0 for sigma > 0, 1 for
-sigma == 0 and 0 for sigma < 0 (pseudo-inverse on mean-zero fields).  It is
-built once per grid and order by ``Grid.multiplier`` and shared, read-only,
-by frac_power, hs_inner and the homogeneous norm.  The imaginary-residue
-check runs in inverse_transform only, which takes coefficients from outside;
-frac_power maps a real field through an even real multiplier, so its result
-is real by construction.
+Every |xi|^sigma consumer goes through one transform pair,
+``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
+half-spectrum lattice (shape (M,)*(N-1) + (M//2+1,)), then ``irfftn``.  The
+unnormalized pair needs no scaling, since the h^(N/2) factors of the
+unitary convention cancel.  The weight is built once per grid and order by
+``Grid.multiplier`` and shared, read-only; its zero mode is 0 for
+sigma > 0, 1 for sigma == 0 and 0 for sigma < 0 (pseudo-inverse on
+mean-zero fields).  frac_power, hs_inner, the homogeneous norm and the
+solver's restricted operator and preconditioner all use it.  The
+full-spectrum forward_transform / inverse_transform pair remains for
+callers that want the coefficients; the imaginary-residue check runs in
+inverse_transform only, which takes coefficients from outside.
 """
 
 import json
@@ -35,6 +40,7 @@ __all__ = [
     "make_grid",
     "forward_transform",
     "inverse_transform",
+    "apply_multiplier",
     "frac_power",
     "hs_inner",
     "field_to_bytes",
@@ -62,11 +68,6 @@ class Grid:
         object.__setattr__(self, "spacing", 2.0 * self.half_width / self.points_per_dim)
         object.__setattr__(self, "cell_volume", self.spacing ** self.dim)
         object.__setattr__(self, "_axis", -self.half_width + self.spacing * np.arange(self.points_per_dim))
-        k = 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.spacing)
-        mats = np.meshgrid(*([k] * self.dim), indexing="ij")
-        xi = np.sqrt(sum(m * m for m in mats))
-        xi.setflags(write=False)
-        object.__setattr__(self, "_xi", xi)
         object.__setattr__(self, "_multipliers", {})
         self._axis.setflags(write=False)
 
@@ -83,24 +84,33 @@ class Grid:
         """Cell-center coordinates along one axis."""
         return self._axis
 
+    def _lattice_norm(self, last_freqs):
+        """|xi| with np.fft.fftfreq on the leading axes and ``last_freqs`` on the last."""
+        M, h = self.points_per_dim, self.spacing
+        ks = [np.fft.fftfreq(M, d=h)] * (self.dim - 1) + [last_freqs(M, d=h)]
+        mats = np.meshgrid(*(2.0 * np.pi * k for k in ks), indexing="ij", sparse=True)
+        sq = sum(m * m for m in mats)
+        return np.sqrt(sq, out=sq)
+
     @property
     def xi_norm(self):
-        """|xi| on the full frequency lattice, shape (M,)*N."""
-        return self._xi
+        """|xi| on the full frequency lattice, shape (M,)*N; built on each call."""
+        return self._lattice_norm(np.fft.fftfreq)
 
     def multiplier(self, sigma):
-        """|xi|^sigma on the full frequency lattice, cached and read-only.
+        """|xi|^sigma on the half-spectrum lattice, cached and read-only.
 
+        The lattice is that of ``rfftn``, shape (M,)*(N-1) + (M//2+1,).
         The zero mode is 1 for sigma == 0 and 0 otherwise.
         """
         key = float(sigma)
         mult = self._multipliers.get(key)
         if mult is None:
-            xi = self._xi
-            mult = np.empty_like(xi)
-            nz = xi > 0
-            mult[nz] = xi[nz] ** key
-            mult[~nz] = 1.0 if key == 0 else 0.0
+            mult = self._lattice_norm(np.fft.rfftfreq)
+            with np.errstate(divide="ignore"):
+                np.power(mult, key, out=mult)
+            # the zero mode, at index 0 on every axis, is the only one with |xi| == 0
+            mult[(0,) * self.dim] = 1.0 if key == 0 else 0.0
             mult.setflags(write=False)
             # setdefault keeps one array per order when threads race here
             mult = self._multipliers.setdefault(key, mult)
@@ -180,6 +190,16 @@ def inverse_transform(U):
     return Field(grid=g, values=w.real)
 
 
+def apply_multiplier(values, grid, sigma):
+    """|xi|^sigma applied to real samples on ``grid``; returns a raw ndarray.
+
+    No mean check: for sigma < 0 the zero mode is simply annihilated.
+    """
+    axes = tuple(range(grid.dim))
+    spec = np.fft.rfftn(values, axes=axes)
+    return np.fft.irfftn(grid.multiplier(sigma) * spec, s=grid.shape, axes=axes)
+
+
 def frac_power(u, sigma):
     """Apply (-Laplacian)^(sigma/2), the Fourier multiplier |xi|^sigma.
 
@@ -189,25 +209,22 @@ def frac_power(u, sigma):
     """
     if sigma == 0:
         return u
-    U = forward_transform(u)
+    g = u.grid
     if sigma < 0:
-        zero_amp = abs(U.coeffs[(0,) * u.grid.dim])
-        total = float(np.sqrt(np.sum(np.abs(U.coeffs) ** 2)))
+        # zero-mode amplitude and L2 norm of the unitary coefficients, by Plancherel
+        zero_amp = abs(float(np.sum(u.values))) * g.cell_volume ** 0.5 / g.total_points ** 0.5
+        total = float(np.sqrt(np.sum(u.values ** 2) * g.cell_volume))
         if total > 0 and zero_amp > _MEAN_TOL * total:
             raise NegativeOrderOnNonMeanZero(
                 f"zero mode {zero_amp:.3e} exceeds {_MEAN_TOL:.0e} of norm {total:.3e}"
             )
-    g = u.grid
-    # real field times even real multiplier keeps conjugate symmetry: no residue scan
-    w = np.fft.ifftn(g.multiplier(sigma) * U.coeffs, norm="ortho") / g.cell_volume ** 0.5
-    return Field(grid=g, values=w.real)
+    return Field(grid=g, values=apply_multiplier(u.values, g, sigma))
 
 
 def hs_inner(u, v, s):
     """Homogeneous H^s inner product  sum |xi|^(2s) Re(u_hat conj(v_hat))."""
-    cu = forward_transform(u).coeffs
-    cv = forward_transform(v).coeffs
-    return float(np.sum(u.grid.multiplier(2.0 * s) * (cu * np.conj(cv)).real))
+    Av = apply_multiplier(v.values, v.grid, 2.0 * s)
+    return float(np.sum(u.values * Av)) * u.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

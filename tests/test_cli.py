@@ -202,3 +202,35 @@ class TestCommands:
         cases = {r["case"] for r in rows}
         assert "single_unit_atom" in cases and "empty_pair" in cases
         capsys.readouterr()
+
+    def test_gamma_check_skipped_audit_exits_1(self, tmp_path, capsys, monkeypatch):
+        import fracsobolev.extremals as extremals_mod
+        from fracsobolev import OverlappingAtoms
+
+        def overlapping(*args, **kwargs):
+            raise OverlappingAtoms("synthetic overlap")
+
+        monkeypatch.setattr(extremals_mod, "glued_bubbles", overlapping)
+        code = main(["gamma-check", "--M", "16384", "--eps-schedule", "0.8,0.1",
+                     "--out", str(tmp_path), "--reproducible"])
+        assert code == 1
+        assert "skipped" in capsys.readouterr().err
+        header, rows = _read_rows(tmp_path / "gamma_check.csv")
+        assert all(r["ok"] == "true" for r in rows)
+
+    def test_gamma_check_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        import fracsobolev.diagnostics as diagnostics_mod
+        real = diagnostics_mod.gamma_limit_value
+
+        def inflated(u, atoms, pack, mask):
+            return 10.0 * real(u, atoms, pack, mask)
+
+        monkeypatch.setattr(diagnostics_mod, "gamma_limit_value", inflated)
+        code = main(["gamma-check", "--M", "16384", "--eps-schedule", "0.8,0.1",
+                     "--out", str(tmp_path), "--reproducible"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "skipped" not in err and "2 violations" in err
+        header, rows = _read_rows(tmp_path / "gamma_check.csv")
+        bad = [r["case"] for r in rows if r["ok"] == "false"]
+        assert bad == ["single_unit_atom", "mixed_pair"]

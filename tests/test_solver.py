@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
-                         InvalidOrder, SolverConfig, el_residual, eps_sweep,
-                         hoelder_envelope, hs_dot_norm_sq, make_grid, solve)
+                         InnerSolveFailed, InvalidOrder, SolverConfig,
+                         el_residual, eps_sweep, hoelder_envelope,
+                         hs_dot_norm_sq, make_grid, solve)
 
 from oracles import gradient_ascent_oracle
 
@@ -107,6 +108,55 @@ class TestSolve:
         result = solve(pack, mask, cfg)
         assert not result.converged
         assert result.iters == 3
+
+    def test_inner_solve_failure_raises(self, ctx):
+        g, mask = ctx
+        pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+        cfg = SolverConfig(eps_schedule=(0.8,), cg_max_iters=1, cg_tol=1e-14)
+        with pytest.raises(InnerSolveFailed) as err:
+            solve(pack, mask, cfg)
+        assert "after 1 iterations" in str(err.value)
+        assert "relative residual" in str(err.value)
+
+
+class TestPreconditionedCG:
+    """Cold-start inner solves from the default initial field's right-hand
+    side; plain CG needs 51, 87 and 54 iterations on these cases."""
+
+    @staticmethod
+    def _cold_iters(grid, shape, s):
+        from fracsobolev.solver import _cg, _precond, _restricted_op, default_initial_field
+        mask = DomainMask.from_shape(grid, shape)
+        pack = ExponentPack(dim=grid.dim, s=s, eps=0.8)
+        u = default_initial_field(mask).values
+        rhs = mask.restrict(np.abs(u) ** (pack.subcritical_exponent - 2.0) * u)
+        op, pre = _restricted_op(grid, mask.inside, s), _precond(grid, mask.inside, s)
+        tol = SolverConfig().cg_tol
+        x, iters = _cg(op, pre, rhs, np.zeros(grid.shape), tol, 2000)
+        res = rhs - op(x)
+        assert np.linalg.norm(res) <= tol * np.linalg.norm(rhs)
+        return iters
+
+    @pytest.mark.parametrize("M", [2 ** 14, 2 ** 17])
+    def test_iterations_flat_under_refinement_1d(self, M):
+        g = make_grid(1, M, 8.0)
+        iters = self._cold_iters(g, {"kind": "interval", "bounds": [-1.0, 1.0]}, 0.25)
+        assert 1 <= iters <= 10
+
+    def test_iterations_2d_ball(self):
+        g = make_grid(2, 256, 4.0)
+        iters = self._cold_iters(g, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}, 0.5)
+        assert 1 <= iters <= 15
+
+    def test_converged_start_returns_at_once(self, ctx):
+        from fracsobolev.solver import _cg
+        g, _ = ctx
+        rhs = np.ones(g.shape)
+
+        def unused(_):
+            raise AssertionError("no operator apply expected")
+        x, iters = _cg(lambda w: w, unused, rhs, rhs, 1e-9, 5)
+        assert iters == 0 and np.array_equal(x, rhs)
 
 
 class TestElResidual:
@@ -213,6 +263,23 @@ class TestSweepErrorHandling:
         assert entries[0].result is not None
         assert entries[1].result is None and "synthetic" in entries[1].error
         assert entries[2].result is not None
+
+    def test_inner_solve_failure_recorded(self, ctx, monkeypatch):
+        import fracsobolev.solver as solver_mod
+        g, mask = ctx
+        pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+        real_cg = solver_mod._cg
+        calls = []
+
+        def fail_first(apply_op, precond, rhs, x0, tol, max_iters):
+            calls.append(1)
+            # the first inner solve of the sweep gets a single iteration
+            return real_cg(apply_op, precond, rhs, x0, tol, 1 if len(calls) == 1 else max_iters)
+
+        monkeypatch.setattr(solver_mod, "_cg", fail_first)
+        entries = solver_mod.eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4)))
+        assert entries[0].result is None and "inner CG stopped" in entries[0].error
+        assert entries[1].result is not None and entries[1].result.converged
 
 
 class TestConcurrentUse:

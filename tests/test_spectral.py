@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fracsobolev import (Field, InvalidGrid, NegativeOrderOnNonMeanZero,
-                         NonRealResult, SpectralField, field_from_bytes,
-                         field_to_bytes, forward_transform, frac_power,
-                         inverse_transform, make_grid)
+                         NonRealResult, SpectralField, apply_multiplier,
+                         field_from_bytes, field_to_bytes, forward_transform,
+                         frac_power, hs_dot_norm_sq, inverse_transform,
+                         make_grid)
 
 from conftest import random_field
 
@@ -137,10 +138,16 @@ class TestFracPower:
 class TestMultiplier:
     @pytest.mark.parametrize("sigma,zero_mode", [(0.5, 0.0), (0.0, 1.0), (-0.5, 0.0)])
     def test_zero_mode(self, grid2d, sigma, zero_mode):
+        M, h = grid2d.points_per_dim, grid2d.spacing
+        kx = 2.0 * np.pi * np.fft.fftfreq(M, d=h)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(M, d=h)
+        X, Y = np.meshgrid(kx, ky, indexing="ij")
+        xi = np.sqrt(X * X + Y * Y)
         mult = grid2d.multiplier(sigma)
+        assert mult.shape == (M, M // 2 + 1)
         assert mult[0, 0] == zero_mode
-        nz = grid2d.xi_norm > 0
-        assert np.array_equal(mult[nz], grid2d.xi_norm[nz] ** sigma)
+        nz = xi > 0
+        assert np.array_equal(mult[nz], xi[nz] ** sigma)
 
     def test_cached_and_read_only(self, grid1d):
         mult = grid1d.multiplier(0.5)
@@ -156,8 +163,29 @@ class TestMultiplier:
         xi = grid1d.xi_norm
         w = np.zeros_like(xi)
         w[xi > 0] = xi[xi > 0] ** sigma
-        ref = inverse_transform(SpectralField(grid1d, w * forward_transform(u).coeffs))
-        assert np.array_equal(frac_power(u, sigma).values, ref.values)
+        ref = inverse_transform(SpectralField(grid1d, w * forward_transform(u).coeffs)).values
+        err = np.max(np.abs(frac_power(u, sigma).values - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sigma", [0.5, -0.5])
+    def test_frac_power_is_apply_multiplier(self, grid2d, rng, sigma):
+        vals = rng.standard_normal(grid2d.shape)
+        u = Field(grid=grid2d, values=vals - vals.mean())
+        assert np.array_equal(frac_power(u, sigma).values,
+                              apply_multiplier(u.values, grid2d, sigma))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_apply_multiplier_inverts_off_mean(self, grid2d, rng, sigma):
+        v = rng.standard_normal(grid2d.shape) + 3.0
+        back = apply_multiplier(apply_multiplier(v, grid2d, sigma), grid2d, -sigma)
+        assert np.max(np.abs(back - (v - v.mean()))) < 1e-12 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_hs_dot_norm_sq_matches_full_spectrum(self, grid2d, rng, s):
+        u = Field(grid=grid2d, values=rng.standard_normal(grid2d.shape))
+        xi = grid2d.xi_norm
+        ref = float(np.sum(xi ** (2.0 * s) * np.abs(forward_transform(u).coeffs) ** 2))
+        assert abs(hs_dot_norm_sq(u, s) - ref) <= 1e-13 * ref
 
 
 class TestDumpFormat:

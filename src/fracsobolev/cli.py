@@ -18,42 +18,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FracSobolevError
+from .errors import (ConfigError, FracSobolevError, InvalidGrid, InvalidMask,
+                     InvalidOrder)
 from .extremals import (AtomSpec, BubbleSpec, cutoff_profile,
-                        recovery_sequence, sobolev_constant, talenti_bubble)
+                        recovery_sequence, talenti_bubble)
 from .norms import (DomainMask, ExponentPack, gagliardo_seminorm_sq,
                     hoelder_envelope, hs_dot_norm_sq, lp_integral,
-                    sobolev_quotient, subcritical_value)
+                    sobolev_constant, sobolev_quotient, subcritical_value)
 from .solver import SolverConfig, el_residual, eps_sweep, solve
 from .spectral import Field, field_to_bytes, forward_transform, make_grid
-from . import diagnostics
+from . import diagnostics, extremals
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main", "COMMANDS"]
 
 COMMANDS = ("bubble-verify", "norms-check", "solve", "sweep", "recovery-demo", "gamma-check")
 
-_DEFAULTS = {
-    "N": 1,
-    "s": 0.25,
-    "M": 512,
-    "L": 8.0,
-    "lam": None,           # bubble scale; defaults to L/8
-    "eps-schedule": "0.8,0.4,0.2,0.1",
-    "omega": None,         # JSON shape spec; defaults per dimension
-    "max-iters": 5000,
-    "tol": 1e-8,
-    "damping": 0.8,
-    "seed": 0,
-    "out": "out",
-    "emit-fields": False,
-    "reproducible": False,
-}
-
-_FLAG_TYPES = {
-    "N": int, "s": float, "M": int, "L": float, "lam": float,
-    "eps-schedule": str, "omega": str, "max-iters": int, "tol": float,
-    "damping": float, "seed": int, "out": str,
-    "emit-fields": bool, "reproducible": bool,
+# flag / config key -> (type, built-in default); lam, the bubble scale,
+# defaults to L/8 and omega, a JSON shape spec, to one per dimension
+_FLAGS = {
+    "N": (int, 1), "s": (float, 0.25), "M": (int, 512), "L": (float, 8.0),
+    "lam": (float, None), "eps-schedule": (str, "0.8,0.4,0.2,0.1"),
+    "omega": (str, None), "max-iters": (int, 5000), "tol": (float, 1e-8),
+    "damping": (float, 0.8), "seed": (int, 0), "out": (str, "out"),
+    "emit-fields": (bool, False), "reproducible": (bool, False),
 }
 
 # constructor parameter named by an InvalidGrid/InvalidOrder -> config key
@@ -89,14 +76,14 @@ def _parse_file(path):
             raise ConfigError("config-file", f"line {lineno} is not key=value: {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _FLAGS:
             raise ConfigError(key, f"unknown key on line {lineno}")
         values[key] = val.strip()
     return values
 
 
 def _coerce(key, raw):
-    typ = _FLAG_TYPES[key]
+    typ = _FLAGS[key][0]
     if typ is bool:
         if isinstance(raw, bool):
             return raw
@@ -112,9 +99,10 @@ def _coerce(key, raw):
         raise ConfigError(key, f"expected {typ.__name__}, got {raw!r}")
 
 
-def parse_config(args, file=None):
-    """Merge CLI args over config-file values over defaults into a validated
-    ExperimentConfig.  Raises ConfigError naming the first offending key."""
+def parse_config(args):
+    """Merge CLI args over config-file values (``--config PATH``) over
+    defaults into a validated ExperimentConfig.  Raises ConfigError naming
+    the first offending key."""
     args = list(args)
     if not args:
         raise ConfigError("command", f"missing command; expected one of {', '.join(COMMANDS)}")
@@ -123,6 +111,7 @@ def parse_config(args, file=None):
         raise ConfigError("command", f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
 
     cli_values = {}
+    file = None
     i = 1
     while i < len(args):
         tok = args[i]
@@ -135,9 +124,9 @@ def parse_config(args, file=None):
         if not tok.startswith("--"):
             raise ConfigError(tok, "unexpected positional argument")
         key = tok[2:]
-        if key not in _DEFAULTS:
+        if key not in _FLAGS:
             raise ConfigError(key, "unknown flag")
-        if _FLAG_TYPES[key] is bool:
+        if _FLAGS[key][0] is bool:
             cli_values[key] = True
             i += 1
         else:
@@ -146,7 +135,7 @@ def parse_config(args, file=None):
             cli_values[key] = args[i + 1]
             i += 2
 
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default) in _FLAGS.items()}
     if file is not None:
         merged.update(_parse_file(file))
     merged.update(cli_values)
@@ -155,7 +144,6 @@ def parse_config(args, file=None):
     for key, raw in merged.items():
         typed[key] = None if raw is None else _coerce(key, raw)
 
-    from .errors import InvalidGrid, InvalidMask, InvalidOrder
     try:
         grid = make_grid(typed["N"], typed["M"], typed["L"])
     except InvalidGrid as exc:
@@ -386,10 +374,9 @@ def _recovery_geometry(cfg):
     bump = mask.restrict(bump)
     u = Field(grid=grid, values=bump)
     u = Field(grid=grid, values=bump * np.sqrt(0.25 / hs_dot_norm_sq(u, cfg.pack.s)))
-    from scipy import ndimage
-    dist_inside = ndimage.distance_transform_edt(mask.inside) * grid.spacing
-    idx = tuple(int(np.argmin(np.abs(grid.axis - c))) for c in atom)
-    d_atom = float(dist_inside[idx])
+    # distance from the atom's cell to the nearest cell outside the domain
+    cell = [grid.axis[int(np.argmin(np.abs(grid.axis - c)))] for c in atom]
+    d_atom = float(grid.radii(cell)[~mask.inside].min())
     return u, atom, d_atom
 
 
@@ -445,10 +432,9 @@ def _cmd_gamma_check(cfg):
     atoms = AtomSpec(points=(tuple(centroid - offs), tuple(centroid + offs)),
                      masses=(0.3, 0.4))
     eps = cfg.solver.eps_schedule[-1]
-    from .extremals import glued_bubbles
     skipped = False
     try:
-        glued = glued_bubbles(atoms, eps, grid, mask, pack.with_eps(eps))
+        glued = extremals.glued_bubbles(atoms, eps, grid, mask, pack.with_eps(eps))
         mu_m = diagnostics.energy_density(glued, pack.s)
         nu_m = diagnostics.lp_density(glued, pack.two_star, mask)
         detected = diagnostics.atom_detect(mu_m, nu_m, radius=0.3 * extent, threshold=0.1)

@@ -9,7 +9,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import BudgetExceeded, InvalidOrder
-from .norms import hs_dot_norm_sq, lp_integral
+from .extremals import cutoff_field
+from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
 from .spectral import Field, frac_power
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_ATOM_CAP = 16
+# slack on the unit energy-plus-mass budget of an admissible pair
+_BUDGET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,11 @@ def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
         if best < threshold * total:
             break
         center = tuple(float(grid.axis[i]) for i in idx)
-        ball = grid.radii(center) <= radius
+        # nu, zeroing and exclusion use the ball whose mu _shift_sum gave
+        cells = np.asarray(offsets) + idx
+        cells = cells[((cells >= 0) & (cells < grid.points_per_dim)).all(axis=1)]
+        ball = np.zeros(grid.shape, dtype=bool)
+        ball[tuple(cells.T)] = True
         entries.append(AtomEntry(location=center, mu=best, nu=float(work_nu[ball].sum())))
         work_mu[ball] = 0.0
         work_nu[ball] = 0.0
@@ -176,7 +183,6 @@ def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):
     (expected to vanish as lambda grows once the double ball covers the
     support of u).
     """
-    from .extremals import cutoff_field
     if branch not in ("shrink", "inflate"):
         raise InvalidOrder(f"branch must be 'shrink' or 'inflate', got {branch!r}")
     out = []
@@ -201,14 +207,13 @@ def commutator_residual(u, phi, s):
     return math.sqrt(float(np.sum((a - b) ** 2)) * u.grid.cell_volume)
 
 
-def gamma_limit_value(u, atoms, pack, mask, budget_tol=1e-8):
+def gamma_limit_value(u, atoms, pack, mask):
     """Limit functional  int_Omega |u|^(2*) + S* sum mu_j^(2*/2)  of an
     admissible pair; raises BudgetExceeded when energy plus atom mass
     exceeds one beyond tolerance."""
-    from .extremals import sobolev_constant
     energy = hs_dot_norm_sq(u, pack.s) if np.any(u.values) else 0.0
     mu_sum = sum(e.mu for e in atoms) if atoms is not None else 0.0
-    if energy + mu_sum > 1.0 + budget_tol:
+    if energy + mu_sum > 1.0 + _BUDGET_TOL:
         raise BudgetExceeded(f"energy {energy:.6f} plus atom mass {mu_sum:.6f} exceeds 1")
     Sstar = sobolev_constant(pack.dim, pack.s)
     atom_part = sum(e.mu ** (pack.two_star / 2.0) for e in atoms) if atoms is not None else 0.0

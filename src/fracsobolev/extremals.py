@@ -1,20 +1,22 @@
-"""Sharp constant, extremal bubble profiles, and the localized constructions.
+"""Extremal bubble profiles and the localized constructions.
 
-The closed-form sharp constant and the bubble family are evaluated with a
-log-Gamma routine.  Localized bubbles are smooth-cutoff truncations of
+The critical exponent 2* and the sharp constant S* live in ``norms``, beside
+ExponentPack, and are re-exported here as ``critical_exponent`` and
+``sobolev_constant``.  Localized bubbles are smooth-cutoff truncations of
 rescaled bubbles, renormalized on the grid; glued sums place disjointly
 supported localized bubbles at prescribed atoms; recovery fields join a
 fixed smooth function to a glued sum through an annular cutoff.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import (BudgetExceeded, InvalidOrder, OverlappingAtoms,
-                     TailTooFat, UnderResolved)
-from .norms import ExponentPack, hs_dot_norm_sq
+from .errors import (BudgetExceeded, InvalidMask, InvalidOrder,
+                     OverlappingAtoms, TailTooFat, UnderResolved)
+from .norms import (ExponentPack, critical_exponent, hs_dot_norm_sq,
+                    sobolev_constant)
 from .spectral import Field
 
 __all__ = [
@@ -36,26 +38,10 @@ __all__ = [
 
 MIN_CORE_CELLS = 4.0
 DEFAULT_TAIL_THRESHOLD = 0.5
-
-
-def critical_exponent(N, s):
-    """2* = 2N/(N-2s); raises InvalidOrder for s outside (0, N/2)."""
-    if not (0.0 < s < N / 2.0):
-        raise InvalidOrder(f"s must lie in (0, N/2) = (0, {N / 2.0}), got {s}")
-    return 2.0 * N / (N - 2.0 * s)
-
-
-def sobolev_constant(N, s):
-    """Sharp constant of the critical embedding, in closed Gamma-function form."""
-    two_star = critical_exponent(N, s)
-    log_inner = (
-        -2.0 * s * np.log(2.0)
-        - s * np.log(np.pi)
-        + gammaln((N - 2.0 * s) / 2.0)
-        - gammaln((N + 2.0 * s) / 2.0)
-        + (2.0 * s / N) * (gammaln(N) - gammaln(N / 2.0))
-    )
-    return float(np.exp(log_inner * two_star / 2.0))
+# default localization radius as a share of the distance to the nearest
+# other atom or box face, and bubble scale as a share of that radius
+ATOM_BALL_FRACTION = 0.25
+GLUED_SCALE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,6 @@ class BubbleSpec:
         return (self.pack.dim - 2.0 * self.pack.s) / 2.0
 
     def to_json(self):
-        import json
         return json.dumps({"amplitude": self.amplitude, "scale": self.scale,
                            "center": list(self.center), "dim": self.pack.dim,
                            "s": self.pack.s}, sort_keys=True)
@@ -100,7 +85,6 @@ class CutoffSpec:
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
 
     def to_json(self):
-        import json
         return json.dumps({"center": list(self.center), "inner_radius": self.inner_radius},
                           sort_keys=True)
 
@@ -129,7 +113,6 @@ class AtomSpec:
         object.__setattr__(self, "masses", ms)
 
     def to_json(self):
-        import json
         return json.dumps({"points": [list(p) for p in self.points],
                            "masses": list(self.masses)}, sort_keys=True)
 
@@ -232,11 +215,11 @@ def _snap_to_mask(point, mask):
     return tuple(float(grid.axis[i]) for i in j)
 
 
-def atom_localizations(atoms, grid, mask=None, radii=None, ball_fraction=0.25):
+def atom_localizations(atoms, grid, mask=None, radii=None):
     """Per-atom (center, inner_radius) with pairwise-disjoint double balls.
 
-    Default radii are ``ball_fraction`` of the smallest distance to the other
-    atoms and to the box boundary.  Explicit radii are validated; double
+    Default radii are ``ATOM_BALL_FRACTION`` of the smallest distance to the
+    other atoms and to the box boundary.  Explicit radii are validated; double
     balls that intersect or leave the box raise OverlappingAtoms.
     """
     pts = [np.asarray(p, dtype=float) for p in atoms.points]
@@ -248,7 +231,7 @@ def atom_localizations(atoms, grid, mask=None, radii=None, ball_fraction=0.25):
         d_box = float(L - np.max(np.abs(p)))
         d_atoms = min((float(np.linalg.norm(p - q)) for i, q in enumerate(pts) if i != j),
                       default=np.inf)
-        rho = radii[j] if radii is not None else ball_fraction * min(d_atoms, d_box)
+        rho = radii[j] if radii is not None else ATOM_BALL_FRACTION * min(d_atoms, d_box)
         if not rho > 0:
             raise OverlappingAtoms(f"atom {j} has nonpositive localization radius")
         if 2.0 * rho > d_box:
@@ -262,21 +245,22 @@ def atom_localizations(atoms, grid, mask=None, radii=None, ball_fraction=0.25):
     return out
 
 
-def glued_bubble_parts(atoms, eps, grid, mask, pack, radii=None, scale_fraction=0.5):
-    """Unit-norm localized bubble per atom, supports pairwise disjoint."""
+def glued_bubble_parts(atoms, eps, grid, mask, pack, radii=None):
+    """Unit-norm localized bubble per atom, supports pairwise disjoint; each
+    bubble has scale ``GLUED_SCALE_FRACTION`` of its localization radius."""
     parts = []
     for (center, rho) in atom_localizations(atoms, grid, mask=mask, radii=radii):
-        spec = BubbleSpec(amplitude=1.0, scale=scale_fraction * rho, center=center, pack=pack)
+        spec = BubbleSpec(amplitude=1.0, scale=GLUED_SCALE_FRACTION * rho, center=center,
+                          pack=pack)
         cut = CutoffSpec(center=center, inner_radius=rho)
         v, _ = localized_bubble(spec, cut, eps, grid)
         parts.append(v)
     return parts
 
 
-def glued_bubbles(atoms, eps, grid, mask, pack, radii=None, scale_fraction=0.5):
+def glued_bubbles(atoms, eps, grid, mask, pack, radii=None):
     """Square-root-mass combination  sum_j sqrt(mu_j) v_eps^j  of localized bubbles."""
-    parts = glued_bubble_parts(atoms, eps, grid, mask, pack, radii=radii,
-                               scale_fraction=scale_fraction)
+    parts = glued_bubble_parts(atoms, eps, grid, mask, pack, radii=radii)
     total = np.zeros(grid.shape)
     for mu, v in zip(atoms.masses, parts):
         total += np.sqrt(mu) * v.values
@@ -288,11 +272,11 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
 
     ``sigma`` is the hole radius rho_sigma: phi_sigma vanishes on
     B_sigma(x_j) and equals one outside B_2sigma(x_j).  The glued bubbles
-    are localized inside the holes.  Raises BudgetExceeded when
-    ||u||^2 + sum mu_j reaches one.
+    are localized inside the holes.  Raises InvalidMask when u is nonzero
+    outside the mask and BudgetExceeded when ||u||^2 + sum mu_j reaches one.
     """
     if mask is not None and np.any(u.values[~mask.inside] != 0.0):
-        raise ValueError("recovery base field must vanish outside the domain mask")
+        raise InvalidMask("recovery base field must vanish outside the domain mask")
     energy = hs_dot_norm_sq(u, pack.s) if np.any(u.values) else 0.0
     budget = energy + sum(atoms.masses) if len(atoms.masses) else energy
     if budget >= 1.0:

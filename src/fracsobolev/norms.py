@@ -1,5 +1,8 @@
 """Norms, seminorms and the variational functionals on a bounded domain.
 
+The critical exponent 2* (``critical_exponent``) and the sharp constant S*
+(``sobolev_constant``) live here, beside ExponentPack, which takes its 2*
+from ``critical_exponent``; ``extremals`` and the package re-export both.
 Domain masks sample a user-supplied shape at cell centers.  The homogeneous
 norm is the plain spectral sum of |xi|^(2s)|u_hat|^2; the Gagliardo double
 integral is a direct pair sum with a diagonal correction and (in 1-D) an
@@ -7,6 +10,7 @@ exact exterior-tail term, so the Fourier/Gagliardo ratio is stable under
 refinement.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,8 @@ from .spectral import apply_multiplier, forward_transform
 __all__ = [
     "DomainMask",
     "ExponentPack",
+    "critical_exponent",
+    "sobolev_constant",
     "lp_integral",
     "hs_dot_norm_sq",
     "hs_full_norm_sq",
@@ -31,6 +37,26 @@ __all__ = [
 _UNIT_BALL_TOL = 1e-8
 
 
+def critical_exponent(N, s):
+    """2* = 2N/(N-2s); raises InvalidOrder for s outside (0, N/2)."""
+    if not (0.0 < s < N / 2.0):
+        raise InvalidOrder(f"s must lie in (0, N/2) = (0, {N / 2.0}), got {s}", param="s")
+    return 2.0 * N / (N - 2.0 * s)
+
+
+def sobolev_constant(N, s):
+    """Sharp constant of the critical embedding, in closed Gamma-function form."""
+    two_star = critical_exponent(N, s)
+    log_inner = (
+        -2.0 * s * np.log(2.0)
+        - s * np.log(np.pi)
+        + gammaln((N - 2.0 * s) / 2.0)
+        - gammaln((N + 2.0 * s) / 2.0)
+        + (2.0 * s / N) * (gammaln(N) - gammaln(N / 2.0))
+    )
+    return float(np.exp(log_inner * two_star / 2.0))
+
+
 @dataclass(frozen=True)
 class ExponentPack:
     """Dimension N, fractional order s in (0, N/2), and the exponent deficit eps."""
@@ -41,10 +67,7 @@ class ExponentPack:
     two_star: float = field(init=False)
 
     def __post_init__(self):
-        N, s = self.dim, self.s
-        if not (0.0 < s < N / 2.0):
-            raise InvalidOrder(f"s must lie in (0, N/2) = (0, {N / 2.0}), got {s}", param="s")
-        two_star = 2.0 * N / (N - 2.0 * s)
+        two_star = critical_exponent(self.dim, self.s)
         if not (0.0 <= self.eps < two_star - 2.0):
             raise InvalidOrder(
                 f"eps must lie in [0, 2*-2) = [0, {two_star - 2.0}), got {self.eps}",
@@ -105,7 +128,6 @@ class DomainMask:
         return np.where(self.inside, values, 0.0)
 
     def to_json(self):
-        import json
         return json.dumps({"shape": self.shape_spec}, sort_keys=True)
 
     @staticmethod
@@ -179,14 +201,13 @@ def hs_full_norm_sq(u, s):
     return float(np.sum((1.0 + u.grid.xi_norm ** 2) ** s * np.abs(c) ** 2))
 
 
-def gagliardo_seminorm_sq(u, s, diagonal_correction=True, exterior_tail=True):
+def gagliardo_seminorm_sq(u, s):
     """Double-integral Gagliardo seminorm |u(x)-u(y)|^2 / |x-y|^(N+2s).
 
     Diagonal cell pairs are excluded and replaced by a squared-gradient
     surrogate times the analytic kernel integral over the excluded region
     (exact cell-pair integral in 1-D, equal-volume-ball approximation for
-    N >= 2); set diagonal_correction=False for the bare excluded-diagonal
-    sum.  For compactly supported u the integral over the box exterior is
+    N >= 2).  For compactly supported u the integral over the box exterior is
     added analytically in 1-D (N >= 2 requires support well inside the box;
     the exterior term is then omitted).  Cost is O(M^(2N)).
     """
@@ -203,25 +224,22 @@ def gagliardo_seminorm_sq(u, s, diagonal_correction=True, exterior_tail=True):
     np.fill_diagonal(kern, 0.0)
     total = float(np.sum(diff * diff * kern)) * g.cell_volume ** 2
 
-    if diagonal_correction:
-        grads = np.gradient(u.values, h) if N > 1 else [np.gradient(u.values, h)]
-        grad_sq = sum(np.asarray(gr) ** 2 for gr in grads)
-        if N == 1:
-            cell_int = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
-            total += float(np.sum(grad_sq)) * cell_int
-        else:
-            r_eq = h * np.exp(gammaln(N / 2.0 + 1.0) / N) / np.sqrt(np.pi)
-            omega = 2.0 * np.pi ** (N / 2.0) / np.exp(gammaln(N / 2.0))
-            total += float(np.sum(grad_sq)) * g.cell_volume * \
-                (omega / N) * r_eq ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-
-    if exterior_tail and N == 1:
+    grads = np.gradient(u.values, h) if N > 1 else [np.gradient(u.values, h)]
+    grad_sq = sum(np.asarray(gr) ** 2 for gr in grads)
+    if N == 1:
+        cell_int = 2.0 * h ** (3.0 - 2.0 * s) / ((2.0 - 2.0 * s) * (3.0 - 2.0 * s))
+        total += float(np.sum(grad_sq)) * cell_int
         x = g.axis
         nz = np.abs(vals) > 0
         if nz.any():
             L = g.half_width
             T = ((L + x[nz]) ** (-2.0 * s) + (L - x[nz]) ** (-2.0 * s)) / (2.0 * s)
             total += 2.0 * float(np.sum(vals[nz] ** 2 * T)) * h
+    else:
+        r_eq = h * np.exp(gammaln(N / 2.0 + 1.0) / N) / np.sqrt(np.pi)
+        omega = 2.0 * np.pi ** (N / 2.0) / np.exp(gammaln(N / 2.0))
+        total += float(np.sum(grad_sq)) * g.cell_volume * \
+            (omega / N) * r_eq ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return total
 
 
@@ -243,7 +261,6 @@ def subcritical_value(u, pack, mask):
 
 def hoelder_envelope(pack, mask):
     """Upper bound (S*)^((2*-eps)/2*) |Omega|^(eps/2*) for the subcritical value."""
-    from .extremals import sobolev_constant
     Sstar = sobolev_constant(pack.dim, pack.s)
     ts = pack.two_star
     return Sstar ** ((ts - pack.eps) / ts) * mask.measure ** (pack.eps / ts)

@@ -32,10 +32,13 @@ __all__ = [
     "default_initial_field",
     "MASS_RADIUS_FRACTIONS",
     "TAIL_MARGIN_FRACTION",
+    "INITIAL_PERTURBATION",
 ]
 
 MASS_RADIUS_FRACTIONS = (0.2, 0.4)
 TAIL_MARGIN_FRACTION = 0.5
+# seeded noise in the default initial field, relative to the bump's peak
+INITIAL_PERTURBATION = 0.01
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,15 @@ def el_residual(u, pack, mask):
     return multiplier, res_norm / Au_norm
 
 
-def default_initial_field(mask, seed=0, perturbation=0.01):
+def default_initial_field(mask, seed=0):
     """Centered smooth bump over the domain plus a small seeded perturbation."""
     grid = mask.grid
     center = mask.centroid()
     r = grid.radii(center)
     extent = float(np.max(r[mask.inside]))
     bump = np.clip(1.0 - (r / max(extent, grid.spacing)) ** 2, 0.0, None) ** 2
-    if perturbation:
-        rng = np.random.default_rng(seed)
-        bump = bump + perturbation * float(np.max(bump)) * rng.standard_normal(grid.shape)
+    rng = np.random.default_rng(seed)
+    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * rng.standard_normal(grid.shape)
     return Field(grid=grid, values=mask.restrict(bump))
 
 

@@ -138,10 +138,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
-            if v.size == self.grid.total_points:
-                v = v.reshape(self.grid.shape)
-            else:
-                raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
+            raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidGrid("field contains non-finite entries")
         object.__setattr__(self, "values", v)

@@ -123,6 +123,19 @@ class TestAtomDetect:
             for j in range(i + 1, len(locs)):
                 assert abs(locs[i] - locs[j]) > 0.3
 
+    def test_ball_on_lattice_distance_counted_once(self):
+        # r = 2h falls on a lattice distance; the ball whose mass is recorded
+        # must be the ball that is then zeroed, so no mass is counted twice
+        from fracsobolev.diagnostics import CellMeasure
+        g = make_grid(1, 1024, 2.7)
+        masses = np.zeros(g.shape)
+        masses[298:303] = 1.0
+        m = CellMeasure(grid=g, masses=masses)
+        found = atom_detect(m, m, radius=2 * g.spacing, threshold=0.1)
+        assert len(found) == 1
+        assert found.entries[0].mu == 5.0
+        assert found.entries[0].nu == 5.0
+
     def test_rejects_tiny_radius_and_bad_threshold(self, grid1d, rng):
         u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
         mu = energy_density(u, 0.25)

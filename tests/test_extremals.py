@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsobolev import (AtomSpec, BubbleSpec, CutoffSpec, DomainMask,
-                         BudgetExceeded, ExponentPack, Field,
+                         BudgetExceeded, ExponentPack, Field, InvalidMask,
                          InvalidOrder, OverlappingAtoms, TailTooFat,
                          UnderResolved, critical_exponent, cutoff_field,
                          glued_bubble_parts, glued_bubbles, hs_dot_norm_sq,
@@ -287,6 +287,13 @@ class TestRecoverySequence:
         fat = AtomSpec(points=((0.5,),), masses=(0.8,))  # 0.25 + 0.8 > 1
         with pytest.raises(BudgetExceeded):
             recovery_sequence(u, fat, 0.05, 0.25, g, mask, pack)
+
+    def test_base_field_outside_mask_raises(self, rec_ctx):
+        g, pack, mask, u, atoms = rec_ctx
+        vals = u.values.copy()
+        vals[0] = 1e-3
+        with pytest.raises(InvalidMask):
+            recovery_sequence(Field(grid=g, values=vals), atoms, 0.05, 0.25, g, mask, pack)
 
     def test_budget_stays_below_one_and_stable(self, rec_ctx):
         g, pack, mask, u, atoms = rec_ctx

@@ -157,13 +157,6 @@ class TestGagliardo:
         ratios = np.array(ratios)
         assert ratios.std() / ratios.mean() < 0.01
 
-    def test_correction_and_tail_flags(self, rng):
-        g = make_grid(1, 128, 4.0)
-        u = _band_limited_compact(g, rng, 2.0)
-        full = gagliardo_seminorm_sq(u, 0.3)
-        bare = gagliardo_seminorm_sq(u, 0.3, diagonal_correction=False, exterior_tail=False)
-        assert full > bare > 0.0
-
 
 class TestQuotient:
     def test_scale_invariance(self, grid1d, interval_mask, rng):

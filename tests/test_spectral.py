@@ -222,3 +222,8 @@ class TestFieldValidation:
     def test_rejects_wrong_length(self, grid1d):
         with pytest.raises(InvalidGrid):
             Field(grid=grid1d, values=np.zeros(100))
+
+    def test_rejects_flat_array_on_2d_grid(self):
+        g = make_grid(2, 8, 1.0)
+        with pytest.raises(InvalidGrid):
+            Field(grid=g, values=np.zeros(g.total_points))

@@ -10,7 +10,8 @@ from .errors import (BudgetExceeded, ConfigError, ConstraintViolated,
                      UnsupportedOrder)
 from .spectral import (Field, Grid, SpectralField, apply_multiplier,
                        field_from_bytes, field_to_bytes, forward_transform,
-                       frac_power, hs_inner, inverse_transform, make_grid)
+                       frac_power, hs_inner, inverse_transform, make_grid,
+                       offset_convolve)
 from .norms import (DomainMask, ExponentPack, critical_exponent,
                     gagliardo_seminorm_sq, hoelder_envelope, hs_dot_norm_sq,
                     hs_full_norm_sq, lp_integral, sobolev_constant,

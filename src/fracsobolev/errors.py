@@ -45,7 +45,9 @@ class NegativeOrderOnNonMeanZero(FracSobolevError):
 
 
 class InvalidMask(FracSobolevError):
-    """Domain mask is empty or touches the outermost cell layer."""
+    """Domain mask is empty or touches the outermost cell layer, or a field
+    is nonzero where a mask or the box edge requires it to vanish (outside
+    the domain mask, or on the outermost cell layer for the Gagliardo form)."""
 
 
 class InvalidOrder(FracSobolevError):

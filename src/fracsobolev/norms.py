@@ -5,9 +5,10 @@ The critical exponent 2* (``critical_exponent``) and the sharp constant S*
 from ``critical_exponent``; ``extremals`` and the package re-export both.
 Domain masks sample a user-supplied shape at cell centers.  The homogeneous
 norm is the plain spectral sum of |xi|^(2s)|u_hat|^2; the Gagliardo double
-integral is a direct pair sum with a diagonal correction and (in 1-D) an
-exact exterior-tail term, so the Fourier/Gagliardo ratio is stable under
-refinement.
+integral is an off-diagonal pair sum, evaluated as zero-padded FFT
+convolutions with the kernel (``spectral.offset_convolve``), with a diagonal
+correction and (in 1-D) an exact exterior-tail term, so the
+Fourier/Gagliardo ratio is stable under refinement.
 """
 
 import json
@@ -18,7 +19,7 @@ from scipy.special import gammaln
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import apply_multiplier, forward_transform
+from .spectral import apply_multiplier, forward_transform, offset_convolve
 
 __all__ = [
     "DomainMask",
@@ -96,12 +97,8 @@ class DomainMask:
             raise InvalidMask(f"mask shape {ins.shape} does not match grid {self.grid.shape}")
         if not ins.any():
             raise InvalidMask("mask selects no cells")
-        for ax in range(self.grid.dim):
-            edge = [slice(None)] * self.grid.dim
-            for idx in (0, -1):
-                edge[ax] = idx
-                if ins[tuple(edge)].any():
-                    raise InvalidMask("domain touches the outermost cell layer of the box")
+        if _touches_outer_layer(ins):
+            raise InvalidMask("domain touches the outermost cell layer of the box")
         ins.setflags(write=False)
         object.__setattr__(self, "inside", ins)
 
@@ -160,6 +157,11 @@ class DomainMask:
         return DomainMask(grid=grid, inside=inside, shape_spec=dict(spec))
 
 
+def _touches_outer_layer(values):
+    """True when ``values`` is nonzero on the outermost cell layer of the box."""
+    return any(np.take(values, (0, -1), axis=ax).any() for ax in range(values.ndim))
+
+
 def _points_in_polygon(X, Y, verts):
     # even-odd rule ray casting, vectorized over all cells
     inside = np.zeros(X.shape, dtype=bool)
@@ -209,20 +211,26 @@ def gagliardo_seminorm_sq(u, s):
     (exact cell-pair integral in 1-D, equal-volume-ball approximation for
     N >= 2).  For compactly supported u the integral over the box exterior is
     added analytically in 1-D (N >= 2 requires support well inside the box;
-    the exterior term is then omitted).  Cost is O(M^(2N)).
+    the exterior term is then omitted).  u must vanish on the outermost cell
+    layer of the box, the rule DomainMask enforces; otherwise InvalidMask is
+    raised.  The off-diagonal pair sum is two linear convolutions with the
+    kernel (``offset_convolve``), so the cost is O(M^N log M).
     """
     if not (0.0 < s < 1.0):
         raise UnsupportedOrder(f"Gagliardo form requires 0 < s < 1, got {s}")
     g = u.grid
     N, h = g.dim, g.spacing
-    pts = np.stack([c.ravel() for c in g.coords()], axis=1)
-    vals = u.values.ravel()
-    diff = np.subtract.outer(vals, vals)
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(dist, 1.0)
-    kern = dist ** (-(N + 2.0 * s))
-    np.fill_diagonal(kern, 0.0)
-    total = float(np.sum(diff * diff * kern)) * g.cell_volume ** 2
+    vals = u.values
+    if _touches_outer_layer(vals):
+        raise InvalidMask("field is nonzero on the outermost cell layer of the box")
+
+    def kernel(r):
+        k = np.zeros_like(r)
+        return np.power(r, -(N + 2.0 * s), out=k, where=r > 0)
+
+    # sum_{i != j} (u_i - u_j)^2 K_{i-j} = 2 sum_i u_i (u_i (K*1)_i - (K*u)_i)
+    k_one, k_u = offset_convolve(g, kernel, (np.ones(g.shape), vals))
+    total = 2.0 * float(np.sum(vals * (vals * k_one - k_u))) * g.cell_volume ** 2
 
     grads = np.gradient(u.values, h) if N > 1 else [np.gradient(u.values, h)]
     grad_sq = sum(np.asarray(gr) ** 2 for gr in grads)

@@ -24,6 +24,11 @@ solver's restricted operator and preconditioner all use it.  The
 full-spectrum forward_transform / inverse_transform pair remains for
 callers that want the coefficients; the imaginary-residue check runs in
 inverse_transform only, which takes coefficients from outside.
+
+``offset_convolve`` is the one non-periodic transform: linear convolutions
+with a kernel of the offset distance |x_i - x_j|, run as ``rfftn``/``irfftn``
+on the zero-padded (2M)^N lattice and cut back to (M,)*N.  The Gagliardo
+pair sum uses it.
 """
 
 import json
@@ -41,6 +46,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
+    "offset_convolve",
     "frac_power",
     "hs_inner",
     "field_to_bytes",
@@ -195,6 +201,29 @@ def apply_multiplier(values, grid, sigma):
     axes = tuple(range(grid.dim))
     spec = np.fft.rfftn(values, axes=axes)
     return np.fft.irfftn(grid.multiplier(sigma) * spec, s=grid.shape, axes=axes)
+
+
+def offset_convolve(grid, kernel, arrays):
+    """Linear convolutions  sum_j k(|x_i - x_j|) a_j  of real arrays on ``grid``.
+
+    ``kernel`` maps an array of distances to kernel values.  It is sampled
+    once on the (2M)^N lattice of index offsets (per axis d in
+    fftfreq(2M) * 2M, distance h|d|) and transformed once for all of
+    ``arrays``.  Each array is zero-padded to (2M)^N, so no periodic image
+    enters.  Returns a raw ndarray of shape (len(arrays),) + grid.shape.
+    """
+    M, N = grid.points_per_dim, grid.dim
+    padded = (2 * M,) * N
+    # d = 1/(2M) makes fftfreq return the integer offsets 0..M-1, -M..-1
+    d = np.fft.fftfreq(2 * M, d=1.0 / (2 * M))
+    offsets = np.meshgrid(*([d] * N), indexing="ij", sparse=True)
+    dist = sum(o * o for o in offsets)
+    kernel_spec = np.fft.rfftn(kernel(grid.spacing * np.sqrt(dist, out=dist)))
+    axes = tuple(range(1, N + 1))
+    spec = np.fft.rfftn(np.stack(arrays), s=padded, axes=axes)
+    spec *= kernel_spec
+    out = np.fft.irfftn(spec, s=padded, axes=axes)
+    return out[(slice(None),) + (slice(0, M),) * N]
 
 
 def frac_power(u, sigma):

@@ -144,6 +144,16 @@ class TestCommands:
         assert float(cv["value"]) < 0.01
         capsys.readouterr()
 
+    def test_norms_check_gagliardo_rows_on_large_grid(self, tmp_path, capsys):
+        code = main(["norms-check", "--M", "8192", "--out", str(tmp_path), "--reproducible"])
+        assert code == 0
+        _, rows = _read_rows(tmp_path / "norms_check.csv")
+        values = {r["quantity"]: float(r["value"]) for r in rows}
+        assert {"gagliardo_ratio_mean", "gagliardo_ratio_cv",
+                "gagliardo_fitted_constant"} <= set(values)
+        assert values["gagliardo_ratio_cv"] < 0.01
+        capsys.readouterr()
+
     def test_sweep_csv_schema_and_determinism(self, tmp_path, capsys):
         args = ["sweep", "--M", "256", "--eps-schedule", "0.8,0.4",
                 "--seed", "3", "--reproducible"]

@@ -220,7 +220,7 @@ class TestGluedBubbles:
             glued_bubbles(ATOMS_2, 0.25, g, mask, pack, radii=[0.6, 0.6])
 
     def test_default_radii_touching_double_balls_accepted(self, glued_ctx):
-        # ball_fraction 1/4 makes the double balls of the two atoms touch;
+        # ATOM_BALL_FRACTION 1/4 makes the double balls of the two atoms touch;
         # the cutoffs vanish from 2*rho on, so the parts stay disjoint
         g, pack, mask = glued_ctx
         parts = glued_bubble_parts(ATOMS_2, 1 / 64, g, mask, pack)

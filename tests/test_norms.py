@@ -1,5 +1,7 @@
 """Norms, Gagliardo equivalence, quotient and subcritical functionals."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from fracsobolev import (ConstraintViolated, DegenerateInput, DomainMask,
                          subcritical_value)
 
 from conftest import random_field
-from oracles import gaussian_hs_norm_sq_quadrature
+from oracles import gagliardo_seminorm_sq_dense, gaussian_hs_norm_sq_quadrature
 
 
 class TestExponentPack:
@@ -127,11 +129,15 @@ class TestHsNorms:
 
 
 def _band_limited_compact(grid, rng, half):
-    window = cutoff_profile(np.abs(grid.axis), half / 2.0)
+    """Trigonometric polynomial of period 2*half in every coordinate under a
+    radial cutoff window that vanishes beyond ``half`` (analysis-2d's fields
+    for half = L/2)."""
+    window = cutoff_profile(grid.radii((0.0,) * grid.dim), half / 2.0)
     f = np.zeros(grid.shape)
     for k in range(1, 7):
-        f += rng.standard_normal() * np.cos(np.pi * k * grid.axis / half)
-        f += rng.standard_normal() * np.sin(np.pi * k * grid.axis / half)
+        for c in grid.coords():
+            f += rng.standard_normal() * np.cos(np.pi * k * c / half)
+            f += rng.standard_normal() * np.sin(np.pi * k * c / half)
     return Field(grid=grid, values=window * f)
 
 
@@ -156,6 +162,47 @@ class TestGagliardo:
             ratios.append(hs_dot_norm_sq(u, 0.3) / gagliardo_seminorm_sq(u, 0.3))
         ratios = np.array(ratios)
         assert ratios.std() / ratios.mean() < 0.01
+
+    @pytest.mark.parametrize("dim, M, L, s", [
+        (1, 1024, 8.0, 0.05), (1, 1024, 8.0, 0.25), (1, 1024, 8.0, 0.95),
+        (2, 32, 4.0, 0.1), (2, 32, 4.0, 0.5), (2, 32, 4.0, 0.9),
+        (2, 64, 4.0, 0.1), (2, 64, 4.0, 0.5), (2, 64, 4.0, 0.9),
+    ])
+    def test_matches_dense_pair_sum(self, dim, M, L, s):
+        g = make_grid(dim, M, L)
+        rng = np.random.default_rng(11)
+        interior = np.zeros(g.shape)
+        interior[(slice(1, -1),) * dim] = 1.0
+        for noise in (0.0, 0.1):
+            smooth = _band_limited_compact(g, rng, L / 2.0).values
+            u = Field(grid=g, values=smooth + noise * interior * rng.standard_normal(g.shape))
+            assert gagliardo_seminorm_sq(u, s) == pytest.approx(
+                gagliardo_seminorm_sq_dense(u, s), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, index", [
+        (1, (0,)), (1, (63,)), (2, (0, 20)), (2, (20, 63))])
+    def test_rejects_field_on_outer_layer(self, dim, index):
+        g = make_grid(dim, 64, 2.0)
+        vals = np.zeros(g.shape)
+        vals[index] = 1.0
+        with pytest.raises(InvalidMask):
+            gagliardo_seminorm_sq(Field(grid=g, values=vals), 0.3)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_2d_ratio_converges_under_refinement(self, s):
+        # the same two fields sampled at M = 64 ... 512; the dense pair sum
+        # could not reach M = 512 in 2-D (a 512^2 x 512^2 distance matrix)
+        t0 = time.perf_counter()
+        ratios = []
+        for M in (64, 128, 256, 512):
+            g = make_grid(2, M, 4.0)
+            fields = [_band_limited_compact(g, np.random.default_rng(seed), 2.0)
+                      for seed in (42, 7)]
+            ratios.append([hs_dot_norm_sq(u, s) / gagliardo_seminorm_sq(u, s) for u in fields])
+        elapsed = time.perf_counter() - t0
+        steps = np.diff(np.array(ratios), axis=0)
+        assert np.all(np.abs(steps[1:]) <= 0.35 * np.abs(steps[:-1]))
+        assert elapsed < 5.0
 
 
 class TestQuotient:

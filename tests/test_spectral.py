@@ -7,7 +7,7 @@ from fracsobolev import (Field, InvalidGrid, NegativeOrderOnNonMeanZero,
                          NonRealResult, SpectralField, apply_multiplier,
                          field_from_bytes, field_to_bytes, forward_transform,
                          frac_power, hs_dot_norm_sq, inverse_transform,
-                         make_grid)
+                         make_grid, offset_convolve)
 
 from conftest import random_field
 
@@ -186,6 +186,27 @@ class TestMultiplier:
         xi = grid2d.xi_norm
         ref = float(np.sum(xi ** (2.0 * s) * np.abs(forward_transform(u).coeffs) ** 2))
         assert abs(hs_dot_norm_sq(u, s) - ref) <= 1e-13 * ref
+
+
+class TestOffsetConvolve:
+    def test_1d_matches_numpy_linear_convolution(self, rng):
+        g = make_grid(1, 64, 2.0)
+        a, b = rng.standard_normal((2, 64))
+        k = np.exp(-g.spacing * np.abs(np.arange(-63, 64)))
+        out = offset_convolve(g, lambda r: np.exp(-r), (a, b))
+        for arr, conv in zip((a, b), out):
+            ref = np.convolve(arr, k)[63:127]
+            assert np.max(np.abs(conv - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_2d_matches_direct_sum(self, rng):
+        g = make_grid(2, 8, 1.0)
+        a = rng.standard_normal(g.shape)
+        out = offset_convolve(g, lambda r: 1.0 / (1.0 + r), (a,))
+        assert out.shape == (1, 8, 8)
+        X, Y = g.coords()
+        ref = np.array([[np.sum(a / (1.0 + np.hypot(X - x, Y - y)))
+                         for x, y in zip(xr, yr)] for xr, yr in zip(X, Y)])
+        assert np.max(np.abs(out[0] - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestDumpFormat:

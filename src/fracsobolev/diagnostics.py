@@ -6,12 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BudgetExceeded, InvalidOrder
 from .extremals import cutoff_field
 from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import Field, frac_power
+from .spectral import Field, frac_power, make_grid, offset_convolve
 
 __all__ = [
     "CellMeasure",
@@ -166,13 +165,45 @@ def mass_in_ball(m, center, r):
     return float(m.masses[m.grid.radii(center) <= r].sum())
 
 
+def _near_domain(mask, margin):
+    """Cells within ``margin`` of the domain: Omega dilated by the closed ball.
+
+    A cell is near when some inside cell lies at index offset d with
+    h*sqrt(sum d^2) <= margin, the distance a Euclidean distance transform
+    compares.  The dilation is one ``offset_convolve`` of the inside
+    indicator with the ball kernel, thresholded at 0.5, on the power-of-two
+    window that holds the domain's bounding box grown by ``margin``; the
+    window grid has spacing exactly h, so the kernel sees those distances.
+    """
+    grid, inside = mask.grid, mask.inside
+    N, M, h = grid.dim, grid.points_per_dim, grid.spacing
+    # the largest whole offset r with h*r <= margin; cells farther along any
+    # axis from every inside cell are not near
+    reach = int(min(margin / h, M))
+    while reach < M and h * (reach + 1) <= margin:
+        reach += 1
+    while reach > 0 and h * reach > margin:
+        reach -= 1
+    grown = [(max(lo - reach, 0), min(hi + reach + 1, M)) for lo, hi in mask.index_bounds]
+    side = 4
+    while side < max(b - a for a, b in grown):
+        side *= 2
+    starts = [min(a, M - side) for a, _ in grown]
+    window = tuple(slice(a, a + side) for a in starts)
+    wgrid = make_grid(N, side, side * h / 2.0, max_points=grid.total_points)
+    conv = offset_convolve(wgrid, lambda r: (r <= margin).astype(float),
+                           (inside[window].astype(float),))
+    near = np.zeros(grid.shape, dtype=bool)
+    near[window] = conv[0] > 0.5
+    return near
+
+
 def tail_energy(u, s, mask, margin):
     """Energy mass over cells farther than ``margin`` from the domain."""
     if not margin > 0:
         raise InvalidOrder(f"margin must be positive, got {margin}")
     m = energy_density(u, s)
-    dist = ndimage.distance_transform_edt(~mask.inside) * u.grid.spacing
-    return float(m.masses[dist > margin].sum())
+    return float(m.masses[~_near_domain(mask, margin)].sum())
 
 
 def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):

@@ -12,10 +12,10 @@ Fourier/Gagliardo ratio is stable under refinement.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
@@ -51,9 +51,9 @@ def sobolev_constant(N, s):
     log_inner = (
         -2.0 * s * np.log(2.0)
         - s * np.log(np.pi)
-        + gammaln((N - 2.0 * s) / 2.0)
-        - gammaln((N + 2.0 * s) / 2.0)
-        + (2.0 * s / N) * (gammaln(N) - gammaln(N / 2.0))
+        + math.lgamma((N - 2.0 * s) / 2.0)
+        - math.lgamma((N + 2.0 * s) / 2.0)
+        + (2.0 * s / N) * (math.lgamma(N) - math.lgamma(N / 2.0))
     )
     return float(np.exp(log_inner * two_star / 2.0))
 
@@ -107,15 +107,20 @@ class DomainMask:
         return float(self.inside.sum()) * self.grid.cell_volume
 
     @property
+    def index_bounds(self):
+        """(first, last) inside cell index along each axis."""
+        N = self.grid.dim
+        bounds = []
+        for ax in range(N):
+            idx = np.flatnonzero(self.inside.any(axis=tuple(a for a in range(N) if a != ax)))
+            bounds.append((int(idx[0]), int(idx[-1])))
+        return tuple(bounds)
+
+    @property
     def diameter(self):
         """Bounding-box diameter of the inside cells."""
-        sq = 0.0
         axis = self.grid.axis
-        for ax in range(self.grid.dim):
-            proj = self.inside.any(axis=tuple(a for a in range(self.grid.dim) if a != ax))
-            coords = axis[proj]
-            sq += (coords.max() - coords.min()) ** 2
-        return float(np.sqrt(sq))
+        return float(np.sqrt(sum((axis[hi] - axis[lo]) ** 2 for lo, hi in self.index_bounds)))
 
     def centroid(self):
         pts = [c[self.inside].mean() for c in self.grid.coords()]
@@ -244,8 +249,8 @@ def gagliardo_seminorm_sq(u, s):
             T = ((L + x[nz]) ** (-2.0 * s) + (L - x[nz]) ** (-2.0 * s)) / (2.0 * s)
             total += 2.0 * float(np.sum(vals[nz] ** 2 * T)) * h
     else:
-        r_eq = h * np.exp(gammaln(N / 2.0 + 1.0) / N) / np.sqrt(np.pi)
-        omega = 2.0 * np.pi ** (N / 2.0) / np.exp(gammaln(N / 2.0))
+        r_eq = h * np.exp(math.lgamma(N / 2.0 + 1.0) / N) / np.sqrt(np.pi)
+        omega = 2.0 * np.pi ** (N / 2.0) / np.exp(math.lgamma(N / 2.0))
         total += float(np.sum(grad_sq)) * g.cell_volume * \
             (omega / N) * r_eq ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return total

@@ -6,7 +6,8 @@ Each step solves the domain-restricted operator equation
 
 by conjugate gradients preconditioned with P (-Lap)^(-s) P, the pseudo-inverse
 of the whole-box operator restricted to the domain (each operator is one
-real FFT pair), then renormalizes to the unit homogeneous sphere with a
+real FFT pair, run on work arrays that the solve call allocates once and
+shares with nothing), then renormalizes to the unit homogeneous sphere with a
 damped mix against the previous iterate.  The fixed point satisfies the
 discrete constrained stationarity condition, so the Euler-Lagrange residual
 of a converged solve is limited only by the tolerances.
@@ -120,53 +121,70 @@ def default_initial_field(mask, seed=0):
     return Field(grid=grid, values=mask.restrict(bump))
 
 
-def _restricted_op(grid, inside, s):
-    def apply(w):
-        return np.where(inside, apply_multiplier(np.where(inside, w, 0.0), grid, 2.0 * s), 0.0)
-    return apply
+def _inner_ops(grid, inside, s):
+    """P (-Lap)^s P and its preconditioner P (-Lap)^(-s) P as ``apply(src, out)``.
 
-
-def _precond(grid, inside, s):
-    # P (-Lap)^(-s) P: SPD on domain-supported fields, which are never constant,
-    # so annihilating the zero mode loses nothing and needs no mean check
-    def apply(r):
-        return np.where(inside, apply_multiplier(r, grid, -2.0 * s), 0.0)
-    return apply
-
-
-def _cg(apply_op, precond, rhs, x0, tol, max_iters):
-    """Preconditioned CG; returns (x, iterations).
-
-    Stops when the unpreconditioned residual satisfies ||r|| <= tol ||rhs||
-    and raises InnerSolveFailed when the loop ends before that.
+    Both write ``out`` and return it, and share one masked copy and one
+    half spectrum, allocated here, so an apply allocates nothing.
     """
+    outside = ~inside
+    masked = np.empty(grid.shape)
+    spec = np.empty(grid.half_shape, dtype=complex)
+
+    def apply_op(w, out):
+        np.copyto(masked, w)
+        np.copyto(masked, 0.0, where=outside)
+        apply_multiplier(masked, grid, 2.0 * s, out=out, spec=spec)
+        np.copyto(out, 0.0, where=outside)
+        return out
+
+    # SPD on domain-supported fields, which are never constant, so
+    # annihilating the zero mode loses nothing and needs no mean check
+    def precond(r, out):
+        apply_multiplier(r, grid, -2.0 * s, out=out, spec=spec)
+        np.copyto(out, 0.0, where=outside)
+        return out
+
+    return apply_op, precond
+
+
+def _cg(apply_op, precond, rhs, x, tol, max_iters, work):
+    """Preconditioned CG, in place on the start ``x``; returns the iterations.
+
+    ``work`` holds four arrays of rhs's shape (residual, preconditioned
+    residual, direction, operator image).  Stops when the unpreconditioned
+    residual satisfies ||r|| <= tol ||rhs|| and raises InnerSolveFailed when
+    the loop ends before that.
+    """
+    r, z, p, Ap = work
     b_norm = math.sqrt(float(np.dot(rhs.ravel(), rhs.ravel())))
     if b_norm == 0.0:
-        return np.zeros_like(rhs), 0
-    x = x0.copy()
-    r = rhs - apply_op(x)
+        x.fill(0.0)
+        return 0
+    np.subtract(rhs, apply_op(x, r), out=r)
     r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
     if r_norm <= tol * b_norm:
-        return x, 0
-    z = precond(r)
-    p = z.copy()
+        return 0
+    np.copyto(p, precond(r, z))
     rz = float(np.dot(r.ravel(), z.ravel()))
     iters = 0
     while iters < max_iters:
-        Ap = apply_op(p)
+        apply_op(p, Ap)
         denom = float(np.dot(p.ravel(), Ap.ravel()))
         if denom <= 0.0:
             break
         iters += 1
         alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
+        # z is free until the next precond, Ap until the next apply_op
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(Ap, alpha, out=Ap)
         r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
         if r_norm <= tol * b_norm:
-            return x, iters
-        z = precond(r)
+            return iters
+        precond(r, z)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise InnerSolveFailed(
         f"inner CG stopped after {iters} iterations at relative residual "
@@ -195,8 +213,8 @@ def solve(pack, mask, config, init=None):
         raise DegenerateInput("initial field has zero homogeneous norm")
     u = u_vals / nrm
 
-    apply_op = _restricted_op(grid, mask.inside, pack.s)
-    precond = _precond(grid, mask.inside, pack.s)
+    apply_op, precond = _inner_ops(grid, mask.inside, pack.s)
+    work = np.empty((4,) + grid.shape)
     pexp = pack.subcritical_exponent
     h_vol = grid.cell_volume
 
@@ -210,7 +228,7 @@ def solve(pack, mask, config, init=None):
     iters = 0
     for iters in range(1, config.max_iters + 1):
         rhs = mask.restrict(np.abs(u) ** q * u)
-        w, _ = _cg(apply_op, precond, rhs, w, config.cg_tol, config.cg_max_iters)
+        _cg(apply_op, precond, rhs, w, config.cg_tol, config.cg_max_iters, work)
         w_norm = math.sqrt(hs_dot_norm_sq(Field(grid=grid, values=w), pack.s))
         if not w_norm > 0.0 or not np.isfinite(w_norm):
             raise DegenerateInput("iteration collapsed to numerical zero")

@@ -14,7 +14,9 @@ spectral sum  sum |xi|^(2s) |coeffs|^2.
 
 Every |xi|^sigma consumer goes through one transform pair,
 ``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
-half-spectrum lattice (shape (M,)*(N-1) + (M//2+1,)), then ``irfftn``.  The
+half-spectrum lattice (``Grid.half_shape``), then the inverse, run in place
+on that one spectrum.  A caller may pass its own spectrum and output arrays,
+as the solver does, so a loop of applies allocates nothing.  The
 unnormalized pair needs no scaling, since the h^(N/2) factors of the
 unitary convention cancel.  The weight is built once per grid and order by
 ``Grid.multiplier`` and shared, read-only; its zero mode is 0 for
@@ -28,7 +30,7 @@ inverse_transform only, which takes coefficients from outside.
 ``offset_convolve`` is the one non-periodic transform: linear convolutions
 with a kernel of the offset distance |x_i - x_j|, run as ``rfftn``/``irfftn``
 on the zero-padded (2M)^N lattice and cut back to (M,)*N.  The Gagliardo
-pair sum uses it.
+pair sum and the near-domain dilation of ``diagnostics.tail_energy`` use it.
 """
 
 import json
@@ -82,6 +84,12 @@ class Grid:
         return (self.points_per_dim,) * self.dim
 
     @property
+    def half_shape(self):
+        """Shape of the ``rfftn`` half-spectrum lattice, (M,)*(N-1) + (M//2+1,)."""
+        M = self.points_per_dim
+        return (M,) * (self.dim - 1) + (M // 2 + 1,)
+
+    @property
     def total_points(self):
         return self.points_per_dim ** self.dim
 
@@ -104,10 +112,8 @@ class Grid:
         return self._lattice_norm(np.fft.fftfreq)
 
     def multiplier(self, sigma):
-        """|xi|^sigma on the half-spectrum lattice, cached and read-only.
-
-        The lattice is that of ``rfftn``, shape (M,)*(N-1) + (M//2+1,).
-        The zero mode is 1 for sigma == 0 and 0 otherwise.
+        """|xi|^sigma on the half-spectrum lattice ``half_shape``, cached
+        and read-only.  The zero mode is 1 for sigma == 0 and 0 otherwise.
         """
         key = float(sigma)
         mult = self._multipliers.get(key)
@@ -193,14 +199,22 @@ def inverse_transform(U):
     return Field(grid=g, values=w.real)
 
 
-def apply_multiplier(values, grid, sigma):
+def apply_multiplier(values, grid, sigma, out=None, spec=None):
     """|xi|^sigma applied to real samples on ``grid``; returns a raw ndarray.
 
-    No mean check: for sigma < 0 the zero mode is simply annihilated.
+    The pair runs in place on one half spectrum: ``rfftn`` into ``spec``,
+    the weight, ``ifft`` over the leading axes, then ``irfft`` into ``out``,
+    the steps ``irfftn`` takes, so the result is the same to the bit.
+    ``out`` (float, ``grid.shape``) and ``spec`` (complex,
+    ``grid.half_shape``) are caller-owned work arrays; each is allocated
+    when None.  No mean check: for sigma < 0 the zero mode is simply
+    annihilated.
     """
-    axes = tuple(range(grid.dim))
-    spec = np.fft.rfftn(values, axes=axes)
-    return np.fft.irfftn(grid.multiplier(sigma) * spec, s=grid.shape, axes=axes)
+    spec = np.fft.rfftn(values, axes=tuple(range(grid.dim)), out=spec)
+    spec *= grid.multiplier(sigma)
+    for ax in range(grid.dim - 1):
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec, n=grid.points_per_dim, axis=-1, out=out)
 
 
 def offset_convolve(grid, kernel, arrays):

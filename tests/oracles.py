@@ -3,12 +3,14 @@
 These deliberately avoid the code paths they check: the sharp constant is
 re-evaluated with arbitrary-precision arithmetic, continuum norms come from
 one-dimensional radial quadrature, maximizers from a line-searched projected
-gradient ascent, atom locations from an exhaustive ball scan, and the
-Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair.
+gradient ascent, atom locations from an exhaustive ball scan, the
+Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, and the
+cells near a domain from scipy's exact Euclidean distance transform.
 """
 
 import numpy as np
 from mpmath import mp, mpf, gamma as mp_gamma, pi as mp_pi, power as mp_power
+from scipy import ndimage
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma, gammaln
 
@@ -132,3 +134,9 @@ def gagliardo_seminorm_sq_dense(u, s):
         total += float(np.sum(grad_sq)) * g.cell_volume * \
             (omega / N) * r_eq ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return total
+
+
+def near_domain_edt(mask, margin):
+    """Cells whose distance to the nearest inside cell, by the exact
+    Euclidean distance transform in cells times the spacing, is <= margin."""
+    return ndimage.distance_transform_edt(~mask.inside) * mask.grid.spacing <= margin

@@ -1,9 +1,14 @@
 """Configuration parsing, command dispatch, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fracsobolev
 from fracsobolev import ConfigError
 from fracsobolev.cli import main, parse_config
 
@@ -110,6 +115,17 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 1
         capsys.readouterr()
+
+
+def test_import_leaves_scipy_out():
+    # a fresh interpreter, so nothing the test suite imported counts
+    src = str(Path(fracsobolev.__file__).parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys, fracsobolev.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _read_rows(path):

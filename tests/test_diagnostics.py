@@ -11,9 +11,9 @@ from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
                          gamma_limit_value, glued_bubbles, hs_dot_norm_sq,
                          localized_bubble, lp_density, make_grid,
                          mass_in_ball, sobolev_constant, tail_energy)
-from fracsobolev.diagnostics import argmax_cell
+from fracsobolev.diagnostics import _near_domain, argmax_cell
 
-from oracles import brute_force_best_ball
+from oracles import brute_force_best_ball, near_domain_edt
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,50 @@ class TestTailEnergy:
         leak = tail_energy(u, 0.25, interval_mask, 1.0)
         assert leak > 0.0
         assert leak < hs_dot_norm_sq(u, 0.25)
+
+
+_INTERVAL = {"kind": "interval", "bounds": [-1.0, 1.0]}
+_BALL = {"kind": "ball", "center": [0.3, -0.2], "radius": 1.0}
+_BOX = {"kind": "box", "lower": [-1.0, -0.6], "upper": [1.2, 0.8]}
+_TRIANGLE = {"kind": "polygon", "vertices": [[-1.0, -0.9], [1.3, -0.7], [0.1, 1.2]]}
+
+
+class TestNearDomain:
+    """The windowed FFT dilation selects exactly the cells the distance
+    transform puts within ``margin`` of the domain."""
+
+    @pytest.mark.parametrize("dim,M,L,shape", [
+        (1, 512, 8.0, _INTERVAL), (1, 2 ** 13, 8.0, _INTERVAL), (1, 2 ** 14, 8.0, _INTERVAL),
+        (1, 1024, 2.7, _INTERVAL),
+    ] + [(2, M, 4.0, shape) for M in (64, 128, 256, 512) for shape in (_BALL, _BOX, _TRIANGLE)])
+    @pytest.mark.parametrize("fraction", [0.25, 0.37, 0.5])
+    def test_matches_distance_transform(self, dim, M, L, shape, fraction):
+        mask = DomainMask.from_shape(make_grid(dim, M, L), shape)
+        margin = fraction * mask.diameter
+        assert np.array_equal(_near_domain(mask, margin), near_domain_edt(mask, margin))
+
+    def test_whole_cell_margin_keeps_the_tie(self):
+        # h = 1/32 and margin = 16 h exactly: cells at distance exactly margin are near
+        g = make_grid(1, 512, 8.0)
+        mask = DomainMask.from_shape(g, _INTERVAL)
+        margin = 16 * g.spacing
+        near = _near_domain(mask, margin)
+        assert np.array_equal(near, near_domain_edt(mask, margin))
+        idx = np.flatnonzero(mask.inside)
+        assert near[idx[0] - 16] and not near[idx[0] - 17]
+
+    @pytest.mark.parametrize("dim,M,L,shape", [
+        # grown past the upper edge, so the window shifts down to end there
+        (1, 512, 8.0, {"kind": "interval", "bounds": [4.5, 7.5]}),
+        # grown past every side, so the window is the whole box
+        (2, 128, 1.5, _BALL),
+    ])
+    def test_window_clipped_at_box_edge(self, dim, M, L, shape):
+        mask = DomainMask.from_shape(make_grid(dim, M, L), shape)
+        margin = 0.5 * mask.diameter
+        near = _near_domain(mask, margin)
+        assert near[(-1,) * dim]
+        assert np.array_equal(near, near_domain_edt(mask, margin))
 
 
 class TestCutoffProbe:

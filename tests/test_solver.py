@@ -125,15 +125,16 @@ class TestPreconditionedCG:
 
     @staticmethod
     def _cold_iters(grid, shape, s):
-        from fracsobolev.solver import _cg, _precond, _restricted_op, default_initial_field
+        from fracsobolev.solver import _cg, _inner_ops, default_initial_field
         mask = DomainMask.from_shape(grid, shape)
         pack = ExponentPack(dim=grid.dim, s=s, eps=0.8)
         u = default_initial_field(mask).values
         rhs = mask.restrict(np.abs(u) ** (pack.subcritical_exponent - 2.0) * u)
-        op, pre = _restricted_op(grid, mask.inside, s), _precond(grid, mask.inside, s)
+        op, pre = _inner_ops(grid, mask.inside, s)
         tol = SolverConfig().cg_tol
-        x, iters = _cg(op, pre, rhs, np.zeros(grid.shape), tol, 2000)
-        res = rhs - op(x)
+        x = np.zeros(grid.shape)
+        iters = _cg(op, pre, rhs, x, tol, 2000, np.empty((4,) + grid.shape))
+        res = rhs - op(x, np.empty(grid.shape))
         assert np.linalg.norm(res) <= tol * np.linalg.norm(rhs)
         return iters
 
@@ -153,9 +154,14 @@ class TestPreconditionedCG:
         g, _ = ctx
         rhs = np.ones(g.shape)
 
-        def unused(_):
-            raise AssertionError("no operator apply expected")
-        x, iters = _cg(lambda w: w, unused, rhs, rhs, 1e-9, 5)
+        def identity(src, out):
+            np.copyto(out, src)
+            return out
+
+        def unused(src, out):
+            raise AssertionError("no preconditioner apply expected")
+        x = rhs.copy()
+        iters = _cg(identity, unused, rhs, x, 1e-9, 5, np.empty((4,) + g.shape))
         assert iters == 0 and np.array_equal(x, rhs)
 
 
@@ -271,10 +277,11 @@ class TestSweepErrorHandling:
         real_cg = solver_mod._cg
         calls = []
 
-        def fail_first(apply_op, precond, rhs, x0, tol, max_iters):
+        def fail_first(apply_op, precond, rhs, x, tol, max_iters, work):
             calls.append(1)
             # the first inner solve of the sweep gets a single iteration
-            return real_cg(apply_op, precond, rhs, x0, tol, 1 if len(calls) == 1 else max_iters)
+            return real_cg(apply_op, precond, rhs, x, tol, 1 if len(calls) == 1 else max_iters,
+                           work)
 
         monkeypatch.setattr(solver_mod, "_cg", fail_first)
         entries = solver_mod.eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4)))
@@ -294,3 +301,26 @@ class TestConcurrentUse:
             parallel = list(pool.map(lambda u: frac_power(u, 0.5).values, fields))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
+
+    def test_parallel_solves_on_one_grid_match_serial(self):
+        # each solve owns its work arrays, so solves sharing a grid cannot interfere
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        g = make_grid(2, 64, 4.0)
+        mask = DomainMask.from_shape(g, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
+        pack = ExponentPack(dim=2, s=0.5, eps=0.8)
+
+        def run(seed):
+            return solve(pack, mask, SolverConfig(seed=seed)).maximizer.values
+        seeds = list(range(6))
+        serial = [run(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                parallel = list(pool.map(run, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, parallel):
+            assert np.array_equal(a, b)
+

@@ -174,6 +174,18 @@ class TestMultiplier:
         assert np.array_equal(frac_power(u, sigma).values,
                               apply_multiplier(u.values, grid2d, sigma))
 
+    @pytest.mark.parametrize("dim,M", [(1, 2 ** 13), (2, 128)])
+    @pytest.mark.parametrize("sigma", [0.5, -0.5, 1.5, -1.5])
+    def test_in_place_pair_matches_irfftn(self, rng, dim, M, sigma):
+        g = make_grid(dim, M, 4.0)
+        v = rng.standard_normal(g.shape)
+        axes = tuple(range(dim))
+        ref = np.fft.irfftn(g.multiplier(sigma) * np.fft.rfftn(v, axes=axes), s=g.shape, axes=axes)
+        assert np.array_equal(apply_multiplier(v, g, sigma), ref)
+        out, spec = np.empty(g.shape), np.empty(g.half_shape, dtype=complex)
+        assert apply_multiplier(v, g, sigma, out=out, spec=spec) is out
+        assert np.array_equal(out, ref)
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     def test_apply_multiplier_inverts_off_mean(self, grid2d, rng, sigma):
         v = rng.standard_normal(grid2d.shape) + 3.0

@@ -4,10 +4,10 @@ Commands: bubble-verify | norms-check | solve | sweep | recovery-demo |
 gamma-check.  Configuration precedence is CLI flags over config-file
 key=value lines over built-in defaults.  Exit codes: 0 success, 1 a solve
 failed to converge, a gamma-check audit was violated or skipped, or a
-runtime error, 2 configuration error.  Data goes to files under
---out; diagnostics go to standard error.  With --reproducible the
-timestamp header line is suppressed and outputs are byte-identical for
-identical config and seed.
+runtime error, 2 configuration error, also a runtime error that names a
+key.  Data goes to files under --out; diagnostics go to standard error.
+With --reproducible the timestamp header line is suppressed and outputs
+are byte-identical for identical config and seed.
 """
 
 import datetime
@@ -442,6 +442,8 @@ def _cmd_gamma_check(cfg):
             audit(f"atom_{k}_quant_bound", entry.nu,
                   Sstar * entry.mu ** (pack.two_star / 2.0) * 1.10)
     except FracSobolevError as exc:
+        if exc.param in _PARAM_KEYS:
+            raise
         _log(f"gamma-check: glued audit skipped: {exc}")
         skipped = True
 
@@ -477,8 +479,9 @@ def main(argv=None):
     try:
         return run(config)
     except FracSobolevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        key = _PARAM_KEYS.get(exc.param)
+        print(f"config error: {key}: {exc}" if key else f"error: {exc}", file=sys.stderr)
+        return 2 if key else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import BudgetExceeded, InvalidOrder
 from .extremals import cutoff_field
 from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import Field, frac_power, make_grid, offset_convolve
+from .spectral import Field, _offset_distances, frac_power, offset_convolve
 
 __all__ = [
     "CellMeasure",
@@ -31,6 +31,8 @@ __all__ = [
 DEFAULT_ATOM_CAP = 16
 # slack on the unit energy-plus-mass budget of an admissible pair
 _BUDGET_TOL = 1e-8
+# ball sums within this share of the total mass of the best count as tied
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,39 +95,24 @@ def argmax_cell(m):
 
 
 def _ball_offsets(grid, radius):
-    reach = int(math.floor(radius / grid.spacing))
-    axes = [np.arange(-reach, reach + 1)] * grid.dim
-    mats = np.meshgrid(*axes, indexing="ij")
-    d2 = sum((m * grid.spacing) ** 2 for m in mats)
-    keep = d2 <= radius * radius
-    return [tuple(int(m[i]) for m in mats) for i in zip(*np.nonzero(keep))]
-
-
-def _shift_sum(masses, offsets):
-    """Sum of zero-filled shifts: out[i] = sum of masses within the offset set."""
-    out = np.zeros_like(masses)
-    shape = masses.shape
-    for off in offsets:
-        src, dst = [], []
-        for o, n in zip(off, shape):
-            if o >= 0:
-                src.append(slice(o, n))
-                dst.append(slice(0, n - o))
-            else:
-                src.append(slice(0, n + o))
-                dst.append(slice(-o, n))
-        out[tuple(dst)] += masses[tuple(src)]
-    return out
+    """Index offsets d, one row each, whose distance is within ``radius``:
+    the test of the ball kernel, on the distances ``offset_convolve`` uses."""
+    # one offset beyond radius/h, so that rounding in the quotient drops no cell
+    reach = int(radius / grid.spacing) + 1
+    return np.argwhere(_offset_distances(grid, np.arange(-reach, reach + 1)) <= radius) - reach
 
 
 def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
     """Greedy extraction of concentration atoms from an energy measure.
 
     Repeatedly picks the cell whose ball of ``radius`` holds the most energy
-    mass (lowest lexicographic index on ties), records the ball masses of
-    both measures, zeroes the ball and excludes centers within ``radius`` of
-    chosen atoms, stopping when the best ball holds less than
-    ``threshold * total`` or ``max_atoms`` were found.
+    mass, records the ball masses of both measures, zeroes the ball and
+    excludes centers within ``radius`` of chosen atoms, stopping when the
+    best ball holds no positive mass or less than ``threshold * total``, or
+    ``max_atoms`` were found.  The ball sums come from ``offset_convolve``;
+    lest FFT rounding decide a tie, the center is the first cell in C order
+    whose sum is within ``_TIE_TOL * total`` of the best, and the masses and
+    the threshold test use the exact sum over that ball's cells.
     """
     grid = m.grid
     if radius < 2.0 * grid.spacing:
@@ -139,19 +126,20 @@ def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
     total = m.total
     entries = []
     for _ in range(max_atoms):
-        ball_mu = _shift_sum(work_mu, offsets)
-        ball_mu[~allowed] = -1.0
-        idx = np.unravel_index(int(np.argmax(ball_mu)), grid.shape)
-        best = float(ball_mu[idx])
-        if best < threshold * total:
-            break
-        center = tuple(float(grid.axis[i]) for i in idx)
-        # nu, zeroing and exclusion use the ball whose mu _shift_sum gave
-        cells = np.asarray(offsets) + idx
+        sums = offset_convolve(grid, lambda r: (r <= radius).astype(float), (work_mu,))[0]
+        sums[~allowed] = -np.inf
+        best = float(sums.max())
+        idx = np.unravel_index(int(np.argmax(sums >= best - _TIE_TOL * total)), grid.shape)
+        cells = offsets + idx
         cells = cells[((cells >= 0) & (cells < grid.points_per_dim)).all(axis=1)]
         ball = np.zeros(grid.shape, dtype=bool)
         ball[tuple(cells.T)] = True
-        entries.append(AtomEntry(location=center, mu=best, nu=float(work_nu[ball].sum())))
+        mu = float(work_mu[ball].sum())
+        # no center left, or the best ball holds too little mass
+        if not (allowed[idx] and mu > 0.0 and mu >= threshold * total):
+            break
+        center = tuple(float(grid.axis[i]) for i in idx)
+        entries.append(AtomEntry(location=center, mu=mu, nu=float(work_nu[ball].sum())))
         work_mu[ball] = 0.0
         work_nu[ball] = 0.0
         allowed &= ~ball
@@ -171,31 +159,10 @@ def _near_domain(mask, margin):
     A cell is near when some inside cell lies at index offset d with
     h*sqrt(sum d^2) <= margin, the distance a Euclidean distance transform
     compares.  The dilation is one ``offset_convolve`` of the inside
-    indicator with the ball kernel, thresholded at 0.5, on the power-of-two
-    window that holds the domain's bounding box grown by ``margin``; the
-    window grid has spacing exactly h, so the kernel sees those distances.
+    indicator with the ball kernel, thresholded at 0.5.
     """
-    grid, inside = mask.grid, mask.inside
-    N, M, h = grid.dim, grid.points_per_dim, grid.spacing
-    # the largest whole offset r with h*r <= margin; cells farther along any
-    # axis from every inside cell are not near
-    reach = int(min(margin / h, M))
-    while reach < M and h * (reach + 1) <= margin:
-        reach += 1
-    while reach > 0 and h * reach > margin:
-        reach -= 1
-    grown = [(max(lo - reach, 0), min(hi + reach + 1, M)) for lo, hi in mask.index_bounds]
-    side = 4
-    while side < max(b - a for a, b in grown):
-        side *= 2
-    starts = [min(a, M - side) for a, _ in grown]
-    window = tuple(slice(a, a + side) for a in starts)
-    wgrid = make_grid(N, side, side * h / 2.0, max_points=grid.total_points)
-    conv = offset_convolve(wgrid, lambda r: (r <= margin).astype(float),
-                           (inside[window].astype(float),))
-    near = np.zeros(grid.shape, dtype=bool)
-    near[window] = conv[0] > 0.5
-    return near
+    return offset_convolve(mask.grid, lambda r: (r <= margin).astype(float),
+                           (mask.inside.astype(float),))[0] > 0.5
 
 
 def tail_energy(u, s, mask, margin):

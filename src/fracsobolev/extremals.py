@@ -178,9 +178,12 @@ def rescaled_bubble(spec, eps, grid):
         raise InvalidOrder(f"eps must lie in (0, 1], got {eps}")
     core = eps * spec.scale
     if core < MIN_CORE_CELLS * grid.spacing:
+        M = grid.points_per_dim
+        while core < MIN_CORE_CELLS * 2.0 * grid.half_width / M:
+            M *= 2
         raise UnderResolved(
-            f"core width {core:.3e} below {MIN_CORE_CELLS:g} cells ({MIN_CORE_CELLS * grid.spacing:.3e})"
-        )
+            f"core width {core:.3e} below {MIN_CORE_CELLS:g} cells ({MIN_CORE_CELLS * grid.spacing:.3e}); "
+            f"M = {M} points per axis resolves it", param="points_per_dim")
     amp = spec.amplitude * eps ** spec.decay_power
     return Field(grid=grid, values=_sample_bubble(grid, amp, core, spec.center, spec.decay_power))
 

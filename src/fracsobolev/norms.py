@@ -107,20 +107,13 @@ class DomainMask:
         return float(self.inside.sum()) * self.grid.cell_volume
 
     @property
-    def index_bounds(self):
-        """(first, last) inside cell index along each axis."""
-        N = self.grid.dim
-        bounds = []
-        for ax in range(N):
-            idx = np.flatnonzero(self.inside.any(axis=tuple(a for a in range(N) if a != ax)))
-            bounds.append((int(idx[0]), int(idx[-1])))
-        return tuple(bounds)
-
-    @property
     def diameter(self):
         """Bounding-box diameter of the inside cells."""
-        axis = self.grid.axis
-        return float(np.sqrt(sum((axis[hi] - axis[lo]) ** 2 for lo, hi in self.index_bounds)))
+        N, sq = self.grid.dim, 0.0
+        for ax in range(N):
+            coords = self.grid.axis[self.inside.any(axis=tuple(a for a in range(N) if a != ax))]
+            sq += (coords[-1] - coords[0]) ** 2
+        return float(np.sqrt(sq))
 
     def centroid(self):
         pts = [c[self.inside].mean() for c in self.grid.coords()]

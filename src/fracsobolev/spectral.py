@@ -28,9 +28,9 @@ callers that want the coefficients; the imaginary-residue check runs in
 inverse_transform only, which takes coefficients from outside.
 
 ``offset_convolve`` is the one non-periodic transform: linear convolutions
-with a kernel of the offset distance |x_i - x_j|, run as ``rfftn``/``irfftn``
-on the zero-padded (2M)^N lattice and cut back to (M,)*N.  The Gagliardo
-pair sum and the near-domain dilation of ``diagnostics.tail_energy`` use it.
+with a kernel of the offset distance |x_i - x_j|, by the same pair on a
+lattice zero-padded by the kernel's reach.  The Gagliardo pair sum and the
+ball sums of ``diagnostics`` (atoms, near-domain cells) use it.
 """
 
 import json
@@ -199,45 +199,76 @@ def inverse_transform(U):
     return Field(grid=g, values=w.real)
 
 
+def _transform_pair(values, weight, n, spec, out):
+    """``weight`` times the half spectrum of ``values`` zero-padded to the
+    lattice of ``spec`` (last axis n long), transformed back into ``out``
+    (``values.shape[:-1] + (n,)``).  Every step runs in place on ``spec``,
+    in the axis order of ``rfftn``/``irfftn``, so results match theirs to the bit.
+    """
+    corner = tuple(slice(0, m) for m in values.shape[:-1])
+    np.fft.rfft(values, n=n, axis=-1, out=spec[corner])
+    for ax in range(len(corner)):
+        spec[corner[:ax] + (slice(values.shape[ax], None),)] = 0.0
+    for ax in reversed(range(len(corner))):
+        np.fft.fft(spec, axis=ax, out=spec)
+    spec *= weight
+    for ax in range(len(corner)):
+        np.fft.ifft(spec, axis=ax, out=spec)
+    return np.fft.irfft(spec[corner], n=n, axis=-1, out=out)
+
+
 def apply_multiplier(values, grid, sigma, out=None, spec=None):
     """|xi|^sigma applied to real samples on ``grid``; returns a raw ndarray.
 
-    The pair runs in place on one half spectrum: ``rfftn`` into ``spec``,
-    the weight, ``ifft`` over the leading axes, then ``irfft`` into ``out``,
-    the steps ``irfftn`` takes, so the result is the same to the bit.
     ``out`` (float, ``grid.shape``) and ``spec`` (complex,
-    ``grid.half_shape``) are caller-owned work arrays; each is allocated
-    when None.  No mean check: for sigma < 0 the zero mode is simply
-    annihilated.
+    ``grid.half_shape``) are caller-owned work arrays of the in-place pair;
+    each is allocated when None.  No mean check: for sigma < 0 the zero
+    mode is simply annihilated.
     """
-    spec = np.fft.rfftn(values, axes=tuple(range(grid.dim)), out=spec)
-    spec *= grid.multiplier(sigma)
-    for ax in range(grid.dim - 1):
-        np.fft.ifft(spec, axis=ax, out=spec)
-    return np.fft.irfft(spec, n=grid.points_per_dim, axis=-1, out=out)
+    spec = np.empty(grid.half_shape, dtype=complex) if spec is None else spec
+    return _transform_pair(values, grid.multiplier(sigma), grid.points_per_dim, spec, out)
+
+
+def _offset_distances(grid, offsets):
+    """h*sqrt(sum d^2) over the lattice of integer offsets ``offsets`` per axis."""
+    mats = np.meshgrid(*([offsets] * grid.dim), indexing="ij", sparse=True)
+    return grid.spacing * np.sqrt(sum(m * m for m in mats))
+
+
+def _smooth_length(n):
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT runs fast on."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def offset_convolve(grid, kernel, arrays):
     """Linear convolutions  sum_j k(|x_i - x_j|) a_j  of real arrays on ``grid``.
 
-    ``kernel`` maps an array of distances to kernel values.  It is sampled
-    once on the (2M)^N lattice of index offsets (per axis d in
-    fftfreq(2M) * 2M, distance h|d|) and transformed once for all of
-    ``arrays``.  Each array is zero-padded to (2M)^N, so no periodic image
-    enters.  Returns a raw ndarray of shape (len(arrays),) + grid.shape.
+    ``kernel`` maps distances h*sqrt(sum d^2), d an index offset, to kernel
+    values.  Sampled once on [0, M)^N, it gives the reach: the largest axis
+    component of a nonzero sample.  Each axis is zero-padded to the
+    smallest 5-smooth P >= M + reach + 1 (2M for a kernel nonzero at every
+    offset), so no periodic image enters.  Returns a raw ndarray of shape
+    (len(arrays),) + grid.shape.
     """
-    M, N = grid.points_per_dim, grid.dim
-    padded = (2 * M,) * N
-    # d = 1/(2M) makes fftfreq return the integer offsets 0..M-1, -M..-1
-    d = np.fft.fftfreq(2 * M, d=1.0 / (2 * M))
-    offsets = np.meshgrid(*([d] * N), indexing="ij", sparse=True)
-    dist = sum(o * o for o in offsets)
-    kernel_spec = np.fft.rfftn(kernel(grid.spacing * np.sqrt(dist, out=dist)))
-    axes = tuple(range(1, N + 1))
-    spec = np.fft.rfftn(np.stack(arrays), s=padded, axes=axes)
-    spec *= kernel_spec
-    out = np.fft.irfftn(spec, s=padded, axes=axes)
-    return out[(slice(None),) + (slice(0, M),) * N]
+    M = grid.points_per_dim
+    near = kernel(_offset_distances(grid, np.arange(M))) != 0
+    # the distance is symmetric in the axes, so axis 0 holds the reach
+    reach = np.flatnonzero(near.any(axis=tuple(range(1, grid.dim)))).max(initial=0)
+    P = _smooth_length(M + int(reach) + 1)
+    offsets = (np.arange(P) + P // 2) % P - P // 2  # fftfreq order: 0, 1, ..., -1
+    kernel_spec = np.fft.rfftn(kernel(_offset_distances(grid, offsets)))
+    spec = np.empty(kernel_spec.shape, dtype=complex)
+    out = np.empty((len(arrays),) + grid.shape[:-1] + (P,))
+    for a, dest in zip(arrays, out):
+        _transform_pair(a, kernel_spec, P, spec, dest)
+    return out[..., :M]
 
 
 def frac_power(u, sigma):

@@ -10,7 +10,7 @@ import pytest
 
 import fracsobolev
 from fracsobolev import ConfigError
-from fracsobolev.cli import main, parse_config
+from fracsobolev.cli import COMMANDS, main, parse_config
 
 
 class TestParseConfig:
@@ -109,6 +109,14 @@ class TestExitCodes:
         assert code == 2
         assert "max-iters" in capsys.readouterr().err
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_flags_succeed_or_name_M(self, command, tmp_path, capsys):
+        code = main([command, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert "config error: M:" in err
 
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",

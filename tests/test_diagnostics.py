@@ -73,19 +73,29 @@ class TestMassInBall:
 
 class TestAtomDetect:
     def test_single_bubble_matches_brute_force(self):
-        g = make_grid(1, 512, 8.0)
-        pack = ExponentPack(dim=1, s=0.25)
-        spec = BubbleSpec(amplitude=1.0, scale=0.3, center=(-0.4,), pack=pack)
-        cut = CutoffSpec(center=(-0.4,), inner_radius=0.6)
-        v, _ = localized_bubble(spec, cut, 0.5, g)
-        mu = energy_density(v, pack.s)
-        nu = lp_density(v, pack.two_star)
-        radius = 0.8
-        atoms = atom_detect(mu, nu, radius=radius, threshold=0.3)
-        assert len(atoms) == 1
-        center, mass = brute_force_best_ball(mu, radius)
-        assert atoms.entries[0].mu == pytest.approx(mass, rel=1e-12)
-        assert abs(atoms.entries[0].location[0] - center[0]) <= radius
+        cases = []
+        # (grid, bubble centers, cutoff radius, eps, detection radius, atoms);
+        # the bubble at 7.5 lies within the radius of the box edge
+        for g, centers, inner, eps, radius, n_atoms in [
+            (make_grid(1, 512, 8.0), [(-0.4,)], 0.6, 0.5, 0.8, 1),
+            (make_grid(1, 512, 8.0), [(7.5,)], 0.2, 0.5, 0.8, 1),
+            (make_grid(2, 64, 2.0), [(-0.8, 0.3), (0.7, -0.6)], 0.3, 1.0, 0.5, 2),
+        ]:
+            pack = ExponentPack(dim=g.dim, s=0.25)
+            vals = np.zeros(g.shape)
+            for k, c in enumerate(centers):
+                spec = BubbleSpec(amplitude=1.0 + k, scale=0.3, center=c, pack=pack)
+                cut = CutoffSpec(center=c, inner_radius=inner)
+                vals += localized_bubble(spec, cut, eps, g)[0].values
+            cases.append((Field(grid=g, values=vals), pack, radius, n_atoms))
+        for v, pack, radius, n_atoms in cases:
+            mu = energy_density(v, pack.s)
+            nu = lp_density(v, pack.two_star)
+            atoms = atom_detect(mu, nu, radius=radius, threshold=0.3 / n_atoms)
+            assert len(atoms) == n_atoms
+            center, mass = brute_force_best_ball(mu, radius)
+            assert atoms.entries[0].mu == pytest.approx(mass, rel=1e-12)
+            assert np.linalg.norm(np.subtract(atoms.entries[0].location, center)) <= radius
 
     def test_two_atom_glued_within_ten_percent(self):
         g = make_grid(1, 2 ** 17, 8.0)
@@ -104,11 +114,15 @@ class TestAtomDetect:
         assert got[1][1] == pytest.approx(0.4, rel=0.10)
 
     def test_diffuse_field_yields_no_atoms(self, grid1d, rng):
-        u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
-        mu = energy_density(u, 0.25)
-        nu = lp_density(u, 4.0)
-        found = atom_detect(mu, nu, radius=0.5, threshold=0.5)
-        assert len(found) == 0
+        noise = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
+        # an all-zero measure has no ball holding positive mass
+        zeros = [Field(grid=g, values=np.zeros(g.shape))
+                 for g in (make_grid(1, 256, 8.0), make_grid(2, 32, 4.0))]
+        for u in [noise] + zeros:
+            mu = energy_density(u, 0.25)
+            nu = lp_density(u, 4.0)
+            found = atom_detect(mu, nu, radius=0.5, threshold=0.5)
+            assert len(found) == 0
 
     def test_detected_atoms_separated_by_radius(self):
         g = make_grid(1, 2 ** 14, 8.0)
@@ -166,8 +180,8 @@ _TRIANGLE = {"kind": "polygon", "vertices": [[-1.0, -0.9], [1.3, -0.7], [0.1, 1.
 
 
 class TestNearDomain:
-    """The windowed FFT dilation selects exactly the cells the distance
-    transform puts within ``margin`` of the domain."""
+    """The FFT dilation selects exactly the cells the distance transform
+    puts within ``margin`` of the domain."""
 
     @pytest.mark.parametrize("dim,M,L,shape", [
         (1, 512, 8.0, _INTERVAL), (1, 2 ** 13, 8.0, _INTERVAL), (1, 2 ** 14, 8.0, _INTERVAL),
@@ -190,9 +204,9 @@ class TestNearDomain:
         assert near[idx[0] - 16] and not near[idx[0] - 17]
 
     @pytest.mark.parametrize("dim,M,L,shape", [
-        # grown past the upper edge, so the window shifts down to end there
+        # the margin reaches past the upper edge of the box
         (1, 512, 8.0, {"kind": "interval", "bounds": [4.5, 7.5]}),
-        # grown past every side, so the window is the whole box
+        # the margin reaches past every side of the box
         (2, 128, 1.5, _BALL),
     ])
     def test_window_clipped_at_box_edge(self, dim, M, L, shape):

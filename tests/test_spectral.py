@@ -203,22 +203,33 @@ class TestMultiplier:
 class TestOffsetConvolve:
     def test_1d_matches_numpy_linear_convolution(self, rng):
         g = make_grid(1, 64, 2.0)
+        h = g.spacing
         a, b = rng.standard_normal((2, 64))
-        k = np.exp(-g.spacing * np.abs(np.arange(-63, 64)))
-        out = offset_convolve(g, lambda r: np.exp(-r), (a, b))
-        for arr, conv in zip((a, b), out):
-            ref = np.convolve(arr, k)[63:127]
-            assert np.max(np.abs(conv - ref)) < 1e-12 * np.max(np.abs(ref))
+        kernels = [
+            lambda r: np.exp(-r),
+            # compact, with a and b nonzero on both outermost cells, so too
+            # short a pad would wrap one edge onto the other
+            lambda r: (r <= 17.5 * h).astype(float),
+            # an annulus that vanishes near 0
+            lambda r: ((r >= 3.0 * h) & (r <= 7.5 * h)).astype(float),
+        ]
+        for kernel in kernels:
+            k = kernel(h * np.abs(np.arange(-63, 64)))
+            out = offset_convolve(g, kernel, (a, b))
+            for arr, conv in zip((a, b), out):
+                ref = np.convolve(arr, k)[63:127]
+                assert np.max(np.abs(conv - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_2d_matches_direct_sum(self, rng):
         g = make_grid(2, 8, 1.0)
         a = rng.standard_normal(g.shape)
-        out = offset_convolve(g, lambda r: 1.0 / (1.0 + r), (a,))
-        assert out.shape == (1, 8, 8)
         X, Y = g.coords()
-        ref = np.array([[np.sum(a / (1.0 + np.hypot(X - x, Y - y)))
-                         for x, y in zip(xr, yr)] for xr, yr in zip(X, Y)])
-        assert np.max(np.abs(out[0] - ref)) < 1e-12 * np.max(np.abs(ref))
+        for kernel in (lambda r: 1.0 / (1.0 + r), lambda r: (r <= 2.5 * g.spacing).astype(float)):
+            out = offset_convolve(g, kernel, (a,))
+            assert out.shape == (1, 8, 8)
+            ref = np.array([[np.sum(a * kernel(np.hypot(X - x, Y - y)))
+                             for x, y in zip(xr, yr)] for xr, yr in zip(X, Y)])
+            assert np.max(np.abs(out[0] - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestDumpFormat:

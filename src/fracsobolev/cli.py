@@ -388,10 +388,12 @@ def _cmd_recovery_demo(cfg):
     Sstar = sobolev_constant(pack.dim, pack.s)
     target = lp_integral(u, pack.two_star, cfg.mask) + Sstar * mu1 ** (pack.two_star / 2.0)
     sig_fracs = (0.4, 0.2, 0.1)
-    eps_list = cfg.solver.eps_schedule
+    steps = [(sig_frac * d_atom, eps) for sig_frac, eps in zip(sig_fracs, cfg.solver.eps_schedule)]
+    # the finest core sets the M that every step needs, so name it before any step runs
+    extremals.require_core_cells(min(extremals.recovery_core_width(sigma, eps)
+                                     for sigma, eps in steps), cfg.grid)
     rows = []
-    for sig_frac, eps in zip(sig_fracs, eps_list[:len(sig_fracs)]):
-        sigma = sig_frac * d_atom
+    for sigma, eps in steps:
         crit = pack.with_eps(eps)
         ubar = recovery_sequence(u, atoms, sigma, eps, cfg.grid, cfg.mask, crit)
         feps = subcritical_value(ubar, crit, cfg.mask)

@@ -28,11 +28,13 @@ __all__ = [
     "cutoff_profile",
     "cutoff_field",
     "talenti_bubble",
+    "require_core_cells",
     "rescaled_bubble",
     "localized_bubble",
     "atom_localizations",
     "glued_bubble_parts",
     "glued_bubbles",
+    "recovery_core_width",
     "recovery_sequence",
 ]
 
@@ -42,6 +44,9 @@ DEFAULT_TAIL_THRESHOLD = 0.5
 # other atom or box face, and bubble scale as a share of that radius
 ATOM_BALL_FRACTION = 0.25
 GLUED_SCALE_FRACTION = 0.5
+# localization radius of recovery_sequence's glued bubbles, as a share of
+# the hole radius sigma
+RECOVERY_RADIUS_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,19 @@ def talenti_bubble(spec, grid, normalize=False, tail_threshold=DEFAULT_TAIL_THRE
     return u
 
 
+def require_core_cells(core, grid):
+    """Raise UnderResolved when a bubble core of width ``core`` spans fewer
+    than MIN_CORE_CELLS cells; the message names the smallest M, the grid's
+    times a power of two, that resolves it."""
+    if core < MIN_CORE_CELLS * grid.spacing:
+        M = grid.points_per_dim
+        while core < MIN_CORE_CELLS * 2.0 * grid.half_width / M:
+            M *= 2
+        raise UnderResolved(
+            f"core width {core:.3e} below {MIN_CORE_CELLS:g} cells ({MIN_CORE_CELLS * grid.spacing:.3e}); "
+            f"M = {M} points per axis resolves it", param="points_per_dim")
+
+
 def rescaled_bubble(spec, eps, grid):
     """Concentrating rescaling about the bubble center, sampled in closed form.
 
@@ -177,13 +195,7 @@ def rescaled_bubble(spec, eps, grid):
     if not (0.0 < eps <= 1.0):
         raise InvalidOrder(f"eps must lie in (0, 1], got {eps}")
     core = eps * spec.scale
-    if core < MIN_CORE_CELLS * grid.spacing:
-        M = grid.points_per_dim
-        while core < MIN_CORE_CELLS * 2.0 * grid.half_width / M:
-            M *= 2
-        raise UnderResolved(
-            f"core width {core:.3e} below {MIN_CORE_CELLS:g} cells ({MIN_CORE_CELLS * grid.spacing:.3e}); "
-            f"M = {M} points per axis resolves it", param="points_per_dim")
+    require_core_cells(core, grid)
     amp = spec.amplitude * eps ** spec.decay_power
     return Field(grid=grid, values=_sample_bubble(grid, amp, core, spec.center, spec.decay_power))
 
@@ -270,6 +282,12 @@ def glued_bubbles(atoms, eps, grid, mask, pack, radii=None):
     return Field(grid=grid, values=total)
 
 
+def recovery_core_width(sigma, eps):
+    """Core width of the glued bubbles ``recovery_sequence`` builds for hole
+    radius ``sigma`` and concentration ``eps``."""
+    return eps * (GLUED_SCALE_FRACTION * (RECOVERY_RADIUS_FRACTION * sigma))
+
+
 def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
     """Joined field  u * phi_sigma + glued bubbles, with disjoint supports.
 
@@ -291,7 +309,7 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
     phi = np.clip(phi, 0.0, 1.0)
     vals = u.values * phi
     if len(atoms.masses):
-        radii = [sigma / 2.0] * len(atoms.masses)
+        radii = [RECOVERY_RADIUS_FRACTION * sigma] * len(atoms.masses)
         glued = glued_bubbles(atoms, eps, grid, mask, pack, radii=radii)
         vals = vals + glued.values
     return Field(grid=grid, values=vals)

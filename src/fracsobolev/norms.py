@@ -107,12 +107,18 @@ class DomainMask:
         return float(self.inside.sum()) * self.grid.cell_volume
 
     @property
+    def window(self):
+        """Index slices, one per axis, of the bounding box of the inside cells."""
+        N = self.grid.dim
+        hits = (np.flatnonzero(self.inside.any(axis=tuple(a for a in range(N) if a != ax)))
+                for ax in range(N))
+        return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+
+    @property
     def diameter(self):
         """Bounding-box diameter of the inside cells."""
-        N, sq = self.grid.dim, 0.0
-        for ax in range(N):
-            coords = self.grid.axis[self.inside.any(axis=tuple(a for a in range(N) if a != ax))]
-            sq += (coords[-1] - coords[0]) ** 2
+        axis = self.grid.axis
+        sq = sum((axis[w.stop - 1] - axis[w.start]) ** 2 for w in self.window)
         return float(np.sqrt(sq))
 
     def centroid(self):

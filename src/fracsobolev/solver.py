@@ -5,12 +5,19 @@ Each step solves the domain-restricted operator equation
     P (-Lap)^s P w = |u_k|^(2*-2-eps) u_k   on the inside cells
 
 by conjugate gradients preconditioned with P (-Lap)^(-s) P, the pseudo-inverse
-of the whole-box operator restricted to the domain (each operator is one
-real FFT pair, run on work arrays that the solve call allocates once and
-shares with nothing), then renormalizes to the unit homogeneous sphere with a
-damped mix against the previous iterate.  The fixed point satisfies the
-discrete constrained stationarity condition, so the Euler-Lagrange residual
-of a converged solve is limited only by the tolerances.
+of the whole-box operator restricted to the domain, then renormalizes to the
+unit homogeneous sphere with a damped mix against the previous iterate.  The
+fixed point satisfies the discrete constrained stationarity condition, so the
+Euler-Lagrange residual of a converged solve is limited only by the
+tolerances.
+
+Every array of a solve covers only the domain's window, the bounding box of
+its cells; each operator is one real FFT pair on the whole box, run by
+``apply_multiplier`` on the window, in work arrays that the solve call
+allocates once and shares with nothing.  The iterate carries its operator
+image A u, mixed and scaled with it, so an outer iteration whose CG takes
+k > 0 steps runs 2k+1 pairs: the first preconditioning, k operator and
+k-1 preconditioner applies, and one apply to the CG result.
 """
 
 import math
@@ -79,6 +86,8 @@ class SolveResult:
     iters: int
     trace: tuple
     converged: bool
+    # inner CG iterations, one entry per outer iteration
+    cg_iters: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -124,44 +133,46 @@ def default_initial_field(mask, seed=0):
 def _inner_ops(grid, inside, s):
     """P (-Lap)^s P and its preconditioner P (-Lap)^(-s) P as ``apply(src, out)``.
 
-    Both write ``out`` and return it, and share one masked copy and one
-    half spectrum, allocated here, so an apply allocates nothing.
+    ``inside`` is the domain on its window (``DomainMask.window``), and
+    every array an apply takes or writes has its shape.  ``src`` must vanish
+    off the inside cells, as every CG vector does, so the right-hand P is
+    the identity on it.  Both applies write ``out`` and return it, and share
+    one half spectrum and one row buffer, allocated here, so an apply
+    allocates nothing.
     """
     outside = ~inside
-    masked = np.empty(grid.shape)
+    rows = np.empty(inside.shape[:-1] + (grid.points_per_dim,))
     spec = np.empty(grid.half_shape, dtype=complex)
 
-    def apply_op(w, out):
-        np.copyto(masked, w)
-        np.copyto(masked, 0.0, where=outside)
-        apply_multiplier(masked, grid, 2.0 * s, out=out, spec=spec)
-        np.copyto(out, 0.0, where=outside)
-        return out
+    def restricted(sigma):
+        def apply(src, out):
+            np.copyto(out, apply_multiplier(src, grid, sigma, out=rows, spec=spec))
+            np.copyto(out, 0.0, where=outside)
+            return out
+        return apply
 
     # SPD on domain-supported fields, which are never constant, so
     # annihilating the zero mode loses nothing and needs no mean check
-    def precond(r, out):
-        apply_multiplier(r, grid, -2.0 * s, out=out, spec=spec)
-        np.copyto(out, 0.0, where=outside)
-        return out
-
-    return apply_op, precond
+    return restricted(2.0 * s), restricted(-2.0 * s)
 
 
-def _cg(apply_op, precond, rhs, x, tol, max_iters, work):
+def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
     """Preconditioned CG, in place on the start ``x``; returns the iterations.
 
-    ``work`` holds four arrays of rhs's shape (residual, preconditioned
-    residual, direction, operator image).  Stops when the unpreconditioned
-    residual satisfies ||r|| <= tol ||rhs|| and raises InnerSolveFailed when
-    the loop ends before that.
+    ``Ax`` holds ``apply_op(x)`` on entry and again on return: one fresh
+    apply when ``x`` moved, none when it did not.  ``work`` holds four
+    arrays of rhs's shape (residual, preconditioned residual, direction,
+    operator image).  Stops when the unpreconditioned residual satisfies
+    ||r|| <= tol ||rhs|| and raises InnerSolveFailed when the loop ends
+    before that.
     """
     r, z, p, Ap = work
     b_norm = math.sqrt(float(np.dot(rhs.ravel(), rhs.ravel())))
     if b_norm == 0.0:
         x.fill(0.0)
+        Ax.fill(0.0)
         return 0
-    np.subtract(rhs, apply_op(x, r), out=r)
+    np.subtract(rhs, Ax, out=r)
     r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
     if r_norm <= tol * b_norm:
         return 0
@@ -180,6 +191,7 @@ def _cg(apply_op, precond, rhs, x, tol, max_iters, work):
         r -= np.multiply(Ap, alpha, out=Ap)
         r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
         if r_norm <= tol * b_norm:
+            apply_op(x, Ax)
             return iters
         precond(r, z)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
@@ -201,52 +213,71 @@ def solve(pack, mask, config, init=None):
     InnerSolveFailed if an inner CG solve misses cg_tol.
     """
     grid = mask.grid
+    window = mask.window
+    inside = mask.inside[window]
     q = pack.subcritical_exponent - 2.0
-    if init is None:
-        u_vals = default_initial_field(mask, seed=config.seed).values
-    else:
-        u_vals = mask.restrict(init.values)
-        if not np.any(u_vals):
-            raise DegenerateInput("initial field vanishes on the domain")
-    nrm = math.sqrt(hs_dot_norm_sq(Field(grid=grid, values=u_vals), pack.s))
-    if nrm == 0.0:
-        raise DegenerateInput("initial field has zero homogeneous norm")
-    u = u_vals / nrm
-
-    apply_op, precond = _inner_ops(grid, mask.inside, pack.s)
-    work = np.empty((4,) + grid.shape)
     pexp = pack.subcritical_exponent
     h_vol = grid.cell_volume
+    start = default_initial_field(mask, seed=config.seed) if init is None else init
+    u = np.where(inside, start.values[window], 0.0)
+    if not np.any(u):
+        raise DegenerateInput("initial field vanishes on the domain")
 
-    def f_eps(vals):
-        return float(np.sum(np.abs(vals[mask.inside]) ** pexp)) * h_vol
+    apply_op, precond = _inner_ops(grid, inside, pack.s)
+    work = np.empty((4,) + inside.shape)
 
-    F_old = f_eps(u)
+    def energy(v, Av):
+        return float(np.dot(v.ravel(), Av.ravel())) * h_vol
+
+    def f_eps(vals_inside):
+        return float(np.sum(np.abs(vals_inside) ** pexp)) * h_vol
+
+    # u and Au = P (-Lap)^s P u are mixed and scaled together, so no
+    # outer step transforms to renormalize
+    Au = apply_op(u, np.empty(inside.shape))
+    nrm_sq = energy(u, Au)
+    if not nrm_sq > 0.0:
+        raise DegenerateInput("initial field has zero homogeneous norm")
+    nrm = math.sqrt(nrm_sq)
+    u /= nrm
+    Au /= nrm
+
+    u_in = u[inside]
+    F_old = f_eps(u_in)
     trace = [F_old]
-    w = np.zeros(grid.shape)
+    cg_iters = []
+    rhs = np.zeros(inside.shape)
+    w = np.zeros(inside.shape)
+    Aw = np.zeros(inside.shape)
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        rhs = mask.restrict(np.abs(u) ** q * u)
-        _cg(apply_op, precond, rhs, w, config.cg_tol, config.cg_max_iters, work)
-        w_norm = math.sqrt(hs_dot_norm_sq(Field(grid=grid, values=w), pack.s))
-        if not w_norm > 0.0 or not np.isfinite(w_norm):
+        rhs[inside] = np.abs(u_in) ** q * u_in
+        cg_iters.append(_cg(apply_op, precond, rhs, w, Aw, config.cg_tol,
+                            config.cg_max_iters, work))
+        w_sq = energy(w, Aw)
+        if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
-        u_new = config.damping * (w / w_norm) + (1.0 - config.damping) * u
-        u_new /= math.sqrt(hs_dot_norm_sq(Field(grid=grid, values=u_new), pack.s))
-        F_new = f_eps(u_new)
+        w_norm = math.sqrt(w_sq)
+        u = config.damping * (w / w_norm) + (1.0 - config.damping) * u
+        Au = config.damping * (Aw / w_norm) + (1.0 - config.damping) * Au
+        nrm = math.sqrt(energy(u, Au))
+        u /= nrm
+        Au /= nrm
+        u_in = u[inside]
+        F_new = f_eps(u_in)
         trace.append(F_new)
-        u = u_new
         if abs(F_new - F_old) <= config.tol * abs(F_old):
             converged = True
             break
         F_old = F_new
 
-    maximizer = Field(grid=grid, values=u)
+    values = np.zeros(grid.shape)
+    values[window] = u
     value = trace[-1]
-    multiplier = hs_dot_norm_sq(maximizer, pack.s) / value
-    return SolveResult(maximizer=maximizer, value=value, multiplier=multiplier,
-                       iters=iters, trace=tuple(trace), converged=converged)
+    return SolveResult(maximizer=Field(grid=grid, values=values), value=value,
+                       multiplier=energy(u, Au) / value, iters=iters, trace=tuple(trace),
+                       converged=converged, cg_iters=tuple(cg_iters))
 
 
 def eps_sweep(pack_template, mask, config, init=None):

@@ -16,7 +16,11 @@ Every |xi|^sigma consumer goes through one transform pair,
 ``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
 half-spectrum lattice (``Grid.half_shape``), then the inverse, run in place
 on that one spectrum.  A caller may pass its own spectrum and output arrays,
-as the solver does, so a loop of applies allocates nothing.  The
+as the solver does, so a loop of applies allocates nothing.  The samples
+may also be a window, a field that vanishes off a box of cells, placed at
+the lattice corner: |xi|^sigma commutes with periodic shifts, so only the
+window's rows enter the last-axis rfft and irfft, and the result is
+cropped to the window.  The
 unnormalized pair needs no scaling, since the h^(N/2) factors of the
 unitary convention cancel.  The weight is built once per grid and order by
 ``Grid.multiplier`` and shared, read-only; its zero mode is 0 for
@@ -220,13 +224,22 @@ def _transform_pair(values, weight, n, spec, out):
 def apply_multiplier(values, grid, sigma, out=None, spec=None):
     """|xi|^sigma applied to real samples on ``grid``; returns a raw ndarray.
 
-    ``out`` (float, ``grid.shape``) and ``spec`` (complex,
-    ``grid.half_shape``) are caller-owned work arrays of the in-place pair;
-    each is allocated when None.  No mean check: for sigma < 0 the zero
-    mode is simply annihilated.
+    ``values`` is ``grid.shape`` or a window no longer than M on any axis:
+    the samples of a field that vanishes off a box of cells, placed at the
+    lattice corner.  The multiplier commutes with periodic shifts, so on
+    that box the result is the same wherever the box sits; it is returned
+    cropped to ``values.shape``.  ``out`` (float, ``values.shape[:-1] +
+    (M,)``) and ``spec`` (complex, ``grid.half_shape``) are caller-owned
+    work arrays of the in-place pair; each is allocated when None, and the
+    result is ``out`` or a view of it.  No mean check: for sigma < 0 the
+    zero mode is simply annihilated.
     """
+    M = grid.points_per_dim
+    if values.ndim != grid.dim or max(values.shape) > M:
+        raise InvalidGrid(f"values of shape {values.shape} do not fit grid shape {grid.shape}")
     spec = np.empty(grid.half_shape, dtype=complex) if spec is None else spec
-    return _transform_pair(values, grid.multiplier(sigma), grid.points_per_dim, spec, out)
+    out = _transform_pair(values, grid.multiplier(sigma), M, spec, out)
+    return out if values.shape[-1] == M else out[..., :values.shape[-1]]
 
 
 def _offset_distances(grid, offsets):
@@ -247,28 +260,46 @@ def _smooth_length(n):
         n += 1
 
 
+def _kernel_lattice(grid, kernel):
+    """The zero-padded P^N lattice kernel of ``offset_convolve``."""
+    M = grid.points_per_dim
+    sample = kernel(_offset_distances(grid, np.arange(M)))
+    # the distance is symmetric in the axes, so axis 0 holds the reach
+    reach = int(np.flatnonzero((sample != 0).any(axis=tuple(range(1, grid.dim)))).max(initial=0))
+    near = (slice(0, reach + 1),) * grid.dim
+    # a copy of the offsets within reach, so a short kernel's M^N sample is freed here
+    sample = np.ascontiguousarray(sample[near])
+    P = _smooth_length(M + reach + 1)
+    # fftfreq order per axis: offsets 0, ..., reach, then -reach, ..., -1
+    lattice = np.zeros((P,) * grid.dim)
+    lattice[near] = sample
+    for ax in range(grid.dim):
+        lead = (slice(None),) * ax
+        lattice[lead + (slice(P - reach, P),)] = lattice[lead + (slice(reach, 0, -1),)]
+    return lattice
+
+
 def offset_convolve(grid, kernel, arrays):
     """Linear convolutions  sum_j k(|x_i - x_j|) a_j  of real arrays on ``grid``.
 
     ``kernel`` maps distances h*sqrt(sum d^2), d an index offset, to kernel
-    values.  Sampled once on [0, M)^N, it gives the reach: the largest axis
-    component of a nonzero sample.  Each axis is zero-padded to the
-    smallest 5-smooth P >= M + reach + 1 (2M for a kernel nonzero at every
-    offset), so no periodic image enters.  Returns a raw ndarray of shape
-    (len(arrays),) + grid.shape.
+    values.  It is sampled once, on [0, M)^N, which gives the reach: the
+    largest axis component of a nonzero sample.  Each axis is zero-padded to
+    the smallest 5-smooth P >= M + reach + 1 (2M for a kernel nonzero at
+    every offset), so no periodic image enters.  The P^N lattice kernel is
+    that sample mirrored to the negative offsets, zero beyond the reach:
+    offsets of M or more never meet two cells of the box.  Returns a raw
+    ndarray of shape (len(arrays),) + grid.shape.
     """
-    M = grid.points_per_dim
-    near = kernel(_offset_distances(grid, np.arange(M))) != 0
-    # the distance is symmetric in the axes, so axis 0 holds the reach
-    reach = np.flatnonzero(near.any(axis=tuple(range(1, grid.dim)))).max(initial=0)
-    P = _smooth_length(M + int(reach) + 1)
-    offsets = (np.arange(P) + P // 2) % P - P // 2  # fftfreq order: 0, 1, ..., -1
-    kernel_spec = np.fft.rfftn(kernel(_offset_distances(grid, offsets)))
+    lattice = _kernel_lattice(grid, kernel)
+    P = lattice.shape[0]
+    kernel_spec = np.fft.rfftn(lattice)
+    del lattice  # so it is not held beside the pair's work arrays
     spec = np.empty(kernel_spec.shape, dtype=complex)
     out = np.empty((len(arrays),) + grid.shape[:-1] + (P,))
     for a, dest in zip(arrays, out):
         _transform_pair(a, kernel_spec, P, spec, dest)
-    return out[..., :M]
+    return out[..., :grid.points_per_dim]
 
 
 def frac_power(u, sigma):

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: the sharp constant is
 re-evaluated with arbitrary-precision arithmetic, continuum norms come from
 one-dimensional radial quadrature, maximizers from a line-searched projected
 gradient ascent, atom locations from an exhaustive ball scan, the
-Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, and the
-cells near a domain from scipy's exact Euclidean distance transform.
+Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, the
+cells near a domain from scipy's exact Euclidean distance transform, and the
+solver's restricted operator from full-box transforms of masked copies.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import ndimage
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma, gammaln
 
-from fracsobolev import Field, frac_power, hs_dot_norm_sq, lp_integral
+from fracsobolev import Field, apply_multiplier, frac_power, hs_dot_norm_sq, lp_integral
 
 
 def sobolev_constant_mp(N, s, dps=50):
@@ -140,3 +141,19 @@ def near_domain_edt(mask, margin):
     """Cells whose distance to the nearest inside cell, by the exact
     Euclidean distance transform in cells times the spacing, is <= margin."""
     return ndimage.distance_transform_edt(~mask.inside) * mask.grid.spacing <= margin
+
+
+def full_box_ops(grid, inside, s):
+    """P (-Lap)^s P and P (-Lap)^(-s) P on whole-box arrays (``inside`` of
+    ``grid.shape``), as ``apply(src, out)``: each masks a copy of ``src``,
+    transforms all M^N cells and zeroes the result off the domain."""
+    outside = ~inside
+
+    def restricted(sigma):
+        def apply(src, out):
+            out[...] = apply_multiplier(np.where(outside, 0.0, src), grid, sigma)
+            out[outside] = 0.0
+            return out
+        return apply
+
+    return restricted(2.0 * s), restricted(-2.0 * s)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,14 @@ class TestExitCodes:
         assert code in (0, 2)
         if code == 2:
             assert "config error: M:" in err
+
+    def test_recovery_demo_names_the_m_every_step_needs(self, tmp_path, capsys):
+        # the steps' cores shrink, so the named M must resolve the finest one
+        assert main(["recovery-demo", "--out", str(tmp_path)]) == 2
+        named = re.search(r"config error: M: .* M = (\d+) points per axis", capsys.readouterr().err)
+        assert named is not None
+        assert main(["recovery-demo", "--M", named.group(1), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",

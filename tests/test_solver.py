@@ -7,8 +7,9 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidOrder, SolverConfig,
                          el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
+from fracsobolev.solver import default_initial_field
 
-from oracles import gradient_ascent_oracle
+from oracles import full_box_ops, gradient_ascent_oracle
 
 
 @pytest.fixture(scope="module")
@@ -125,17 +126,19 @@ class TestPreconditionedCG:
 
     @staticmethod
     def _cold_iters(grid, shape, s):
-        from fracsobolev.solver import _cg, _inner_ops, default_initial_field
+        from fracsobolev.solver import _cg, _inner_ops
         mask = DomainMask.from_shape(grid, shape)
         pack = ExponentPack(dim=grid.dim, s=s, eps=0.8)
-        u = default_initial_field(mask).values
-        rhs = mask.restrict(np.abs(u) ** (pack.subcritical_exponent - 2.0) * u)
-        op, pre = _inner_ops(grid, mask.inside, s)
+        window = mask.window
+        u = default_initial_field(mask).values[window]
+        rhs = np.abs(u) ** (pack.subcritical_exponent - 2.0) * u
+        op, pre = _inner_ops(grid, mask.inside[window], s)
         tol = SolverConfig().cg_tol
-        x = np.zeros(grid.shape)
-        iters = _cg(op, pre, rhs, x, tol, 2000, np.empty((4,) + grid.shape))
-        res = rhs - op(x, np.empty(grid.shape))
+        x, Ax = np.zeros(u.shape), np.zeros(u.shape)
+        iters = _cg(op, pre, rhs, x, Ax, tol, 2000, np.empty((4,) + u.shape))
+        res = rhs - op(x, np.empty(u.shape))
         assert np.linalg.norm(res) <= tol * np.linalg.norm(rhs)
+        assert np.array_equal(Ax, op(x, np.empty(u.shape)))
         return iters
 
     @pytest.mark.parametrize("M", [2 ** 14, 2 ** 17])
@@ -160,9 +163,92 @@ class TestPreconditionedCG:
 
         def unused(src, out):
             raise AssertionError("no preconditioner apply expected")
-        x = rhs.copy()
-        iters = _cg(identity, unused, rhs, x, 1e-9, 5, np.empty((4,) + g.shape))
+        x, Ax = rhs.copy(), rhs.copy()
+        iters = _cg(identity, unused, rhs, x, Ax, 1e-9, 5, np.empty((4,) + g.shape))
         assert iters == 0 and np.array_equal(x, rhs)
+
+
+_SHAPES_2D = {
+    "ball": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    "box": {"kind": "box", "lower": [-0.9, -0.65], "upper": [0.9, 0.65]},
+    "hexagon": {"kind": "polygon",
+                "vertices": [[np.cos(t), np.sin(t)] for t in np.pi * np.arange(6) / 3]},
+}
+
+
+def _domain_case(kind):
+    """(pack, mask) of the 1-D interval or a 2-D domain of ``_SHAPES_2D``."""
+    if kind == "interval":
+        g = make_grid(1, 512, 8.0)
+        return (ExponentPack(dim=1, s=0.25, eps=0.8),
+                DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]}))
+    g = make_grid(2, 64, 4.0)
+    return ExponentPack(dim=2, s=0.5, eps=0.8), DomainMask.from_shape(g, _SHAPES_2D[kind])
+
+
+class TestWindow:
+    """The solver runs on the bounding box of the domain; these pin it to
+    whole-box transforms and to the placement of the box."""
+
+    @pytest.mark.parametrize("kind", ["interval", "ball", "box", "hexagon"])
+    def test_matches_full_box_operator(self, monkeypatch, kind):
+        import fracsobolev.solver as solver_mod
+        pack, mask = _domain_case(kind)
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        windowed = solve(pack, mask, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(DomainMask, "window",
+                       property(lambda self: (slice(None),) * self.grid.dim))
+            mp.setattr(solver_mod, "_inner_ops", full_box_ops)
+            full = solve(pack, mask, cfg)
+        assert windowed.converged and full.converged
+        assert windowed.iters == full.iters
+        assert windowed.cg_iters == full.cg_iters
+        assert windowed.value == pytest.approx(full.value, rel=1e-12, abs=0)
+        assert windowed.multiplier == pytest.approx(full.multiplier, rel=1e-12, abs=0)
+        u, ref = windowed.maximizer.values, full.maximizer.values
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    def test_shift_invariance_at_the_outer_layer(self, kind):
+        # the shifted domain's window ends one cell before the outer layer
+        pack, mask = _domain_case(kind)
+        g = mask.grid
+        shift = tuple(g.points_per_dim - 1 - w.stop for w in mask.window)
+        axes = tuple(range(g.dim))
+        moved = DomainMask(grid=g, inside=np.roll(mask.inside, shift, axis=axes))
+        assert all(w.stop == g.points_per_dim - 1 for w in moved.window)
+        init = default_initial_field(mask)
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        centred = solve(pack, mask, cfg, init=init)
+        shifted = solve(pack, moved, cfg,
+                        init=Field(grid=g, values=np.roll(init.values, shift, axis=axes)))
+        assert shifted.iters == centred.iters
+        assert shifted.value == pytest.approx(centred.value, rel=1e-12, abs=0)
+        assert np.array_equal(shifted.maximizer.values,
+                              np.roll(centred.maximizer.values, shift, axis=axes))
+
+    @pytest.mark.parametrize("kind,cg_tol", [("interval", 1e-9), ("interval", 1e-3),
+                                             ("ball", 1e-9)])
+    def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol):
+        # one pair for the start's image, then 2k+1 per outer iteration
+        # whose CG takes k > 0 steps and none when the carried image
+        # already meets the tolerance
+        import fracsobolev.spectral as spectral_mod
+        pack, mask = _domain_case(kind)
+        real_pair = spectral_mod._transform_pair
+        pairs = []
+
+        def counting(*args):
+            pairs.append(1)
+            return real_pair(*args)
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,), cg_tol=cg_tol))
+        assert len(result.cg_iters) == result.iters
+        # the loose tolerance leaves some outer iterations with no CG step
+        assert (0 in result.cg_iters) == (cg_tol > 1e-9)
+        assert len(pairs) == 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
 
 
 class TestElResidual:
@@ -277,11 +363,11 @@ class TestSweepErrorHandling:
         real_cg = solver_mod._cg
         calls = []
 
-        def fail_first(apply_op, precond, rhs, x, tol, max_iters, work):
+        def fail_first(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
             calls.append(1)
             # the first inner solve of the sweep gets a single iteration
-            return real_cg(apply_op, precond, rhs, x, tol, 1 if len(calls) == 1 else max_iters,
-                           work)
+            return real_cg(apply_op, precond, rhs, x, Ax, tol,
+                           1 if len(calls) == 1 else max_iters, work)
 
         monkeypatch.setattr(solver_mod, "_cg", fail_first)
         entries = solver_mod.eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4)))

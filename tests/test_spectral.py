@@ -186,6 +186,26 @@ class TestMultiplier:
         assert apply_multiplier(v, g, sigma, out=out, spec=spec) is out
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("dim,M", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("sigma", [0.5, -0.5])
+    def test_window_matches_whole_box(self, rng, dim, M, sigma):
+        # a window's result is the whole-box result on the window, wherever it sits
+        g = make_grid(dim, M, 4.0)
+        shape = (M // 4 + 3,) * (dim - 1) + (M // 8 + 1,)
+        v = rng.standard_normal(shape)
+        at = tuple(slice(M - 1 - n, M - 1) for n in shape)
+        box = np.zeros(g.shape)
+        box[at] = v
+        ref = apply_multiplier(box, g, sigma)[at]
+        got = apply_multiplier(v, g, sigma, out=np.empty(shape[:-1] + (M,)))
+        assert got.shape == shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(65, 8), (8, 65), (8,), (4, 4, 4)])
+    def test_rejects_values_that_do_not_fit(self, grid2d, shape):
+        with pytest.raises(InvalidGrid):
+            apply_multiplier(np.zeros(shape), grid2d, 0.5)
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     def test_apply_multiplier_inverts_off_mean(self, grid2d, rng, sigma):
         v = rng.standard_normal(grid2d.shape) + 3.0

@@ -39,15 +39,15 @@ _FLAGS = {
     "N": (int, 1), "s": (float, 0.25), "M": (int, 512), "L": (float, 8.0),
     "lam": (float, None), "eps-schedule": (str, "0.8,0.4,0.2,0.1"),
     "omega": (str, None), "max-iters": (int, 5000), "tol": (float, 1e-8),
-    "damping": (float, 0.8), "seed": (int, 0), "out": (str, "out"),
-    "emit-fields": (bool, False), "reproducible": (bool, False),
+    "seed": (int, 0), "out": (str, "out"), "emit-fields": (bool, False),
+    "reproducible": (bool, False),
 }
 
 # constructor parameter named by an InvalidGrid/InvalidOrder -> config key
 _PARAM_KEYS = {
     "dim": "N", "points_per_dim": "M", "max_points": "M", "half_width": "L",
     "s": "s", "eps": "eps-schedule", "eps_schedule": "eps-schedule",
-    "max_iters": "max-iters", "tol": "tol", "damping": "damping",
+    "max_iters": "max-iters", "tol": "tol",
 }
 
 
@@ -183,8 +183,7 @@ def parse_config(args):
 
     try:
         solver = SolverConfig(max_iters=typed["max-iters"], tol=typed["tol"],
-                              damping=typed["damping"], seed=typed["seed"],
-                              eps_schedule=schedule)
+                              seed=typed["seed"], eps_schedule=schedule)
     except InvalidOrder as exc:
         raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
@@ -363,35 +362,49 @@ def _cmd_sweep(cfg):
     return exit_code
 
 
+def _recovery_atom(grid, mask):
+    """The demo atom and its clearance, the distance from its cell to the
+    nearest cell outside the domain."""
+    atom = tuple(mask.centroid() + np.eye(grid.dim)[0] * 0.25 * mask.diameter)
+    cell = [grid.axis[int(np.argmin(np.abs(grid.axis - c)))] for c in atom]
+    return atom, float(grid.radii(cell)[~mask.inside].min())
+
+
 def _recovery_geometry(cfg):
     """Base field, atom, and hole-radius scale for the joined-field demo."""
     grid, mask = cfg.grid, cfg.mask
-    centroid = mask.centroid()
     extent = 0.5 * mask.diameter
-    atom = tuple(centroid + np.eye(grid.dim)[0] * 0.5 * extent)
-    u_center = tuple(centroid - np.eye(grid.dim)[0] * 0.5 * extent)
+    u_center = tuple(mask.centroid() - np.eye(grid.dim)[0] * 0.5 * extent)
     bump = cutoff_profile(grid.radii(u_center), 0.225 * extent)
     bump = mask.restrict(bump)
     u = Field(grid=grid, values=bump)
     u = Field(grid=grid, values=bump * np.sqrt(0.25 / hs_dot_norm_sq(u, cfg.pack.s)))
-    # distance from the atom's cell to the nearest cell outside the domain
-    cell = [grid.axis[int(np.argmin(np.abs(grid.axis - c)))] for c in atom]
-    d_atom = float(grid.radii(cell)[~mask.inside].min())
-    return u, atom, d_atom
+    return (u,) + _recovery_atom(grid, mask)
+
+
+def _recovery_steps(d_atom, schedule):
+    """(sigma, eps) per demo step and the finest glued-bubble core."""
+    steps = [(frac * d_atom, eps) for frac, eps in zip((0.4, 0.2, 0.1), schedule)]
+    return steps, min(extremals.recovery_core_width(sigma, eps) for sigma, eps in steps)
 
 
 def _cmd_recovery_demo(cfg):
     pack = cfg.pack
     u, atom_pt, d_atom = _recovery_geometry(cfg)
+    steps, finest = _recovery_steps(d_atom, cfg.solver.eps_schedule)
+    # the finest core sets the M that every step needs, so name it before any
+    # step runs: the first doubling of M whose grid gives a finest core that
+    # clears, for the clearance, hence every core, moves with the grid
+    grid, core = cfg.grid, finest
+    while core < extremals.MIN_CORE_CELLS * grid.spacing:
+        grid = make_grid(grid.dim, 2 * grid.points_per_dim, grid.half_width)
+        clearance = _recovery_atom(grid, DomainMask.from_shape(grid, cfg.mask.shape_spec))[1]
+        core = _recovery_steps(clearance, cfg.solver.eps_schedule)[1]
+    extremals.require_core_cells(finest, cfg.grid, start=grid.points_per_dim)
     mu1 = 0.5
     atoms = AtomSpec(points=(atom_pt,), masses=(mu1,))
     Sstar = sobolev_constant(pack.dim, pack.s)
     target = lp_integral(u, pack.two_star, cfg.mask) + Sstar * mu1 ** (pack.two_star / 2.0)
-    sig_fracs = (0.4, 0.2, 0.1)
-    steps = [(sig_frac * d_atom, eps) for sig_frac, eps in zip(sig_fracs, cfg.solver.eps_schedule)]
-    # the finest core sets the M that every step needs, so name it before any step runs
-    extremals.require_core_cells(min(extremals.recovery_core_width(sigma, eps)
-                                     for sigma, eps in steps), cfg.grid)
     rows = []
     for sigma, eps in steps:
         crit = pack.with_eps(eps)

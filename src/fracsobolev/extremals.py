@@ -172,12 +172,12 @@ def talenti_bubble(spec, grid, normalize=False, tail_threshold=DEFAULT_TAIL_THRE
     return u
 
 
-def require_core_cells(core, grid):
+def require_core_cells(core, grid, start=None):
     """Raise UnderResolved when a bubble core of width ``core`` spans fewer
-    than MIN_CORE_CELLS cells; the message names the smallest M, the grid's
-    times a power of two, that resolves it."""
+    than MIN_CORE_CELLS cells; the message names the smallest M, ``start``
+    (by default the grid's) times a power of two, that resolves it."""
     if core < MIN_CORE_CELLS * grid.spacing:
-        M = grid.points_per_dim
+        M = start or grid.points_per_dim
         while core < MIN_CORE_CELLS * 2.0 * grid.half_width / M:
             M *= 2
         raise UnderResolved(

@@ -5,19 +5,19 @@ Each step solves the domain-restricted operator equation
     P (-Lap)^s P w = |u_k|^(2*-2-eps) u_k   on the inside cells
 
 by conjugate gradients preconditioned with P (-Lap)^(-s) P, the pseudo-inverse
-of the whole-box operator restricted to the domain, then renormalizes to the
-unit homogeneous sphere with a damped mix against the previous iterate.  The
-fixed point satisfies the discrete constrained stationarity condition, so the
-Euler-Lagrange residual of a converged solve is limited only by the
-tolerances.
+of the whole-box operator restricted to the domain, then steps to w / ||w||
+on the unit homogeneous sphere.  F_eps is convex and w / ||w|| maximizes its
+linearization at u_k there, so no step lowers it.  The fixed point satisfies
+the discrete constrained stationarity condition with multiplier 1 / F_eps, so
+the Euler-Lagrange residual of a converged solve is tolerance-limited.
 
 Every array of a solve covers only the domain's window, the bounding box of
 its cells; each operator is one real FFT pair on the whole box, run by
 ``apply_multiplier`` on the window, in work arrays that the solve call
-allocates once and shares with nothing.  The iterate carries its operator
-image A u, mixed and scaled with it, so an outer iteration whose CG takes
-k > 0 steps runs 2k+1 pairs: the first preconditioning, k operator and
-k-1 preconditioner applies, and one apply to the CG result.
+allocates once and shares with nothing.  CG keeps A w with w, which gives
+||w||^2 = <w, A w>, so an outer iteration whose CG takes k > 0 steps runs
+2k+1 pairs: the first preconditioning, k operator and k-1 preconditioner
+applies, and one apply to the CG result.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
-from .norms import hs_dot_norm_sq, hoelder_envelope, subcritical_value
+from .norms import hoelder_envelope, subcritical_value
 from .spectral import Field, apply_multiplier, frac_power
 from . import diagnostics
 
@@ -53,7 +53,6 @@ INITIAL_PERTURBATION = 0.01
 class SolverConfig:
     max_iters: int = 5000
     tol: float = 1e-8
-    damping: float = 0.8
     seed: int = 0
     eps_schedule: tuple = (0.8, 0.4, 0.2, 0.1)
     warm_start: bool = True
@@ -65,8 +64,6 @@ class SolverConfig:
             raise InvalidOrder(f"max_iters must be >= 1, got {self.max_iters}", param="max_iters")
         if not self.tol > 0:
             raise InvalidOrder(f"tol must be positive, got {self.tol}", param="tol")
-        if not (0.0 < self.damping <= 1.0):
-            raise InvalidOrder(f"damping must lie in (0, 1], got {self.damping}", param="damping")
         sched = tuple(float(e) for e in self.eps_schedule)
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise InvalidOrder("eps_schedule must be strictly decreasing", param="eps_schedule")
@@ -110,9 +107,9 @@ def el_residual(u, pack, mask):
         raise DegenerateInput(f"subcritical value {feps:.3e} below 1e-14")
     q = pack.subcritical_exponent - 2.0
     Au = frac_power(u, 2.0 * pack.s)
-    multiplier = hs_dot_norm_sq(u, pack.s) / feps
-    res = mask.restrict(Au.values - multiplier * np.abs(u.values) ** q * u.values)
     h_vol = u.grid.cell_volume
+    multiplier = float(np.dot(u.values.ravel(), Au.values.ravel())) * h_vol / feps
+    res = mask.restrict(Au.values - multiplier * np.abs(u.values) ** q * u.values)
     res_norm = math.sqrt(float(np.sum(res ** 2)) * h_vol)
     Au_norm = math.sqrt(float(np.sum(Au.values ** 2)) * h_vol)
     return multiplier, res_norm / Au_norm
@@ -232,15 +229,11 @@ def solve(pack, mask, config, init=None):
     def f_eps(vals_inside):
         return float(np.sum(np.abs(vals_inside) ** pexp)) * h_vol
 
-    # u and Au = P (-Lap)^s P u are mixed and scaled together, so no
-    # outer step transforms to renormalize
-    Au = apply_op(u, np.empty(inside.shape))
-    nrm_sq = energy(u, Au)
+    # the start's image goes to a CG work array, free until the first CG
+    nrm_sq = energy(u, apply_op(u, work[0]))
     if not nrm_sq > 0.0:
         raise DegenerateInput("initial field has zero homogeneous norm")
-    nrm = math.sqrt(nrm_sq)
-    u /= nrm
-    Au /= nrm
+    u /= math.sqrt(nrm_sq)
 
     u_in = u[inside]
     F_old = f_eps(u_in)
@@ -258,12 +251,7 @@ def solve(pack, mask, config, init=None):
         w_sq = energy(w, Aw)
         if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
-        w_norm = math.sqrt(w_sq)
-        u = config.damping * (w / w_norm) + (1.0 - config.damping) * u
-        Au = config.damping * (Aw / w_norm) + (1.0 - config.damping) * Au
-        nrm = math.sqrt(energy(u, Au))
-        u /= nrm
-        Au /= nrm
+        u = w / math.sqrt(w_sq)
         u_in = u[inside]
         F_new = f_eps(u_in)
         trace.append(F_new)
@@ -275,8 +263,9 @@ def solve(pack, mask, config, init=None):
     values = np.zeros(grid.shape)
     values[window] = u
     value = trace[-1]
+    # <u, A u> = 1 on the unit sphere
     return SolveResult(maximizer=Field(grid=grid, values=values), value=value,
-                       multiplier=energy(u, Au) / value, iters=iters, trace=tuple(trace),
+                       multiplier=1.0 / value, iters=iters, trace=tuple(trace),
                        converged=converged, cg_iters=tuple(cg_iters))
 
 

@@ -141,7 +141,8 @@ class Grid:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise InvalidGrid(f"center must have {self.dim} components, got {center.shape}")
-        return np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(self.coords(), center)))
+        mats = np.meshgrid(*(self._axis - c0 for c0 in center), indexing="ij", sparse=True)
+        return np.sqrt(sum(m * m for m in mats))
 
 
 @dataclass(frozen=True)
@@ -347,10 +348,16 @@ def field_to_bytes(u, extra_header=None):
 
 
 def field_from_bytes(blob, max_points=DEFAULT_MAX_POINTS):
-    """Parse the dump format back into a Field."""
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    grid = make_grid(header["dim"], header["points_per_dim"], header["half_width"],
-                     max_points=max_points)
-    values = np.frombuffer(blob[nl + 1:], dtype="<f8", count=grid.total_points)
+    """Parse the dump format back into a Field; raises InvalidGrid on a
+    malformed header line or a payload that is not exactly 8 M^N bytes."""
+    head, newline, payload = blob.partition(b"\n")
+    try:
+        header = json.loads(head)
+        grid = make_grid(header["dim"], header["points_per_dim"], header["half_width"],
+                         max_points=max_points)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise InvalidGrid(f"malformed field dump header: {exc!r}")
+    if not newline or len(payload) != 8 * grid.total_points:
+        raise InvalidGrid(f"field dump payload is not {8 * grid.total_points} bytes after its header")
+    values = np.frombuffer(payload, dtype="<f8")
     return Field(grid=grid, values=values.reshape(grid.shape).copy())

@@ -69,7 +69,6 @@ class TestParseConfig:
         ("s", "0.5", "s"),
         ("eps-schedule", "0.4,0.8", "eps-schedule"),
         ("tol", "0", "tol"),
-        ("damping", "0", "damping"),
         ("max-iters", "0", "max-iters"),
         ("max-iters", "-3", "max-iters"),
     ])
@@ -120,12 +119,25 @@ class TestExitCodes:
             assert "config error: M:" in err
 
     def test_recovery_demo_names_the_m_every_step_needs(self, tmp_path, capsys):
-        # the steps' cores shrink, so the named M must resolve the finest one
-        assert main(["recovery-demo", "--out", str(tmp_path)]) == 2
-        named = re.search(r"config error: M: .* M = (\d+) points per axis", capsys.readouterr().err)
-        assert named is not None
-        assert main(["recovery-demo", "--M", named.group(1), "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
+        # the steps' cores shrink, so the named M must resolve the finest one,
+        # measured on the named grid: the atom's clearance moves with M
+        for extra in ([], ["--eps-schedule", "0.8,0.4,0.15"]):
+            assert main(["recovery-demo", "--out", str(tmp_path)] + extra) == 2
+            named = re.search(r"config error: M: .* M = (\d+) points per axis",
+                              capsys.readouterr().err)
+            assert named is not None
+            assert main(["recovery-demo", "--M", named.group(1), "--out", str(tmp_path)]
+                        + extra) == 0
+            capsys.readouterr()
+
+    def test_config_file_damping_line_exits_2(self, tmp_path, capsys):
+        # the damped outer step and its key are gone; an old config file
+        # that still sets it is refused by name
+        conf = tmp_path / "old.conf"
+        conf.write_text("M=128\ndamping=0.8\n")
+        assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "damping" in capsys.readouterr().err
+        assert not (tmp_path / "solve.csv").exists()
 
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",

@@ -28,12 +28,6 @@ def solved(ctx):
 
 
 class TestSolverConfig:
-    def test_rejects_bad_damping(self):
-        with pytest.raises(InvalidOrder):
-            SolverConfig(damping=0.0)
-        with pytest.raises(InvalidOrder):
-            SolverConfig(damping=1.5)
-
     def test_rejects_non_decreasing_schedule(self):
         with pytest.raises(InvalidOrder):
             SolverConfig(eps_schedule=(0.4, 0.8))
@@ -80,10 +74,18 @@ class TestSolve:
         assert res < 5e-3
         assert mult > 0
 
-    def test_ascent_after_burn_in(self, ctx, solved):
-        pack, result = solved
-        trace = np.asarray(result.trace[5:])
-        assert np.all(np.diff(trace) >= -1e-10)
+    # eps = 0.4 at s = 0.1, where 2* - 2 = 0.5
+    @pytest.mark.parametrize("kind,s,eps", [("interval", 0.1, 0.4), ("interval", 0.25, 0.8),
+                                            ("interval", 0.45, 0.8), ("ball", 0.5, 0.8),
+                                            ("box", 0.5, 0.8)])
+    def test_ascent_from_first_step(self, kind, s, eps):
+        # F_eps is convex and each step maximizes its linearization on the
+        # unit sphere, so no step lowers it, the first one included
+        _, mask = _domain_case(kind)
+        pack = ExponentPack(dim=mask.grid.dim, s=s, eps=eps)
+        result = solve(pack, mask, SolverConfig(eps_schedule=(eps,)))
+        assert result.converged
+        assert np.all(np.diff(result.trace) >= -1e-10)
 
     def test_symmetric_init_preserves_symmetry(self, ctx):
         g, mask = ctx
@@ -258,6 +260,24 @@ class TestElResidual:
         with pytest.raises(DegenerateInput):
             el_residual(Field(grid=g, values=np.zeros(g.shape)), pack, mask)
 
+    def test_two_transform_pairs(self, ctx, solved, monkeypatch):
+        # the unit-ball check, then (-Lap)^s u for both the residual and
+        # the multiplier, which on the unit sphere is the solver's 1 / F_eps
+        import fracsobolev.spectral as spectral_mod
+        g, mask = ctx
+        pack, result = solved
+        real_pair = spectral_mod._transform_pair
+        pairs = []
+
+        def counting(*args):
+            pairs.append(1)
+            return real_pair(*args)
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        mult, _ = el_residual(result.maximizer, pack, mask)
+        assert len(pairs) == 2
+        assert mult == pytest.approx(result.multiplier, rel=1e-12)
+
     def test_generic_field_positive_multiplier(self, ctx):
         g, mask = ctx
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)
@@ -314,7 +334,7 @@ class TestEpsSweep:
         g = make_grid(1, 2 ** 14, 8.0)
         mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]})
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)
-        cfg = SolverConfig(eps_schedule=(0.8, 0.4, 0.2, 0.1, 0.05), tol=1e-7, damping=1.0)
+        cfg = SolverConfig(eps_schedule=(0.8, 0.4, 0.2, 0.1, 0.05), tol=1e-7)
         entries = eps_sweep(pack, mask, cfg)
         gtest = cutoff_profile(np.abs(g.axis), 0.5)
         pairings = [abs(float(np.sum(e.result.maximizer.values * gtest) * g.cell_volume))

@@ -39,6 +39,14 @@ class TestMakeGrid:
         with pytest.raises(InvalidGrid):
             make_grid(3, 1024, 1.0, max_points=2 ** 20)
 
+    @pytest.mark.parametrize("dim,M", [(1, 2 ** 13), (2, 128), (2, 512)])
+    def test_radii_match_dense_coordinates(self, dim, M, rng):
+        g = make_grid(dim, M, 4.0)
+        cell = tuple(g.axis[M // (k + 3)] for k in range(dim))
+        for center in [(0.0,) * dim, tuple(rng.uniform(-4.0, 4.0, dim)), cell]:
+            dense = np.sqrt(sum((c - c0) ** 2 for c, c0 in zip(g.coords(), center)))
+            assert np.array_equal(g.radii(center), dense)
+
 
 class TestTransforms:
     def test_constant_field_is_dc_only(self, grid1d):
@@ -267,6 +275,18 @@ class TestDumpFormat:
         assert header["dim"] == 1
         assert header["points_per_dim"] == 512
         assert header["half_width"] == 8.0
+
+    @pytest.mark.parametrize("damage", ["trailing_bytes", "short_payload", "no_newline",
+                                        "no_points_per_dim"])
+    def test_malformed_blob_raises_invalid_grid(self, grid2d, rng, damage):
+        import json
+        blob = field_to_bytes(random_field(grid2d, rng))
+        header, _, payload = blob.partition(b"\n")
+        no_m = json.dumps({"dim": 2, "half_width": 4.0}).encode("utf-8")
+        bad = {"trailing_bytes": blob + bytes(8), "short_payload": blob[:-8],
+               "no_newline": header, "no_points_per_dim": no_m + b"\n" + payload}[damage]
+        with pytest.raises(InvalidGrid):
+            field_from_bytes(bad)
 
     def test_payload_is_little_endian_lexicographic(self, grid2d, rng):
         u = random_field(grid2d, rng)

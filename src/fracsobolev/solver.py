@@ -12,9 +12,10 @@ the discrete constrained stationarity condition with multiplier 1 / F_eps, so
 the Euler-Lagrange residual of a converged solve is tolerance-limited.
 
 Every array of a solve covers only the domain's window, the bounding box of
-its cells; each operator is one real FFT pair on the whole box, run by
-``apply_multiplier`` on the window, in work arrays that the solve call
-allocates once and shares with nothing.  CG keeps A w with w, which gives
+its cells, W per axis.  There each operator, the periodic kernel of
+|xi|^(+-2s) at the offsets (-W, W), is Toeplitz: one real FFT pair on its
+circulant embedding, P = smooth(2W) per axis, in work arrays that the solve
+call allocates once and shares with nothing.  CG keeps A w with w, which gives
 ||w||^2 = <w, A w>, so an outer iteration whose CG takes k > 0 steps runs
 2k+1 pairs: the first preconditioning, k operator and k-1 preconditioner
 applies, and one apply to the CG result.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
+from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidGrid, InvalidOrder
 from .norms import hoelder_envelope, subcritical_value
-from .spectral import Field, apply_multiplier, frac_power
+from .spectral import Field, _kernel_spectrum, _transform_pair, apply_multiplier, frac_power
 from . import diagnostics
 
 __all__ = [
@@ -133,24 +134,32 @@ def _inner_ops(grid, inside, s):
     ``inside`` is the domain on its window (``DomainMask.window``), and
     every array an apply takes or writes has its shape.  ``src`` must vanish
     off the inside cells, as every CG vector does, so the right-hand P is
-    the identity on it.  Both applies write ``out`` and return it, and share
-    one half spectrum and one row buffer, allocated here, so an apply
-    allocates nothing.
+    the identity on it.  Each kernel is one whole-box apply to a delta,
+    cropped to the window.  Both applies write ``out`` and return it, and
+    share one half spectrum and one row buffer of the padded lattice,
+    allocated here, so an apply allocates nothing.
     """
     outside = ~inside
-    rows = np.empty(inside.shape[:-1] + (grid.points_per_dim,))
-    spec = np.empty(grid.half_shape, dtype=complex)
+    delta = np.zeros(grid.shape)
+    delta[(0,) * grid.dim] = 1.0
+    crop = tuple(slice(0, n) for n in inside.shape)
+    # SPD on domain-supported fields, which are never constant, so
+    # annihilating the zero mode loses nothing and needs no mean check
+    (P, op_spec), (_, pre_spec) = (
+        _kernel_spectrum(apply_multiplier(delta, grid, sigma)[crop], inside.shape)
+        for sigma in (2.0 * s, -2.0 * s))
+    rows = np.empty(inside.shape[:-1] + (P[-1],))
+    spec = np.empty(op_spec.shape, dtype=complex)
 
-    def restricted(sigma):
+    def restricted(kernel_spec):
         def apply(src, out):
-            np.copyto(out, apply_multiplier(src, grid, sigma, out=rows, spec=spec))
+            _transform_pair(src, kernel_spec, P[-1], spec, rows)
+            np.copyto(out, rows[..., :inside.shape[-1]])
             np.copyto(out, 0.0, where=outside)
             return out
         return apply
 
-    # SPD on domain-supported fields, which are never constant, so
-    # annihilating the zero mode loses nothing and needs no mean check
-    return restricted(2.0 * s), restricted(-2.0 * s)
+    return restricted(op_spec), restricted(pre_spec)
 
 
 def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
@@ -206,10 +215,13 @@ def solve(pack, mask, config, init=None):
 
     Returns a SolveResult; ``converged`` is False when max_iters is reached
     without the relative F_eps change dropping below tol.  Raises
+    InvalidGrid if ``init`` lies on another grid than ``mask``,
     DegenerateInput if the iteration collapses to numerical zero and
     InnerSolveFailed if an inner CG solve misses cg_tol.
     """
     grid = mask.grid
+    if init is not None and init.grid != grid:
+        raise InvalidGrid(f"initial field on {init.grid!r} does not match the domain's {grid!r}")
     window = mask.window
     inside = mask.inside[window]
     q = pack.subcritical_exponent - 2.0

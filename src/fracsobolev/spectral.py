@@ -12,29 +12,27 @@ With this scaling the discrete Plancherel identity
 holds with no extra weights, and the homogeneous Sobolev norm is the plain
 spectral sum  sum |xi|^(2s) |coeffs|^2.
 
-Every |xi|^sigma consumer goes through one transform pair,
-``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
-half-spectrum lattice (``Grid.half_shape``), then the inverse, run in place
-on that one spectrum.  A caller may pass its own spectrum and output arrays,
-as the solver does, so a loop of applies allocates nothing.  The samples
-may also be a window, a field that vanishes off a box of cells, placed at
-the lattice corner: |xi|^sigma commutes with periodic shifts, so only the
-window's rows enter the last-axis rfft and irfft, and the result is
-cropped to the window.  The
-unnormalized pair needs no scaling, since the h^(N/2) factors of the
-unitary convention cancel.  The weight is built once per grid and order by
-``Grid.multiplier`` and shared, read-only; its zero mode is 0 for
-sigma > 0, 1 for sigma == 0 and 0 for sigma < 0 (pseudo-inverse on
-mean-zero fields).  frac_power, hs_inner, the homogeneous norm and the
-solver's restricted operator and preconditioner all use it.  The
-full-spectrum forward_transform / inverse_transform pair remains for
-callers that want the coefficients; the imaginary-residue check runs in
-inverse_transform only, which takes coefficients from outside.
+Every |xi|^sigma consumer of a whole-box field goes through one transform
+pair, ``apply_multiplier``: ``rfftn`` of the real samples, times the weight
+on the half-spectrum lattice (``Grid.half_shape``), then the inverse, run
+in place on that one spectrum.  The unnormalized pair needs no scaling,
+since the h^(N/2) factors of the unitary convention cancel.  The weight is
+built once per grid and order by ``Grid.multiplier`` and shared, read-only;
+its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
+(pseudo-inverse on mean-zero fields).  frac_power, hs_inner and the
+homogeneous norm use it.  The full-spectrum forward_transform /
+inverse_transform pair remains for callers that want the coefficients; the
+imaginary-residue check runs in inverse_transform only, which takes
+coefficients from outside.
 
-``offset_convolve`` is the one non-periodic transform: linear convolutions
-with a kernel of the offset distance |x_i - x_j|, by the same pair on a
-lattice zero-padded by the kernel's reach.  The Gagliardo pair sum and the
-ball sums of ``diagnostics`` (atoms, near-domain cells) use it.
+Linear convolutions with a kernel that is even in each axis run through
+the same pair on a zero-padded lattice, whose kernel spectrum
+``_kernel_spectrum`` builds from the kernel's samples at offsets 0..r.
+``offset_convolve`` uses it for kernels of the offset distance
+|x_i - x_j| (the Gagliardo pair sum and the ball sums of ``diagnostics``),
+and the solver for |xi|^sigma on a domain's window: there the periodic
+kernel, cropped to the window's offsets, is a Toeplitz operator, and the
+padded lattice is its circulant embedding.
 """
 
 import json
@@ -222,25 +220,15 @@ def _transform_pair(values, weight, n, spec, out):
     return np.fft.irfft(spec[corner], n=n, axis=-1, out=out)
 
 
-def apply_multiplier(values, grid, sigma, out=None, spec=None):
-    """|xi|^sigma applied to real samples on ``grid``; returns a raw ndarray.
-
-    ``values`` is ``grid.shape`` or a window no longer than M on any axis:
-    the samples of a field that vanishes off a box of cells, placed at the
-    lattice corner.  The multiplier commutes with periodic shifts, so on
-    that box the result is the same wherever the box sits; it is returned
-    cropped to ``values.shape``.  ``out`` (float, ``values.shape[:-1] +
-    (M,)``) and ``spec`` (complex, ``grid.half_shape``) are caller-owned
-    work arrays of the in-place pair; each is allocated when None, and the
-    result is ``out`` or a view of it.  No mean check: for sigma < 0 the
-    zero mode is simply annihilated.
+def apply_multiplier(values, grid, sigma):
+    """|xi|^sigma applied to real samples of ``grid.shape``; returns a raw
+    ndarray.  No mean check: for sigma < 0 the zero mode is simply
+    annihilated.
     """
-    M = grid.points_per_dim
-    if values.ndim != grid.dim or max(values.shape) > M:
-        raise InvalidGrid(f"values of shape {values.shape} do not fit grid shape {grid.shape}")
-    spec = np.empty(grid.half_shape, dtype=complex) if spec is None else spec
-    out = _transform_pair(values, grid.multiplier(sigma), M, spec, out)
-    return out if values.shape[-1] == M else out[..., :values.shape[-1]]
+    if values.shape != grid.shape:
+        raise InvalidGrid(f"values of shape {values.shape} do not match grid shape {grid.shape}")
+    spec = np.empty(grid.half_shape, dtype=complex)
+    return _transform_pair(values, grid.multiplier(sigma), grid.points_per_dim, spec, None)
 
 
 def _offset_distances(grid, offsets):
@@ -261,23 +249,21 @@ def _smooth_length(n):
         n += 1
 
 
-def _kernel_lattice(grid, kernel):
-    """The zero-padded P^N lattice kernel of ``offset_convolve``."""
-    M = grid.points_per_dim
-    sample = kernel(_offset_distances(grid, np.arange(M)))
-    # the distance is symmetric in the axes, so axis 0 holds the reach
-    reach = int(np.flatnonzero((sample != 0).any(axis=tuple(range(1, grid.dim)))).max(initial=0))
-    near = (slice(0, reach + 1),) * grid.dim
-    # a copy of the offsets within reach, so a short kernel's M^N sample is freed here
-    sample = np.ascontiguousarray(sample[near])
-    P = _smooth_length(M + reach + 1)
-    # fftfreq order per axis: offsets 0, ..., reach, then -reach, ..., -1
-    lattice = np.zeros((P,) * grid.dim)
-    lattice[near] = sample
-    for ax in range(grid.dim):
+def _kernel_spectrum(sample, shape):
+    """P per axis and the half spectrum of the padded lattice kernel of a
+    linear convolution of arrays of ``shape``.  ``sample`` holds a kernel
+    even in each axis at the offsets 0..r; an axis n long is zero-padded to
+    the smallest 5-smooth P >= n + r + 1, so no periodic image enters, and
+    the sample is mirrored to the negative offsets.
+    """
+    P = tuple(_smooth_length(n + k) for n, k in zip(shape, sample.shape))
+    lattice = np.zeros(P)
+    lattice[tuple(slice(0, k) for k in sample.shape)] = sample
+    # fftfreq order per axis: offsets 0, ..., r, then -r, ..., -1
+    for ax, (p, k) in enumerate(zip(P, sample.shape)):
         lead = (slice(None),) * ax
-        lattice[lead + (slice(P - reach, P),)] = lattice[lead + (slice(reach, 0, -1),)]
-    return lattice
+        lattice[lead + (slice(p - k + 1, p),)] = lattice[lead + (slice(k - 1, 0, -1),)]
+    return P, np.fft.rfftn(lattice)
 
 
 def offset_convolve(grid, kernel, arrays):
@@ -285,21 +271,21 @@ def offset_convolve(grid, kernel, arrays):
 
     ``kernel`` maps distances h*sqrt(sum d^2), d an index offset, to kernel
     values.  It is sampled once, on [0, M)^N, which gives the reach: the
-    largest axis component of a nonzero sample.  Each axis is zero-padded to
-    the smallest 5-smooth P >= M + reach + 1 (2M for a kernel nonzero at
-    every offset), so no periodic image enters.  The P^N lattice kernel is
-    that sample mirrored to the negative offsets, zero beyond the reach:
-    offsets of M or more never meet two cells of the box.  Returns a raw
-    ndarray of shape (len(arrays),) + grid.shape.
+    largest axis component of a nonzero sample.  The convolutions run on the
+    lattice of ``_kernel_spectrum``, P >= M + reach + 1 per axis (2M for a
+    kernel nonzero at every offset).  Returns a raw ndarray of shape
+    (len(arrays),) + grid.shape.
     """
-    lattice = _kernel_lattice(grid, kernel)
-    P = lattice.shape[0]
-    kernel_spec = np.fft.rfftn(lattice)
-    del lattice  # so it is not held beside the pair's work arrays
+    sample = kernel(_offset_distances(grid, np.arange(grid.points_per_dim)))
+    # the distance is symmetric in the axes, so axis 0 holds the reach
+    reach = int(np.flatnonzero((sample != 0).any(axis=tuple(range(1, grid.dim)))).max(initial=0))
+    # a copy of the offsets within reach, so a short kernel's M^N sample is freed here
+    sample = np.ascontiguousarray(sample[(slice(0, reach + 1),) * grid.dim])
+    P, kernel_spec = _kernel_spectrum(sample, grid.shape)
     spec = np.empty(kernel_spec.shape, dtype=complex)
-    out = np.empty((len(arrays),) + grid.shape[:-1] + (P,))
+    out = np.empty((len(arrays),) + grid.shape[:-1] + (P[-1],))
     for a, dest in zip(arrays, out):
-        _transform_pair(a, kernel_spec, P, spec, dest)
+        _transform_pair(a, kernel_spec, P[-1], spec, dest)
     return out[..., :grid.points_per_dim]
 
 

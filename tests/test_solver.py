@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
-                         InnerSolveFailed, InvalidOrder, SolverConfig,
+                         InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
                          el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
 from fracsobolev.solver import default_initial_field
@@ -104,6 +104,20 @@ class TestSolve:
         with pytest.raises(DegenerateInput):
             solve(pack, mask, cfg, init=Field(grid=g, values=np.zeros(g.shape)))
 
+    @pytest.mark.parametrize("M,L", [(1024, 8.0), (256, 8.0), (512, 4.0)])
+    def test_init_on_another_grid_raises(self, ctx, M, L):
+        g, mask = ctx
+        pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+        cfg = SolverConfig(eps_schedule=(0.8,))
+        other = make_grid(1, M, L)
+        bump = np.cos(np.pi * other.axis / 2.0) ** 2 * (np.abs(other.axis) < 1.0)
+        init = Field(grid=other, values=bump)
+        with pytest.raises(InvalidGrid) as err:
+            solve(pack, mask, cfg, init=init)
+        assert repr(g) in str(err.value) and repr(other) in str(err.value)
+        entry, = eps_sweep(pack, mask, cfg, init=init)
+        assert entry.result is None and entry.error == str(err.value)
+
     def test_not_converged_flagged(self, ctx):
         g, mask = ctx
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)
@@ -188,6 +202,16 @@ def _domain_case(kind):
     return ExponentPack(dim=2, s=0.5, eps=0.8), DomainMask.from_shape(g, _SHAPES_2D[kind])
 
 
+def _moved_to_edge(mask):
+    """``mask`` rolled so its window ends at cell M-2, one before the
+    outer layer, and the roll per axis."""
+    g = mask.grid
+    shift = tuple(g.points_per_dim - 1 - w.stop for w in mask.window)
+    moved = DomainMask(grid=g, inside=np.roll(mask.inside, shift, axis=tuple(range(g.dim))))
+    assert all(w.stop == g.points_per_dim - 1 for w in moved.window)
+    return moved, shift
+
+
 class TestWindow:
     """The solver runs on the bounding box of the domain; these pin it to
     whole-box transforms and to the placement of the box."""
@@ -213,13 +237,10 @@ class TestWindow:
 
     @pytest.mark.parametrize("kind", ["interval", "ball"])
     def test_shift_invariance_at_the_outer_layer(self, kind):
-        # the shifted domain's window ends one cell before the outer layer
         pack, mask = _domain_case(kind)
         g = mask.grid
-        shift = tuple(g.points_per_dim - 1 - w.stop for w in mask.window)
+        moved, shift = _moved_to_edge(mask)
         axes = tuple(range(g.dim))
-        moved = DomainMask(grid=g, inside=np.roll(mask.inside, shift, axis=axes))
-        assert all(w.stop == g.points_per_dim - 1 for w in moved.window)
         init = default_initial_field(mask)
         cfg = SolverConfig(eps_schedule=(pack.eps,))
         centred = solve(pack, mask, cfg, init=init)
@@ -230,27 +251,53 @@ class TestWindow:
         assert np.array_equal(shifted.maximizer.values,
                               np.roll(centred.maximizer.values, shift, axis=axes))
 
+    @pytest.mark.parametrize("kind,at_edge", [("interval", False), ("box", False),
+                                              ("box", True)])
+    def test_single_applies_match_full_box(self, rng, kind, at_edge):
+        # the box window is not square, so its lattice differs per axis
+        from fracsobolev.solver import _inner_ops
+        pack, mask = _domain_case(kind)
+        if at_edge:
+            mask, _ = _moved_to_edge(mask)
+        g, window = mask.grid, mask.window
+        inside = mask.inside[window]
+        src = np.where(inside, rng.standard_normal(inside.shape), 0.0)
+        box = np.zeros(g.shape)
+        box[window] = src
+        for apply, full in zip(_inner_ops(g, inside, pack.s),
+                               full_box_ops(g, mask.inside, pack.s)):
+            got = apply(src, np.empty(inside.shape))
+            ref = full(box, np.empty(g.shape))[window]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("kind,cg_tol", [("interval", 1e-9), ("interval", 1e-3),
                                              ("ball", 1e-9)])
     def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol):
-        # one pair for the start's image, then 2k+1 per outer iteration
-        # whose CG takes k > 0 steps and none when the carried image
-        # already meets the tolerance
+        # two M^N pairs build the kernels, then one pair for the start's
+        # image and 2k+1 per outer iteration whose CG takes k > 0 steps and
+        # none when the carried image already meets the tolerance; those
+        # run on the padded lattice of the window, smooth(2W) long on the
+        # last axis
+        import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask = _domain_case(kind)
         real_pair = spectral_mod._transform_pair
-        pairs = []
+        lengths = []
 
-        def counting(*args):
-            pairs.append(1)
-            return real_pair(*args)
+        def counting(values, weight, n, spec, out):
+            lengths.append(n)
+            return real_pair(values, weight, n, spec, out)
 
-        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        for mod in (spectral_mod, solver_mod):
+            monkeypatch.setattr(mod, "_transform_pair", counting)
         result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,), cg_tol=cg_tol))
         assert len(result.cg_iters) == result.iters
         # the loose tolerance leaves some outer iterations with no CG step
         assert (0 in result.cg_iters) == (cg_tol > 1e-9)
-        assert len(pairs) == 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
+        loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
+        W = mask.window[-1].stop - mask.window[-1].start
+        P = spectral_mod._smooth_length(2 * W)
+        assert lengths == [mask.grid.points_per_dim] * 2 + [P] * loop
 
 
 class TestElResidual:

@@ -25,6 +25,6 @@ from .solver import (SolveResult, SolverConfig, SweepEntry, el_residual,
 from .diagnostics import (AtomEntry, AtomList, CellMeasure, atom_detect,
                           commutator_residual, cutoff_convergence_probe,
                           energy_density, gamma_limit_value, lp_density,
-                          mass_in_ball, tail_energy)
+                          mass_in_ball, tail_energy, top_octave_share)
 
 __version__ = "0.1.0"

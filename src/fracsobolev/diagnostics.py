@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidOrder
+from .errors import BudgetExceeded, DegenerateInput, InvalidOrder
 from .extremals import cutoff_field
 from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
 from .spectral import Field, _offset_distances, frac_power, offset_convolve
@@ -22,6 +22,7 @@ __all__ = [
     "atom_detect",
     "mass_in_ball",
     "tail_energy",
+    "top_octave_share",
     "cutoff_convergence_probe",
     "commutator_residual",
     "gamma_limit_value",
@@ -171,6 +172,32 @@ def tail_energy(u, s, mask, margin):
         raise InvalidOrder(f"margin must be positive, got {margin}")
     m = energy_density(u, s)
     return float(m.masses[~_near_domain(mask, margin)].sum())
+
+
+def top_octave_share(u, s):
+    """Share of the homogeneous energy sum |xi|^(2s) |u^|^2 carried by the top
+    octave |xi| > pi / (2h), the upper half of the resolved frequencies.
+
+    A resolution indicator: a maximizer the grid resolves keeps it near 1e-3
+    or below, a lattice spike near 0.1.  One half-spectrum transform; each
+    half-spectrum mode counts twice except those with a last-axis index of
+    0 or M/2, which are their own conjugates.  Raises DegenerateInput for a
+    field with no energy.
+    """
+    g = u.grid
+    M = g.points_per_dim
+    weight = g.multiplier(2.0 * s)
+    dens = np.abs(np.fft.rfftn(u.values))
+    dens *= dens
+    dens *= weight
+    dens[..., 1:(M + 1) // 2] *= 2.0
+    total = float(dens.sum())
+    if not total > 0.0:
+        raise DegenerateInput("field has no homogeneous energy")
+    # |xi|^2 = (2 pi / (M h))^2 |k|^2 for integer |k|^2; cutting at
+    # |k|^2 = M^2/16 + 1/2 puts no mode on the edge, whatever the rounding
+    cut = ((2.0 * np.pi / (M * g.spacing)) ** 2 * (M * M / 16.0 + 0.5)) ** s
+    return float(np.sum(dens, where=weight > cut)) / total
 
 
 def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):

@@ -1,27 +1,40 @@
-"""Subcritical maximizers on a bounded domain via normalized inverse iteration.
+"""Subcritical maximizers on a bounded domain via safeguarded Anderson-
+accelerated normalized inverse iteration.
 
 Each step solves the domain-restricted operator equation
 
     P (-Lap)^s P w = |u_k|^(2*-2-eps) u_k   on the inside cells
 
 by conjugate gradients preconditioned with P (-Lap)^(-s) P, the pseudo-inverse
-of the whole-box operator restricted to the domain, then steps to w / ||w||
-on the unit homogeneous sphere.  F_eps is convex and w / ||w|| maximizes its
-linearization at u_k there, so no step lowers it.  The fixed point satisfies
-the discrete constrained stationarity condition with multiplier 1 / F_eps, so
-the Euler-Lagrange residual of a converged solve is tolerance-limited.
+of the whole-box operator restricted to the domain.  The plain step goes to
+g_k = w / ||w|| on the unit homogeneous sphere: F_eps is convex and g_k
+maximizes its linearization at u_k there, so F_eps(g_k) >= F_eps(u_k) from
+any start on the sphere.  The fixed point satisfies the discrete constrained
+stationarity condition with multiplier 1 / F_eps, so the Euler-Lagrange
+residual of a converged solve is tolerance-limited.
+
+The accelerated step is Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
+SIAM J. Numer. Anal. 2011) on the last plain images g_i and residuals
+f_i = g_i - u_i: x = g_k - dG gamma, with gamma the least-squares fit of f_k
+by the residual differences dF, renormalized on the sphere.  A is linear, so
+A x = A g_k - dAG gamma costs no transform.  A monotone safeguard (Zhang,
+O'Donoghue & Boyd, SIAM J. Optim. 2020) takes x only if F_eps(x) >=
+F_eps(g_k), and otherwise takes g_k and keeps only the newest history entry,
+so no step lowers F_eps.
 
 Every array of a solve covers only the domain's window, the bounding box of
 its cells, W per axis.  There each operator, the periodic kernel of
 |xi|^(+-2s) at the offsets (-W, W), is Toeplitz: one real FFT pair on its
 circulant embedding, P = smooth(2W) per axis, in work arrays that the solve
-call allocates once and shares with nothing.  CG keeps A w with w, which gives
-||w||^2 = <w, A w>, so an outer iteration whose CG takes k > 0 steps runs
-2k+1 pairs: the first preconditioning, k operator and k-1 preconditioner
-applies, and one apply to the CG result.
+call allocates once and shares with nothing.  CG starts from ||w|| u with the
+image ||w|| A u, which on a plain step are the previous w and A w, and keeps
+A w with w, which gives ||w||^2 = <w, A w>; so an outer iteration whose CG
+takes k > 0 steps runs 2k+1 pairs: the first preconditioning, k operator and
+k-1 preconditioner applies, and one apply to the CG result.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +55,18 @@ __all__ = [
     "MASS_RADIUS_FRACTIONS",
     "TAIL_MARGIN_FRACTION",
     "INITIAL_PERTURBATION",
+    "ANDERSON_DEPTH",
 ]
 
 MASS_RADIUS_FRACTIONS = (0.2, 0.4)
 TAIL_MARGIN_FRACTION = 0.5
 # seeded noise in the default initial field, relative to the bump's peak
 INITIAL_PERTURBATION = 0.01
+# residual differences in the Anderson least-squares fit
+ANDERSON_DEPTH = 3
+# a difference whose Gram-Schmidt remainder keeps less than this share of its
+# norm is dropped from the fit as dependent on the newer ones
+_DEPENDENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,11 @@ class SolveResult:
     iters: int
     trace: tuple
     converged: bool
-    # inner CG iterations, one entry per outer iteration
+    # one entry per outer iteration: inner CG iterations, the CG's final
+    # relative residual, and whether the safeguard took the Anderson step
     cg_iters: tuple = ()
+    cg_residuals: tuple = ()
+    accelerated: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,9 @@ class SweepEntry:
     mass_r2: float
     tail_energy: float
     error: str = ""
+    # share of the maximizer's energy in the top octave; see
+    # diagnostics.top_octave_share
+    top_octave: float = float("nan")
 
 
 def el_residual(u, pack, mask):
@@ -163,7 +188,8 @@ def _inner_ops(grid, inside, s):
 
 
 def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
-    """Preconditioned CG, in place on the start ``x``; returns the iterations.
+    """Preconditioned CG, in place on the start ``x``; returns the iterations
+    and the final relative residual ||r|| / ||rhs||.
 
     ``Ax`` holds ``apply_op(x)`` on entry and again on return: one fresh
     apply when ``x`` moved, none when it did not.  ``work`` holds four
@@ -177,11 +203,11 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
     if b_norm == 0.0:
         x.fill(0.0)
         Ax.fill(0.0)
-        return 0
+        return 0, 0.0
     np.subtract(rhs, Ax, out=r)
     r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
     if r_norm <= tol * b_norm:
-        return 0
+        return 0, r_norm / b_norm
     np.copyto(p, precond(r, z))
     rz = float(np.dot(r.ravel(), z.ravel()))
     iters = 0
@@ -198,7 +224,7 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
         r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
         if r_norm <= tol * b_norm:
             apply_op(x, Ax)
-            return iters
+            return iters, r_norm / b_norm
         precond(r, z)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
         p *= rz_new / rz
@@ -208,6 +234,65 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
         f"inner CG stopped after {iters} iterations at relative residual "
         f"{r_norm / b_norm:.3e} (tolerance {tol:.0e})"
     )
+
+
+def _lstsq_weights(target, columns):
+    """gamma minimizing ||target - sum_j gamma_j columns[j]||_2, by modified
+    Gram-Schmidt on flat arrays, which it overwrites.  A column whose
+    remainder keeps less than _DEPENDENT_TOL of its norm gets weight 0;
+    returns None when every column does."""
+    basis, coef, kept = [], [], []
+    for j, v in enumerate(columns):
+        norm = math.sqrt(float(np.dot(v, v)))
+        r = []
+        for qv in basis:
+            r.append(float(np.dot(qv, v)))
+            v -= r[-1] * qv
+        rest = math.sqrt(float(np.dot(v, v)))
+        if not rest > _DEPENDENT_TOL * norm:
+            continue
+        v /= rest
+        basis.append(v)
+        coef.append(r + [rest])
+        kept.append(j)
+    if not basis:
+        return None
+    rhs = []
+    for qv in basis:
+        rhs.append(float(np.dot(qv, target)))
+        target -= rhs[-1] * qv
+    gamma = np.zeros(len(columns))
+    # back substitution on R, whose column l is coef[l]
+    sol = [0.0] * len(basis)
+    for i in reversed(range(len(basis))):
+        acc = rhs[i] - sum(coef[l][i] * sol[l] for l in range(i + 1, len(basis)))
+        sol[i] = acc / coef[i][i]
+    gamma[kept] = sol
+    return gamma
+
+
+def _anderson_candidate(history, h_vol):
+    """x = g_k - dG gamma and A x = A g_k - dAG gamma from the history of
+    (g_i, A g_i, f_i) triples, oldest first, with gamma the least-squares
+    fit of the newest f_k by the differences of consecutive f_i, newest
+    difference first; both are scaled to <x, A x> = 1.  None when no
+    difference is independent or x vanishes."""
+    hist = list(history)
+    pairs = list(zip(hist, hist[1:]))[::-1]
+    g, Ag, f = hist[-1]
+    gamma = _lstsq_weights(f.ravel().copy(), [(b[2] - a[2]).ravel() for a, b in pairs])
+    if gamma is None:
+        return None
+    x, Ax = g.copy(), Ag.copy()
+    for c, (a, b) in zip(gamma, pairs):
+        x -= c * (b[0] - a[0])
+        Ax -= c * (b[1] - a[1])
+    x_sq = float(np.dot(x.ravel(), Ax.ravel())) * h_vol
+    if not x_sq > 0.0:
+        return None
+    x /= math.sqrt(x_sq)
+    Ax /= math.sqrt(x_sq)
+    return x, Ax
 
 
 def solve(pack, mask, config, init=None):
@@ -238,34 +323,51 @@ def solve(pack, mask, config, init=None):
     def energy(v, Av):
         return float(np.dot(v.ravel(), Av.ravel())) * h_vol
 
-    def f_eps(vals_inside):
-        return float(np.sum(np.abs(vals_inside) ** pexp)) * h_vol
+    def f_eps(v):
+        return float(np.sum(np.abs(v[inside]) ** pexp)) * h_vol
 
-    # the start's image goes to a CG work array, free until the first CG
-    nrm_sq = energy(u, apply_op(u, work[0]))
+    Au = apply_op(u, np.empty(inside.shape))
+    nrm_sq = energy(u, Au)
     if not nrm_sq > 0.0:
         raise DegenerateInput("initial field has zero homogeneous norm")
     u /= math.sqrt(nrm_sq)
+    Au /= math.sqrt(nrm_sq)
 
-    u_in = u[inside]
-    F_old = f_eps(u_in)
+    F_old = f_eps(u)
     trace = [F_old]
-    cg_iters = []
+    cg_iters, cg_residuals, accelerated = [], [], []
+    history = deque(maxlen=ANDERSON_DEPTH + 1)
     rhs = np.zeros(inside.shape)
-    w = np.zeros(inside.shape)
-    Aw = np.zeros(inside.shape)
+    w = np.empty(inside.shape)
+    Aw = np.empty(inside.shape)
+    # ||w|| = F_eps at the fixed point, so the first CG starts from F_eps u
+    w_norm = F_old
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
+        u_in = u[inside]
         rhs[inside] = np.abs(u_in) ** q * u_in
-        cg_iters.append(_cg(apply_op, precond, rhs, w, Aw, config.cg_tol,
-                            config.cg_max_iters, work))
+        np.multiply(u, w_norm, out=w)
+        np.multiply(Au, w_norm, out=Aw)
+        k, res = _cg(apply_op, precond, rhs, w, Aw, config.cg_tol, config.cg_max_iters, work)
+        cg_iters.append(k)
+        cg_residuals.append(res)
         w_sq = energy(w, Aw)
         if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
-        u = w / math.sqrt(w_sq)
-        u_in = u[inside]
-        F_new = f_eps(u_in)
+        w_norm = math.sqrt(w_sq)
+        g, Ag = w / w_norm, Aw / w_norm
+        history.append((g, Ag, g - u))
+        u, Au, F_new = g, Ag, f_eps(g)
+        cand = _anderson_candidate(history, h_vol)
+        F_x = -math.inf if cand is None else f_eps(cand[0])
+        took = F_x >= F_new
+        if took:
+            (u, Au), F_new = cand, F_x
+        else:
+            while len(history) > 1:
+                history.popleft()
+        accelerated.append(took)
         trace.append(F_new)
         if abs(F_new - F_old) <= config.tol * abs(F_old):
             converged = True
@@ -278,13 +380,15 @@ def solve(pack, mask, config, init=None):
     # <u, A u> = 1 on the unit sphere
     return SolveResult(maximizer=Field(grid=grid, values=values), value=value,
                        multiplier=1.0 / value, iters=iters, trace=tuple(trace),
-                       converged=converged, cg_iters=tuple(cg_iters))
+                       converged=converged, cg_iters=tuple(cg_iters),
+                       cg_residuals=tuple(cg_residuals), accelerated=tuple(accelerated))
 
 
 def eps_sweep(pack_template, mask, config, init=None):
     """Solve along the eps schedule with warm starts; per-eps errors are
     recorded and the sweep continues.  Returns a list of SweepEntry with
-    concentration statistics from the energy measure."""
+    concentration statistics from the energy measure and the top-octave
+    resolution indicator, which flags a lattice spike but raises nothing."""
     diam = mask.diameter
     entries = []
     prev = init
@@ -307,7 +411,9 @@ def eps_sweep(pack_template, mask, config, init=None):
         entries.append(SweepEntry(eps=eps, result=result,
                                   envelope=hoelder_envelope(pack, mask),
                                   argmax=argmax, mass_r1=mass_r1, mass_r2=mass_r2,
-                                  tail_energy=tail))
+                                  tail_energy=tail,
+                                  top_octave=diagnostics.top_octave_share(result.maximizer,
+                                                                          pack.s)))
         if config.warm_start:
             prev = result.maximizer
     return entries

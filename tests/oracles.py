@@ -5,9 +5,12 @@ re-evaluated with arbitrary-precision arithmetic, continuum norms come from
 one-dimensional radial quadrature, maximizers from a line-searched projected
 gradient ascent, atom locations from an exhaustive ball scan, the
 Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, the
-cells near a domain from scipy's exact Euclidean distance transform, and the
-solver's restricted operator from full-box transforms of masked copies.
+cells near a domain from scipy's exact Euclidean distance transform, the
+solver's restricted operator from full-box transforms of masked copies, and
+its accelerated outer loop from plain normalized inverse iteration.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf, gamma as mp_gamma, pi as mp_pi, power as mp_power
@@ -157,3 +160,37 @@ def full_box_ops(grid, inside, s):
         return apply
 
     return restricted(2.0 * s), restricted(-2.0 * s)
+
+
+def plain_inverse_iteration(pack, mask, tol, init=None, seed=0, cg_tol=1e-9,
+                            max_iters=20000):
+    """Plain normalized inverse iteration u <- w / ||w||, A w = |u|^(2*-2-eps) u
+    with A = P (-Lap)^s P, on whole-box arrays through ``full_box_ops``: the
+    solver's outer loop with neither the Anderson step nor the window.  Each
+    CG starts from the previous w.  Stops when |dF| <= tol F and returns the
+    maximizer, F_eps and the outer iteration count."""
+    from fracsobolev.solver import _cg, default_initial_field
+    grid, inside = mask.grid, mask.inside
+    apply_op, precond = full_box_ops(grid, inside, pack.s)
+    h_vol = grid.cell_volume
+    q = pack.subcritical_exponent - 2.0
+
+    def f_eps(v):
+        return float(np.sum(np.abs(v[inside]) ** pack.subcritical_exponent)) * h_vol
+
+    start = default_initial_field(mask, seed=seed) if init is None else init
+    u = np.where(inside, start.values, 0.0)
+    u /= math.sqrt(float(np.sum(u * apply_op(u, np.empty(grid.shape)))) * h_vol)
+    F_old = f_eps(u)
+    w, Aw = np.zeros(grid.shape), np.zeros(grid.shape)
+    work = np.empty((4,) + grid.shape)
+    for iters in range(1, max_iters + 1):
+        _cg(apply_op, precond, np.where(inside, np.abs(u) ** q * u, 0.0), w, Aw,
+            cg_tol, 2000, work)
+        u = w / math.sqrt(float(np.sum(w * Aw)) * h_vol)
+        F = f_eps(u)
+        if abs(F - F_old) <= tol * abs(F_old):
+            return Field(grid=grid, values=u), F, iters
+        F_old = F
+    raise AssertionError(f"plain inverse iteration did not reach tol {tol:g} "
+                         f"in {max_iters} iterations")

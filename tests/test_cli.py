@@ -217,6 +217,14 @@ class TestCommands:
             assert float(row["value"]) <= float(row["envelope"]) * 1.02
         capsys.readouterr()
 
+    def test_default_sweep_outer_iterations(self, tmp_path, capsys):
+        # 202 with the plain outer step, 47 with the Anderson step; counts repeat exactly
+        assert main(["sweep", "--out", str(tmp_path), "--reproducible"]) == 0
+        _, rows = _read_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 4
+        assert sum(int(row["iters"]) for row in rows) <= 80
+        capsys.readouterr()
+
     def test_timestamp_suppressed_only_when_reproducible(self, tmp_path, capsys):
         main(["bubble-verify", "--M", "256", "--out", str(tmp_path / "stamped")])
         main(["bubble-verify", "--M", "256", "--out", str(tmp_path / "plain"),

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
-                         BudgetExceeded, CutoffSpec, DomainMask,
+                         BudgetExceeded, CutoffSpec, DegenerateInput, DomainMask,
                          ExponentPack, Field, InvalidOrder, atom_detect,
                          commutator_residual, cutoff_convergence_probe,
                          cutoff_field, cutoff_profile, energy_density,
                          gamma_limit_value, glued_bubbles, hs_dot_norm_sq,
                          localized_bubble, lp_density, make_grid,
-                         mass_in_ball, sobolev_constant, tail_energy)
+                         mass_in_ball, sobolev_constant, tail_energy,
+                         top_octave_share)
 from fracsobolev.diagnostics import _near_domain, argmax_cell
 
 from oracles import brute_force_best_ball, near_domain_edt
@@ -171,6 +172,47 @@ class TestTailEnergy:
         leak = tail_energy(u, 0.25, interval_mask, 1.0)
         assert leak > 0.0
         assert leak < hs_dot_norm_sq(u, 0.25)
+
+
+class TestTopOctaveShare:
+    """Fields of a few lattice modes, whose energies are known in closed
+    form: a cosine of index k carries |xi_k|^(2s) times its mean square."""
+
+    @staticmethod
+    def _mode(g, *k):
+        xi = 2.0 * np.pi / (g.points_per_dim * g.spacing)
+        return np.cos(xi * sum(kj * c for kj, c in zip(k, g.coords())))
+
+    def test_octave_edge_is_exclusive(self):
+        # |xi| = pi/(2h) at index M/4
+        g = make_grid(1, 64, 8.0)
+        assert top_octave_share(Field(grid=g, values=self._mode(g, 16)), 0.25) < 1e-25
+        assert top_octave_share(Field(grid=g, values=self._mode(g, 17)), 0.25) == pytest.approx(
+            1.0, abs=1e-15)
+
+    def test_nyquist_mode_counts_once(self):
+        # the index-M/2 cosine is +-1 per cell, a mean square of 1, against
+        # 1/2 for every other cosine
+        g, s = make_grid(1, 64, 8.0), 0.3
+        low, nyq = 3, 32
+        share = top_octave_share(Field(grid=g, values=self._mode(g, low)
+                                       + 0.5 * self._mode(g, nyq)), s)
+        e_low, e_nyq = 0.5 * low ** (2 * s), 0.25 * nyq ** (2 * s)
+        assert share == pytest.approx(e_nyq / (e_low + e_nyq), rel=1e-12)
+
+    def test_conjugate_weights_2d(self):
+        # (9, 0) sits on the last-axis-0 plane, (3, 7) off it; 16|k|^2 is
+        # 1296 and 928 against M^2 = 1024
+        g, s = make_grid(2, 32, 4.0), 0.5
+        share = top_octave_share(Field(grid=g, values=self._mode(g, 9, 0)
+                                       + self._mode(g, 3, 7)), s)
+        e_top, e_low = 81.0 ** s, 58.0 ** s
+        assert share == pytest.approx(e_top / (e_top + e_low), rel=1e-12)
+
+    def test_zero_field_raises(self):
+        g = make_grid(1, 64, 8.0)
+        with pytest.raises(DegenerateInput):
+            top_octave_share(Field(grid=g, values=np.zeros(g.shape)), 0.25)
 
 
 _INTERVAL = {"kind": "interval", "bounds": [-1.0, 1.0]}

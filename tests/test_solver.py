@@ -9,7 +9,7 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          hs_dot_norm_sq, make_grid, solve)
 from fracsobolev.solver import default_initial_field
 
-from oracles import full_box_ops, gradient_ascent_oracle
+from oracles import full_box_ops, gradient_ascent_oracle, plain_inverse_iteration
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,67 @@ class TestSolve:
         assert "relative residual" in str(err.value)
 
 
+class TestAnderson:
+    """The safeguarded Anderson outer step against plain inverse iteration."""
+
+    def test_telemetry_per_outer_iteration(self, solved):
+        _, result = solved
+        assert len(result.cg_iters) == len(result.cg_residuals) == result.iters
+        assert len(result.accelerated) == result.iters
+        assert max(result.cg_residuals) <= SolverConfig().cg_tol
+        # the first step has no history to extrapolate from
+        assert not result.accelerated[0] and any(result.accelerated)
+
+    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    def test_matches_plain_iteration(self, kind):
+        from fracsobolev.diagnostics import argmax_cell, energy_density
+        pack, mask = _domain_case(kind)
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        result = solve(pack, mask, cfg)
+        ref, ref_value, _ = plain_inverse_iteration(pack, mask, tol=1e-14)
+        assert result.converged
+        assert abs(result.value - ref_value) <= 20 * cfg.tol * ref_value
+        assert (argmax_cell(energy_density(result.maximizer, pack.s))
+                == argmax_cell(energy_density(ref, pack.s)))
+
+    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    def test_depth_zero_is_the_plain_loop(self, monkeypatch, kind):
+        import fracsobolev.solver as solver_mod
+        pack, mask = _domain_case(kind)
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        monkeypatch.setattr(solver_mod, "ANDERSON_DEPTH", 0)
+        result = solve(pack, mask, cfg)
+        _, ref_value, ref_iters = plain_inverse_iteration(pack, mask, tol=cfg.tol)
+        assert not any(result.accelerated)
+        assert result.iters == ref_iters
+        assert result.value == pytest.approx(ref_value, rel=1e-12, abs=0)
+
+    def test_safeguard_rejects_a_lowering_candidate(self, monkeypatch):
+        # offer the previous plain image, whose F_eps the plain step exceeds:
+        # every offer is refused and the solve is the plain loop
+        import fracsobolev.solver as solver_mod
+        pack, mask = _domain_case("interval")
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_mod, "ANDERSON_DEPTH", 0)
+            plain = solve(pack, mask, cfg)
+        offers = []
+
+        def previous_image(history, h_vol):
+            # every refusal cuts the history to its newest entry
+            assert len(history) <= 2
+            if len(history) < 2:
+                return None
+            offers.append(1)
+            return history[0][0].copy(), history[0][1].copy()
+
+        monkeypatch.setattr(solver_mod, "_anderson_candidate", previous_image)
+        result = solve(pack, mask, cfg)
+        assert len(offers) == result.iters - 1
+        assert not any(result.accelerated)
+        assert result.iters == plain.iters and result.trace == plain.trace
+
+
 class TestPreconditionedCG:
     """Cold-start inner solves from the default initial field's right-hand
     side; plain CG needs 51, 87 and 54 iterations on these cases."""
@@ -151,9 +212,12 @@ class TestPreconditionedCG:
         op, pre = _inner_ops(grid, mask.inside[window], s)
         tol = SolverConfig().cg_tol
         x, Ax = np.zeros(u.shape), np.zeros(u.shape)
-        iters = _cg(op, pre, rhs, x, Ax, tol, 2000, np.empty((4,) + u.shape))
+        iters, rel = _cg(op, pre, rhs, x, Ax, tol, 2000, np.empty((4,) + u.shape))
         res = rhs - op(x, np.empty(u.shape))
         assert np.linalg.norm(res) <= tol * np.linalg.norm(rhs)
+        # the reported residual is the recursive one, which tracks the true one
+        assert rel <= tol
+        assert rel == pytest.approx(np.linalg.norm(res) / np.linalg.norm(rhs), rel=1e-3)
         assert np.array_equal(Ax, op(x, np.empty(u.shape)))
         return iters
 
@@ -180,8 +244,8 @@ class TestPreconditionedCG:
         def unused(src, out):
             raise AssertionError("no preconditioner apply expected")
         x, Ax = rhs.copy(), rhs.copy()
-        iters = _cg(identity, unused, rhs, x, Ax, 1e-9, 5, np.empty((4,) + g.shape))
-        assert iters == 0 and np.array_equal(x, rhs)
+        iters, rel = _cg(identity, unused, rhs, x, Ax, 1e-9, 5, np.empty((4,) + g.shape))
+        assert iters == 0 and rel == 0.0 and np.array_equal(x, rhs)
 
 
 _SHAPES_2D = {
@@ -360,6 +424,15 @@ class TestEpsSweep:
             assert 0.0 < e.mass_r1 <= e.mass_r2 <= 1.0 + 1e-12
             assert e.tail_energy >= 0.0
             assert len(e.argmax) == 1
+
+    def test_top_octave_flags_spikes(self, sweep):
+        # the M = 512 grid resolves eps = 0.8 (half-width 10 cells) and
+        # returns lattice spikes at eps = 0.2 and 0.1 (1 and 0 cells); the
+        # borderline eps = 0.4 (2 cells) is left out
+        threshold = 1e-2
+        tops = {e.eps: e.top_octave for e in sweep}
+        assert tops[0.8] < threshold
+        assert tops[0.2] > threshold and tops[0.1] > threshold
 
     def test_mass_non_decreasing(self, sweep):
         masses = [e.mass_r1 for e in sweep]

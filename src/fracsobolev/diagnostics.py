@@ -1,5 +1,13 @@
 """Numerical probes for energy concentration: cell measures, atom detection,
-tails, cutoff and commutator decay, and the limit functional bound."""
+tails, cutoff and commutator decay, and the limit functional bound.
+
+The localized probes work on the index box of their support and leave the
+rest of the box alone: ball masses on the ball's window
+(``Grid.ball_window``), the near-domain set on the domain's window grown by
+the margin, and atom detection's ball sums, after one whole-box
+convolution, on the box that each zeroed ball changes.  Each gives what its
+whole-box form gives, to the bit.
+"""
 
 import json
 import math
@@ -7,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateInput, InvalidOrder
+from .errors import BudgetExceeded, DegenerateInput, InvalidGrid, InvalidOrder
 from .extremals import cutoff_field
 from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import Field, _offset_distances, frac_power, offset_convolve
+from .spectral import Field, _convolve, _offset_distances, frac_power
 
 __all__ = [
     "CellMeasure",
@@ -75,17 +83,23 @@ class AtomList:
 
 
 def energy_density(u, s):
-    """Per-cell masses of |(-Lap)^(s/2) u|^2 dx; total equals the squared
-    homogeneous norm up to rounding."""
+    """Per-cell masses of |(-Lap)^(s/2) u|^2 dx for s > 0; total equals the
+    squared homogeneous norm up to rounding."""
+    if not s > 0:
+        raise InvalidOrder(f"s must be positive, got {s}")
     g = frac_power(u, s)
     return CellMeasure(grid=u.grid, masses=g.values ** 2 * u.grid.cell_volume)
 
 
 def lp_density(u, p, mask=None):
-    """Per-cell masses of |u|^p dx, optionally restricted to a domain mask."""
-    vals = np.abs(u.values) ** p * u.grid.cell_volume
-    if mask is not None:
-        vals = mask.restrict(vals)
+    """Per-cell masses of |u|^p dx for p > 0, optionally restricted to a
+    domain mask; with a mask only the inside cells are evaluated."""
+    if not p > 0:
+        raise InvalidOrder(f"p must be positive, got {p}")
+    if mask is None:
+        return CellMeasure(grid=u.grid, masses=np.abs(u.values) ** p * u.grid.cell_volume)
+    vals = np.zeros(u.grid.shape)
+    vals[mask.inside] = np.abs(u.values[mask.inside]) ** p * u.grid.cell_volume
     return CellMeasure(grid=u.grid, masses=vals)
 
 
@@ -97,10 +111,24 @@ def argmax_cell(m):
 
 def _ball_offsets(grid, radius):
     """Index offsets d, one row each, whose distance is within ``radius``:
-    the test of the ball kernel, on the distances ``offset_convolve`` uses."""
+    the cells of the closed ball that ``_ball_sample`` tests."""
     # one offset beyond radius/h, so that rounding in the quotient drops no cell
     reach = int(radius / grid.spacing) + 1
     return np.argwhere(_offset_distances(grid, np.arange(-reach, reach + 1)) <= radius) - reach
+
+
+def _ball_sample(grid, radius):
+    """The closed ball of ``radius`` as an even kernel sample for
+    ``spectral._convolve``: True at the index offsets 0..reach per axis whose
+    distance h*sqrt(sum d^2) is within ``radius``.  The reach is one offset
+    beyond radius/h, as in ``_ball_offsets``, and below M."""
+    reach = int(min(radius / grid.spacing, grid.points_per_dim - 2)) + 1
+    return _offset_distances(grid, np.arange(reach + 1)) <= radius
+
+
+def _grow(window, cells, M):
+    """Index slices ``window`` widened by ``cells`` on each side, clipped to [0, M)."""
+    return tuple(slice(max(w.start - cells, 0), min(w.stop + cells, M)) for w in window)
 
 
 def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
@@ -110,48 +138,65 @@ def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
     mass, records the ball masses of both measures, zeroes the ball and
     excludes centers within ``radius`` of chosen atoms, stopping when the
     best ball holds no positive mass or less than ``threshold * total``, or
-    ``max_atoms`` were found.  The ball sums come from ``offset_convolve``;
-    lest FFT rounding decide a tie, the center is the first cell in C order
-    whose sum is within ``_TIE_TOL * total`` of the best, and the masses and
-    the threshold test use the exact sum over that ball's cells.
+    ``max_atoms`` were found.  The ball sums are one linear convolution of
+    the whole box with the ball; zeroing a ball moves them only within
+    2 reach of its center (the reach of ``_ball_sample``), so after each
+    atom that box is convolved again from the input within 3 reach.  Lest
+    FFT rounding decide a tie, the center is the first cell in C order whose
+    sum is within ``_TIE_TOL * total`` of the best, and the masses and the
+    threshold test use the exact sum over that ball's cells.  ``nu`` must
+    lie on the grid of ``m`` (InvalidGrid otherwise).
     """
     grid = m.grid
+    if nu.grid != grid:
+        raise InvalidGrid(f"nu lies on the grid {nu.grid.shape} of half-width "
+                          f"{nu.grid.half_width:g}, m on {grid.shape} of half-width "
+                          f"{grid.half_width:g}")
     if radius < 2.0 * grid.spacing:
         raise InvalidOrder(f"detection radius {radius} below two cells")
     if not (0.0 < threshold < 1.0):
         raise InvalidOrder(f"threshold must lie in (0, 1), got {threshold}")
-    offsets = _ball_offsets(grid, radius)
+    M = grid.points_per_dim
+    sample = _ball_sample(grid, radius)
+    reach = len(sample) - 1
     work_mu = m.masses.copy()
     work_nu = nu.masses.copy()
     allowed = np.ones(grid.shape, dtype=bool)
     total = m.total
+    sums = _convolve(sample, (work_mu,))[0]
     entries = []
     for _ in range(max_atoms):
-        sums = offset_convolve(grid, lambda r: (r <= radius).astype(float), (work_mu,))[0]
-        sums[~allowed] = -np.inf
         best = float(sums.max())
         idx = np.unravel_index(int(np.argmax(sums >= best - _TIE_TOL * total)), grid.shape)
-        cells = offsets + idx
-        cells = cells[((cells >= 0) & (cells < grid.points_per_dim)).all(axis=1)]
-        ball = np.zeros(grid.shape, dtype=bool)
-        ball[tuple(cells.T)] = True
-        mu = float(work_mu[ball].sum())
+        point = tuple(slice(i, i + 1) for i in idx)
+        box = _grow(point, reach, M)
+        # the ball about idx on its box: the sample at |offset| per axis
+        ball = sample[np.ix_(*(np.abs(np.arange(w.start, w.stop) - i)
+                               for w, i in zip(box, idx)))]
+        mu = float(work_mu[box][ball].sum())
         # no center left, or the best ball holds too little mass
         if not (allowed[idx] and mu > 0.0 and mu >= threshold * total):
             break
         center = tuple(float(grid.axis[i]) for i in idx)
-        entries.append(AtomEntry(location=center, mu=mu, nu=float(work_nu[ball].sum())))
-        work_mu[ball] = 0.0
-        work_nu[ball] = 0.0
-        allowed &= ~ball
+        entries.append(AtomEntry(location=center, mu=mu, nu=float(work_nu[box][ball].sum())))
+        work_mu[box][ball] = 0.0
+        work_nu[box][ball] = 0.0
+        allowed[box][ball] = False
+        near, src = _grow(point, 2 * reach, M), _grow(point, 3 * reach, M)
+        local = _convolve(sample, (work_mu[src],))[0]
+        sums[near] = local[tuple(slice(a.start - b.start, a.stop - b.start)
+                                 for a, b in zip(near, src))]
+        sums[near][~allowed[near]] = -np.inf
     return AtomList(entries=tuple(entries))
 
 
 def mass_in_ball(m, center, r):
-    """Mass of cells whose centers lie within distance r of ``center``."""
+    """Mass of cells whose centers lie within distance r of ``center``; only
+    the cells of the ball's window (``Grid.ball_window``) are tested."""
     if not r > 0:
         raise InvalidOrder(f"radius must be positive, got {r}")
-    return float(m.masses[m.grid.radii(center) <= r].sum())
+    box = m.grid.ball_window(center, r)
+    return float(m.masses[box][m.grid.radii(center, box) <= r].sum())
 
 
 def _near_domain(mask, margin):
@@ -159,19 +204,28 @@ def _near_domain(mask, margin):
 
     A cell is near when some inside cell lies at index offset d with
     h*sqrt(sum d^2) <= margin, the distance a Euclidean distance transform
-    compares.  The dilation is one ``offset_convolve`` of the inside
-    indicator with the ball kernel, thresholded at 0.5.
+    compares.  No other cell lies within the ball's reach of the domain's
+    window (``DomainMask.window``), so the dilation is one linear
+    convolution of the inside indicator on that window grown by the reach,
+    thresholded at 0.5.
     """
-    return offset_convolve(mask.grid, lambda r: (r <= margin).astype(float),
-                           (mask.inside.astype(float),))[0] > 0.5
+    sample = _ball_sample(mask.grid, margin)
+    box = _grow(mask.window, len(sample) - 1, mask.grid.points_per_dim)
+    near = np.zeros(mask.grid.shape, dtype=bool)
+    near[box] = _convolve(sample, (mask.inside[box].astype(float),))[0] > 0.5
+    return near
+
+
+def _tail_mass(m, near):
+    """Mass of the measure ``m`` over the cells outside ``near``."""
+    return float(m.masses[~near].sum())
 
 
 def tail_energy(u, s, mask, margin):
     """Energy mass over cells farther than ``margin`` from the domain."""
     if not margin > 0:
         raise InvalidOrder(f"margin must be positive, got {margin}")
-    m = energy_density(u, s)
-    return float(m.masses[~_near_domain(mask, margin)].sum())
+    return _tail_mass(energy_density(u, s), _near_domain(mask, margin))
 
 
 def top_octave_share(u, s):

@@ -5,7 +5,9 @@ ExponentPack, and are re-exported here as ``critical_exponent`` and
 ``sobolev_constant``.  Localized bubbles are smooth-cutoff truncations of
 rescaled bubbles, renormalized on the grid; glued sums place disjointly
 supported localized bubbles at prescribed atoms; recovery fields join a
-fixed smooth function to a glued sum through an annular cutoff.
+fixed smooth function to a glued sum through an annular cutoff.  A cutoff,
+and the bubble it truncates, are sampled only on the window of the
+cutoff's double ball (``Grid.ball_window``); every other cell is zero.
 """
 
 import json
@@ -134,16 +136,26 @@ def cutoff_profile(r, rho):
     return out
 
 
+def _cutoff_window(grid, center, rho):
+    """The cells ``cutoff_profile`` can make nonzero, those within 2 rho of
+    ``center`` (``Grid.ball_window``), and its values there."""
+    box = grid.ball_window(center, 2.0 * rho)
+    return box, cutoff_profile(grid.radii(center, box), rho)
+
+
 def cutoff_field(cut, grid, dilation=1.0):
-    """Sample the cutoff of ``cut`` dilated about its center by ``dilation``."""
-    r = grid.radii(cut.center)
-    return Field(grid=grid, values=cutoff_profile(r, dilation * cut.inner_radius))
+    """Sample the cutoff of ``cut`` dilated about its center by ``dilation``;
+    only the cells of its double ball are evaluated, the rest are zero."""
+    box, phi = _cutoff_window(grid, cut.center, dilation * cut.inner_radius)
+    vals = np.zeros(grid.shape)
+    vals[box] = phi
+    return Field(grid=grid, values=vals)
 
 
-def _sample_bubble(grid, amplitude, scale, center, decay_power):
+def _sample_bubble(grid, amplitude, scale, center, decay_power, window=None):
     if any(abs(c) >= grid.half_width for c in center):
         raise InvalidOrder(f"bubble center {center} lies outside the box")
-    r2 = grid.radii(center) ** 2
+    r2 = grid.radii(center, window) ** 2
     return amplitude / (scale * scale + r2) ** decay_power
 
 
@@ -185,6 +197,16 @@ def require_core_cells(core, grid, start=None):
             f"M = {M} points per axis resolves it", param="points_per_dim")
 
 
+def _rescaled_values(spec, eps, grid, window=None):
+    """Samples of ``rescaled_bubble`` on ``window`` (the whole box by default)."""
+    if not (0.0 < eps <= 1.0):
+        raise InvalidOrder(f"eps must lie in (0, 1], got {eps}")
+    core = eps * spec.scale
+    require_core_cells(core, grid)
+    amp = spec.amplitude * eps ** spec.decay_power
+    return _sample_bubble(grid, amp, core, spec.center, spec.decay_power, window)
+
+
 def rescaled_bubble(spec, eps, grid):
     """Concentrating rescaling about the bubble center, sampled in closed form.
 
@@ -192,12 +214,7 @@ def rescaled_bubble(spec, eps, grid):
     c * eps^((N-2s)/2); its continuum homogeneous norm and critical integral
     equal those of the eps=1 bubble.
     """
-    if not (0.0 < eps <= 1.0):
-        raise InvalidOrder(f"eps must lie in (0, 1], got {eps}")
-    core = eps * spec.scale
-    require_core_cells(core, grid)
-    amp = spec.amplitude * eps ** spec.decay_power
-    return Field(grid=grid, values=_sample_bubble(grid, amp, core, spec.center, spec.decay_power))
+    return Field(grid=grid, values=_rescaled_values(spec, eps, grid))
 
 
 def localized_bubble(spec, cut, eps, grid):
@@ -205,16 +222,18 @@ def localized_bubble(spec, cut, eps, grid):
 
     Returns ``(v, pre_norm)`` where v has unit discrete homogeneous norm and
     support inside the double ball of ``cut``, and pre_norm is the norm of
-    the truncated field before normalization.
+    the truncated field before normalization.  The bubble and the cutoff
+    are sampled only on the double ball's window; the norm takes one
+    whole-box transform pair.
     """
-    w = rescaled_bubble(spec, eps, grid)
-    phi = cutoff_profile(grid.radii(cut.center), cut.inner_radius)
-    vals = phi * w.values
-    tilde = Field(grid=grid, values=vals)
-    pre_norm = float(np.sqrt(hs_dot_norm_sq(tilde, spec.pack.s)))
+    box, phi = _cutoff_window(grid, cut.center, cut.inner_radius)
+    vals = np.zeros(grid.shape)
+    vals[box] = phi * _rescaled_values(spec, eps, grid, box)
+    pre_norm = float(np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=vals), spec.pack.s)))
     if pre_norm == 0.0:
         raise UnderResolved("cutoff annihilated the rescaled bubble")
-    return Field(grid=grid, values=vals / pre_norm), pre_norm
+    vals[box] /= pre_norm
+    return Field(grid=grid, values=vals), pre_norm
 
 
 def _snap_to_mask(point, mask):
@@ -305,7 +324,8 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
     phi = np.ones(grid.shape)
     snapped = [_snap_to_mask(p, mask) if mask is not None else p for p in atoms.points]
     for p in snapped:
-        phi -= cutoff_profile(grid.radii(p), sigma)
+        box, hole = _cutoff_window(grid, p, sigma)
+        phi[box] -= hole
     phi = np.clip(phi, 0.0, 1.0)
     vals = u.values * phi
     if len(atoms.masses):

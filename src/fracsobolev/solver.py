@@ -388,8 +388,12 @@ def eps_sweep(pack_template, mask, config, init=None):
     """Solve along the eps schedule with warm starts; per-eps errors are
     recorded and the sweep continues.  Returns a list of SweepEntry with
     concentration statistics from the energy measure and the top-octave
-    resolution indicator, which flags a lattice spike but raises nothing."""
+    resolution indicator, which flags a lattice spike but raises nothing.
+    The tail is ``diagnostics.tail_energy``'s, taken from the entry's
+    measure and one near-domain set built per sweep."""
     diam = mask.diameter
+    # the same cells for every eps, so the dilation runs once per sweep
+    near = diagnostics._near_domain(mask, TAIL_MARGIN_FRACTION * diam)
     entries = []
     prev = init
     for eps in config.eps_schedule:
@@ -406,8 +410,7 @@ def eps_sweep(pack_template, mask, config, init=None):
         total = measure.total
         mass_r1 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[0] * diam) / total
         mass_r2 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[1] * diam) / total
-        tail = diagnostics.tail_energy(result.maximizer, pack.s, mask,
-                                       TAIL_MARGIN_FRACTION * diam) / total
+        tail = diagnostics._tail_mass(measure, near) / total
         entries.append(SweepEntry(eps=eps, result=result,
                                   envelope=hoelder_envelope(pack, mask),
                                   argmax=argmax, mass_r1=mass_r1, mass_r2=mass_r2,

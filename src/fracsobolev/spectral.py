@@ -28,11 +28,13 @@ coefficients from outside.
 Linear convolutions with a kernel that is even in each axis run through
 the same pair on a zero-padded lattice, whose kernel spectrum
 ``_kernel_spectrum`` builds from the kernel's samples at offsets 0..r.
-``offset_convolve`` uses it for kernels of the offset distance
-|x_i - x_j| (the Gagliardo pair sum and the ball sums of ``diagnostics``),
-and the solver for |xi|^sigma on a domain's window: there the periodic
-kernel, cropped to the window's offsets, is a Toeplitz operator, and the
-padded lattice is its circulant embedding.
+``_convolve`` is the two together, for arrays of any shape: the whole box
+for ``offset_convolve`` (kernels of the offset distance |x_i - x_j|, as in
+the Gagliardo pair sum), the box or a window for the ball sums of
+``diagnostics``.  The solver builds kernel spectra for |xi|^sigma on a
+domain's window: there the periodic kernel, cropped to the window's
+offsets, is a Toeplitz operator, and the padded lattice is its circulant
+embedding.
 """
 
 import json
@@ -134,12 +136,33 @@ class Grid:
         """Cell-center coordinate arrays, one per axis, each shaped (M,)*N."""
         return np.meshgrid(*([self._axis] * self.dim), indexing="ij")
 
-    def radii(self, center):
-        """Euclidean distance from every cell center to ``center``."""
+    def _point(self, center):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise InvalidGrid(f"center must have {self.dim} components, got {center.shape}")
-        mats = np.meshgrid(*(self._axis - c0 for c0 in center), indexing="ij", sparse=True)
+        return center
+
+    def ball_window(self, center, reach):
+        """Index slices, one per axis, of the box of cells within ``reach``
+        of ``center`` along each axis, one cell wider on each side and
+        clipped to the grid.  The extra cell absorbs rounding in the index
+        arithmetic, so every cell outside the box lies farther than
+        ``reach`` from ``center`` whatever the rounding of ``radii``.
+        """
+        q = (self._point(center) + self.half_width) / self.spacing
+        k = reach / self.spacing
+        M = self.points_per_dim
+        lo = np.clip(np.ceil(q - k) - 1.0, 0, M)
+        hi = np.clip(np.floor(q + k) + 2.0, 0, M)
+        return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+
+    def radii(self, center, window=None):
+        """Euclidean distance to ``center`` from every cell center, or from
+        those of ``window`` (index slices, one per axis)."""
+        center = self._point(center)
+        window = window or (slice(None),) * self.dim
+        mats = np.meshgrid(*(self._axis[w] - c0 for w, c0 in zip(window, center)),
+                           indexing="ij", sparse=True)
         return np.sqrt(sum(m * m for m in mats))
 
 
@@ -266,6 +289,22 @@ def _kernel_spectrum(sample, shape):
     return P, np.fft.rfftn(lattice)
 
 
+def _convolve(sample, arrays):
+    """Linear convolutions of real arrays of one shape, any shape, with the
+    kernel even in each axis whose samples at the offsets 0..r ``sample``
+    holds, on the lattice of ``_kernel_spectrum``.  The arrays run one at
+    a time through one work spectrum.  Returns a raw ndarray of shape
+    (len(arrays),) + shape.
+    """
+    shape = arrays[0].shape
+    P, kernel_spec = _kernel_spectrum(sample, shape)
+    spec = np.empty(kernel_spec.shape, dtype=complex)
+    out = np.empty((len(arrays),) + shape[:-1] + (P[-1],))
+    for a, dest in zip(arrays, out):
+        _transform_pair(a, kernel_spec, P[-1], spec, dest)
+    return out[..., :shape[-1]]
+
+
 def offset_convolve(grid, kernel, arrays):
     """Linear convolutions  sum_j k(|x_i - x_j|) a_j  of real arrays on ``grid``.
 
@@ -281,12 +320,7 @@ def offset_convolve(grid, kernel, arrays):
     reach = int(np.flatnonzero((sample != 0).any(axis=tuple(range(1, grid.dim)))).max(initial=0))
     # a copy of the offsets within reach, so a short kernel's M^N sample is freed here
     sample = np.ascontiguousarray(sample[(slice(0, reach + 1),) * grid.dim])
-    P, kernel_spec = _kernel_spectrum(sample, grid.shape)
-    spec = np.empty(kernel_spec.shape, dtype=complex)
-    out = np.empty((len(arrays),) + grid.shape[:-1] + (P[-1],))
-    for a, dest in zip(arrays, out):
-        _transform_pair(a, kernel_spec, P[-1], spec, dest)
-    return out[..., :grid.points_per_dim]
+    return _convolve(sample, arrays)
 
 
 def frac_power(u, sigma):

@@ -7,7 +7,11 @@ gradient ascent, atom locations from an exhaustive ball scan, the
 Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, the
 cells near a domain from scipy's exact Euclidean distance transform, the
 solver's restricted operator from full-box transforms of masked copies, and
-its accelerated outer loop from plain normalized inverse iteration.
+its accelerated outer loop from plain normalized inverse iteration.  The
+localized diagnostics, which work on the windows of their supports, have
+whole-box forms here: the cutoff and the localized bubble sampled on every
+cell, ball masses over every cell's radius, the dilation and the ball sums
+as convolutions of the whole box, the latter repeated every round.
 """
 
 import math
@@ -18,7 +22,10 @@ from scipy import ndimage
 from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma, gammaln
 
-from fracsobolev import Field, apply_multiplier, frac_power, hs_dot_norm_sq, lp_integral
+from fracsobolev import (AtomEntry, AtomList, Field, apply_multiplier, cutoff_profile,
+                         frac_power, hs_dot_norm_sq, lp_integral, offset_convolve,
+                         rescaled_bubble)
+from fracsobolev.diagnostics import _TIE_TOL, _ball_offsets
 
 
 def sobolev_constant_mp(N, s, dps=50):
@@ -138,6 +145,62 @@ def gagliardo_seminorm_sq_dense(u, s):
         total += float(np.sum(grad_sq)) * g.cell_volume * \
             (omega / N) * r_eq ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return total
+
+
+def cutoff_field_full(cut, grid, dilation=1.0):
+    """``cutoff_field`` on every cell of the box."""
+    return Field(grid=grid, values=cutoff_profile(grid.radii(cut.center),
+                                                  dilation * cut.inner_radius))
+
+
+def localized_bubble_full(spec, cut, eps, grid):
+    """``localized_bubble`` with the bubble and the cutoff on every cell."""
+    vals = cutoff_profile(grid.radii(cut.center), cut.inner_radius) * \
+        rescaled_bubble(spec, eps, grid).values
+    pre_norm = float(np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=vals), spec.pack.s)))
+    return Field(grid=grid, values=vals / pre_norm), pre_norm
+
+
+def mass_in_ball_full(m, center, r):
+    """``mass_in_ball`` testing the radius of every cell of the box."""
+    return float(m.masses[m.grid.radii(center) <= r].sum())
+
+
+def near_domain_full(mask, margin):
+    """The dilation of the domain by the closed ball, as one convolution of
+    the whole box's inside indicator with the ball, thresholded at 0.5."""
+    return offset_convolve(mask.grid, lambda r: (r <= margin).astype(float),
+                           (mask.inside.astype(float),))[0] > 0.5
+
+
+def atom_detect_full(m, nu, radius, threshold, max_atoms=16):
+    """``atom_detect`` re-convolving the whole box every round: the ball sums
+    of the zeroed measure, the tie rule, and the exact masses of the ball
+    built from ``_ball_offsets`` on a whole-box mask."""
+    grid = m.grid
+    offsets = _ball_offsets(grid, radius)
+    work_mu, work_nu = m.masses.copy(), nu.masses.copy()
+    allowed = np.ones(grid.shape, dtype=bool)
+    total = m.total
+    entries = []
+    for _ in range(max_atoms):
+        sums = offset_convolve(grid, lambda r: (r <= radius).astype(float), (work_mu,))[0]
+        sums[~allowed] = -np.inf
+        best = float(sums.max())
+        idx = np.unravel_index(int(np.argmax(sums >= best - _TIE_TOL * total)), grid.shape)
+        cells = offsets + idx
+        cells = cells[((cells >= 0) & (cells < grid.points_per_dim)).all(axis=1)]
+        ball = np.zeros(grid.shape, dtype=bool)
+        ball[tuple(cells.T)] = True
+        mu = float(work_mu[ball].sum())
+        if not (allowed[idx] and mu > 0.0 and mu >= threshold * total):
+            break
+        entries.append(AtomEntry(location=tuple(float(grid.axis[i]) for i in idx), mu=mu,
+                                 nu=float(work_nu[ball].sum())))
+        work_mu[ball] = 0.0
+        work_nu[ball] = 0.0
+        allowed &= ~ball
+    return AtomList(entries=tuple(entries))
 
 
 def near_domain_edt(mask, margin):

@@ -5,16 +5,18 @@ import pytest
 
 from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
                          BudgetExceeded, CutoffSpec, DegenerateInput, DomainMask,
-                         ExponentPack, Field, InvalidOrder, atom_detect,
+                         ExponentPack, Field, InvalidGrid, InvalidOrder, atom_detect,
                          commutator_residual, cutoff_convergence_probe,
                          cutoff_field, cutoff_profile, energy_density,
                          gamma_limit_value, glued_bubbles, hs_dot_norm_sq,
                          localized_bubble, lp_density, make_grid,
                          mass_in_ball, sobolev_constant, tail_energy,
                          top_octave_share)
-from fracsobolev.diagnostics import _near_domain, argmax_cell
+from fracsobolev.diagnostics import CellMeasure, _near_domain, argmax_cell
 
-from oracles import brute_force_best_ball, near_domain_edt
+from oracles import (atom_detect_full, brute_force_best_ball, cutoff_field_full,
+                     localized_bubble_full, mass_in_ball_full, near_domain_edt,
+                     near_domain_full)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +43,34 @@ class TestEnergyDensity:
         m = energy_density(u, 0.25)
         assert m.total == pytest.approx(hs_dot_norm_sq(u, 0.25), rel=1e-10)
 
+    @pytest.mark.parametrize("s", [0.0, -0.25])
+    def test_rejects_nonpositive_order(self, grid1d, rng, s):
+        u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
+        with pytest.raises(InvalidOrder):
+            energy_density(u, s)
+
     def test_localized_bubble_mass_concentrates(self, loc_bubble_family):
         g, pack, cut, fields = loc_bubble_family
         m = energy_density(fields[1 / 32], pack.s)
         inner = mass_in_ball(m, cut.center, 2 * cut.inner_radius)
         assert inner >= 0.8 * m.total
+
+
+class TestLpDensity:
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_rejects_nonpositive_exponent(self, grid1d, interval_mask, p):
+        # a field with zeros: p = -1 would divide by zero, p = 0 count every cell
+        vals = interval_mask.restrict(np.ones(grid1d.shape))
+        u = Field(grid=grid1d, values=vals)
+        for mask in (None, interval_mask):
+            with pytest.raises(InvalidOrder):
+                lp_density(u, p, mask)
+
+    def test_mask_keeps_inside_cells_only(self, grid1d, interval_mask, rng):
+        u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
+        whole = lp_density(u, 3.0).masses
+        assert np.array_equal(lp_density(u, 3.0, interval_mask).masses,
+                              np.where(interval_mask.inside, whole, 0.0))
 
 
 class TestMassInBall:
@@ -150,6 +175,15 @@ class TestAtomDetect:
         assert len(found) == 1
         assert found.entries[0].mu == 5.0
         assert found.entries[0].nu == 5.0
+
+    def test_nu_on_another_grid_raises(self, grid1d):
+        masses = np.zeros(grid1d.shape)
+        masses[100] = 1.0
+        m = CellMeasure(grid=grid1d, masses=masses)
+        for g in (make_grid(1, 1024, 8.0), make_grid(1, 256, 8.0), make_grid(1, 512, 4.0)):
+            nu = CellMeasure(grid=g, masses=np.ones(g.shape))
+            with pytest.raises(InvalidGrid, match="half-width"):
+                atom_detect(m, nu, radius=0.5, threshold=0.1)
 
     def test_rejects_tiny_radius_and_bad_threshold(self, grid1d, rng):
         u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
@@ -257,6 +291,121 @@ class TestNearDomain:
         near = _near_domain(mask, margin)
         assert near[(-1,) * dim]
         assert np.array_equal(near, near_domain_edt(mask, margin))
+
+
+def _bump_measures(g, centers, rng):
+    """A noise floor plus one Gaussian bump per center, of width three
+    cells and weight 1, 2, 3, ...; nu is the square of mu."""
+    masses = 1e-3 * rng.random(g.shape)
+    for k, c in enumerate(centers):
+        r = g.radii(c)
+        masses += (1.0 + k) * np.exp(-(r / (3.0 * g.spacing)) ** 2)
+    return CellMeasure(grid=g, masses=masses), CellMeasure(grid=g, masses=masses ** 2)
+
+
+class TestWindowsMatchWholeBox:
+    """The localized diagnostics work on the windows of their supports; on
+    every cell they equal their whole-box forms to the bit, also where a
+    window is clipped by the box or its edge lands on a cell center."""
+
+    @pytest.mark.parametrize("dim,M,L,centers,radius", [
+        # the bump at 7.9 has its ball patch clipped by the upper box edge
+        (1, 512, 8.0, [(-3.0,), (7.9,), (2.0,), (2.3,)], 0.4),
+        # radius 8h: the ball's edge lands on a cell center
+        (1, 256, 4.0, [(0.0,), (-3.97,), (1.5,)], 0.25),
+        # the bump at the corner is clipped on both axes
+        (2, 64, 2.0, [(-0.8, 0.3), (1.95, -1.9), (0.5, 0.6), (0.5, 0.1)], 0.25),
+        (2, 128, 2.0, [(-1.97, 1.97), (0.0, 0.0), (0.9, -0.4)], 5 * 4.0 / 128),
+    ])
+    def test_atom_detect(self, rng, dim, M, L, centers, radius):
+        g = make_grid(dim, M, L)
+        mu, nu = _bump_measures(g, centers, rng)
+        for threshold, cap in ((0.02, 16), (0.02, 2), (0.3, 16)):
+            found = atom_detect(mu, nu, radius=radius, threshold=threshold, max_atoms=cap)
+            assert found == atom_detect_full(mu, nu, radius, threshold, cap)
+            assert len(found) >= 1
+        assert len(atom_detect(mu, nu, radius=radius, threshold=0.02)) >= len(centers) - 1
+
+    def test_atom_detect_glued_bubbles(self):
+        g = make_grid(2, 256, 2.0)
+        pack = ExponentPack(dim=2, s=0.5)
+        atoms = AtomSpec(points=((-0.6, 0.4), (0.5, 0.5), (0.1, -0.7)), masses=(0.2, 0.3, 0.25))
+        u = glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.2] * 3)
+        mu, nu = energy_density(u, pack.s), lp_density(u, pack.two_star)
+        found = atom_detect(mu, nu, radius=0.15, threshold=0.1)
+        assert len(found) == 3
+        assert found == atom_detect_full(mu, nu, 0.15, 0.1)
+
+    @pytest.mark.parametrize("dim,M,L,center,rho", [
+        # 2 rho = 6h from a cell center: the window edge lands on a cell center
+        (1, 512, 8.0, (-8.0 + 100 / 32,), 3 / 32),
+        (2, 64, 2.0, (-2.0 + 20 / 16, -2.0 + 33 / 16), 4 / 16),
+        # double balls clipped by the box edge
+        (1, 512, 8.0, (7.8,), 0.3),
+        (2, 64, 2.0, (1.9, -1.85), 0.3),
+        (2, 128, 4.0, (0.31, -0.27), 0.7),
+    ])
+    def test_cutoff_and_localized_bubble(self, dim, M, L, center, rho):
+        g = make_grid(dim, M, L)
+        cut = CutoffSpec(center=center, inner_radius=rho)
+        for dilation in (1.0, 0.5, 8.0):
+            assert np.array_equal(cutoff_field(cut, g, dilation).values,
+                                  cutoff_field_full(cut, g, dilation).values)
+        pack = ExponentPack(dim=dim, s=0.3)
+        spec = BubbleSpec(amplitude=1.5, scale=8 * g.spacing, center=center, pack=pack)
+        v, pre = localized_bubble(spec, cut, 0.5, g)
+        v_full, pre_full = localized_bubble_full(spec, cut, 0.5, g)
+        assert pre == pre_full
+        assert np.array_equal(v.values, v_full.values)
+
+    @pytest.mark.parametrize("dim,M,L", [(1, 512, 8.0), (2, 64, 2.0)])
+    def test_mass_in_ball(self, rng, dim, M, L):
+        g = make_grid(dim, M, L)
+        m = CellMeasure(grid=g, masses=rng.random(g.shape))
+        h = g.spacing
+        on_cell = tuple(float(g.axis[i]) for i in (5, 40)[:dim])
+        between = tuple(c + 0.5 * h for c in on_cell)
+        for center in (on_cell, between, (-L,) * dim, (L - 0.3 * h,) * dim):
+            # whole-cell radii put cells exactly on the ball's edge
+            for r in (3 * h, 3.5 * h, 8 * h, 0.4 * L, 4.0 * L):
+                assert mass_in_ball(m, center, r) == mass_in_ball_full(m, center, r)
+
+    @pytest.mark.parametrize("dim,M,L,shape,fraction", [
+        (1, 512, 8.0, _INTERVAL, 0.5),
+        # the grown window reaches the upper box edge
+        (1, 512, 8.0, {"kind": "interval", "bounds": [4.5, 7.5]}, 0.5),
+        (2, 128, 4.0, _TRIANGLE, 0.37),
+        # the grown window reaches every box edge
+        (2, 128, 1.5, _BALL, 0.5),
+        (2, 64, 2.0, _BOX, 1.0),
+    ])
+    def test_near_domain(self, dim, M, L, shape, fraction):
+        mask = DomainMask.from_shape(make_grid(dim, M, L), shape)
+        margin = fraction * mask.diameter
+        assert np.array_equal(_near_domain(mask, margin), near_domain_full(mask, margin))
+
+
+class TestWholeBoxWork:
+    def test_one_whole_box_pair_per_atom_detect(self, monkeypatch, rng):
+        import fracsobolev.spectral as spectral_mod
+        real_pair = spectral_mod._transform_pair
+        shapes = []
+
+        def counting(values, *args):
+            shapes.append(values.shape)
+            return real_pair(values, *args)
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        g = make_grid(2, 128, 4.0)
+        spots = [(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0), (0.0, 0.0)]
+        for n_atoms in (0, 1, 3, 5):
+            mu, nu = _bump_measures(g, spots[:n_atoms], rng)
+            shapes.clear()
+            found = atom_detect(mu, nu, radius=0.3, threshold=0.05)
+            assert len(found) == n_atoms
+            assert shapes.count(g.shape) == 1
+            # and one small convolution per atom
+            assert len(shapes) == 1 + n_atoms
 
 
 class TestCutoffProbe:

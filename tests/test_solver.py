@@ -439,6 +439,33 @@ class TestEpsSweep:
         for a, b in zip(masses, masses[1:]):
             assert b >= a - 0.01
 
+    def test_one_near_domain_set_per_sweep(self, ctx, monkeypatch):
+        # each entry's tail comes from the measure the entry already holds
+        # and from one dilation per sweep, and equals tail_energy's
+        from fracsobolev import diagnostics, tail_energy
+        from fracsobolev.solver import TAIL_MARGIN_FRACTION
+        g, mask = ctx
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_near_domain", "energy_density"):
+            monkeypatch.setattr(diagnostics, name, counted(getattr(diagnostics, name)))
+        pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+        entries = eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4)))
+        assert calls.count("_near_domain") == 1
+        assert calls.count("energy_density") == len(entries) == 2
+        monkeypatch.undo()
+        for e in entries:
+            u = e.result.maximizer
+            total = diagnostics.energy_density(u, pack.s).total
+            assert e.tail_energy == tail_energy(u, pack.s, mask,
+                                                TAIL_MARGIN_FRACTION * mask.diameter) / total
+
     def test_warm_vs_cold_start_agree(self, ctx):
         g, mask = ctx
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)

@@ -182,7 +182,7 @@ def _points_in_polygon(X, Y, verts):
 
 def lp_integral(u, p, mask=None):
     """Integral of |u|^p over the masked cells (whole box when mask is None)."""
-    if p <= 0:
+    if not p > 0:
         raise InvalidOrder(f"p must be positive, got {p}")
     v = np.abs(u.values)
     if mask is not None:

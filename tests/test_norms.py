@@ -80,6 +80,12 @@ class TestLpIntegral:
         for p in (1.0, 3.7):
             assert lp_integral(u, p, interval_mask) == pytest.approx(interval_mask.measure / 2, rel=0.02)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_order(self, p):
+        g = make_grid(1, 64, 8.0)
+        with pytest.raises(InvalidOrder):
+            lp_integral(Field(grid=g, values=np.ones(g.shape)), p)
+
 
 class TestHsNorms:
     def test_single_mode(self, grid1d):

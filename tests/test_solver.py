@@ -173,7 +173,8 @@ class TestAnderson:
 
     def test_safeguard_rejects_a_lowering_candidate(self, monkeypatch):
         # offer the previous plain image, whose F_eps the plain step exceeds:
-        # every offer is refused and the solve is the plain loop
+        # every offer is refused, and with the extended step taken out the
+        # solve is the plain loop
         import fracsobolev.solver as solver_mod
         pack, mask = _domain_case("interval")
         cfg = SolverConfig(eps_schedule=(pack.eps,))
@@ -191,10 +192,75 @@ class TestAnderson:
             return history[0][0].copy(), history[0][1].copy()
 
         monkeypatch.setattr(solver_mod, "_anderson_candidate", previous_image)
+        monkeypatch.setattr(solver_mod, "_extend_step",
+                            lambda newest, Au, F_g, f_eps, h_vol: newest[:2] + (F_g, 0))
         result = solve(pack, mask, cfg)
         assert len(offers) == result.iters - 1
         assert not any(result.accelerated)
         assert result.iters == plain.iters and result.trace == plain.trace
+
+
+@pytest.fixture(scope="module")
+def drift():
+    """A sweep whose eps = 0.1 solve drifts from the smooth profile toward a
+    concentrated one, where the safeguard refuses Anderson in a row."""
+    g = make_grid(1, 4096, 8.0)
+    mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]})
+    pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+    return pack, mask, eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4, 0.2, 0.1, 0.05)))
+
+
+class TestExtendedStep:
+    """The doubling search that extends a plain step after two refusals."""
+
+    def test_fires_and_shortens_the_drift(self, drift):
+        _, _, entries = drift
+        result = entries[3].result
+        assert entries[3].eps == 0.1 and result.converged
+        assert any(result.extended)
+        assert result.iters <= 20
+
+    def test_matches_a_tight_reference_from_the_same_start(self, drift):
+        from fracsobolev.diagnostics import argmax_cell, energy_density
+        pack, mask, entries = drift
+        pack = pack.with_eps(0.1)
+        ref, ref_value, _ = plain_inverse_iteration(pack, mask, tol=1e-14,
+                                                    init=entries[2].result.maximizer)
+        assert abs(entries[3].result.value - ref_value) <= 20 * SolverConfig().tol * ref_value
+        assert entries[3].argmax == argmax_cell(energy_density(ref, pack.s))
+
+    def test_telemetry_and_ascent(self, drift):
+        _, _, entries = drift
+        for e in entries:
+            r = e.result
+            assert all(b >= a for a, b in zip(r.trace, r.trace[1:]))
+            assert len(r.extended) == r.iters
+            for i, n in enumerate(r.extended):
+                if n > 0:
+                    assert i > 0 and not r.accelerated[i] and not r.accelerated[i - 1]
+
+    def test_runs_no_transform(self, drift, monkeypatch):
+        # the pair count of a solve where the extension fires is still two
+        # kernel builds, the start's image and 2k+1 per outer iteration
+        import fracsobolev.solver as solver_mod
+        import fracsobolev.spectral as spectral_mod
+        pack, mask, entries = drift
+        real_pair = spectral_mod._transform_pair
+        lengths = []
+
+        def counting(values, weight, n, spec, out):
+            lengths.append(n)
+            return real_pair(values, weight, n, spec, out)
+
+        for mod in (spectral_mod, solver_mod):
+            monkeypatch.setattr(mod, "_transform_pair", counting)
+        result = solve(pack.with_eps(0.1), mask, SolverConfig(eps_schedule=(0.1,)),
+                       init=entries[2].result.maximizer)
+        assert any(result.extended)
+        loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
+        W = mask.window[-1].stop - mask.window[-1].start
+        P = spectral_mod._smooth_length(2 * W)
+        assert lengths == [mask.grid.points_per_dim] * 2 + [P] * loop
 
 
 class TestPreconditionedCG:

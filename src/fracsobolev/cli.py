@@ -62,7 +62,6 @@ class ExperimentConfig:
     out_dir: Path
     emit_fields: bool
     reproducible: bool
-    seed: int
 
 
 def _parse_file(path):
@@ -188,13 +187,13 @@ def parse_config(args):
         raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
     lam = typed["lam"] if typed["lam"] is not None else typed["L"] / 8.0
-    if not lam > 0:
-        raise ConfigError("lam", f"bubble scale must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ConfigError("lam", f"bubble scale must be positive and finite, got {lam}")
 
     return ExperimentConfig(command=command, grid=grid, pack=pack, mask=mask,
                             solver=solver, lam=lam, out_dir=Path(typed["out"]),
                             emit_fields=typed["emit-fields"],
-                            reproducible=typed["reproducible"], seed=typed["seed"])
+                            reproducible=typed["reproducible"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def _cmd_bubble_verify(cfg):
 
 def _cmd_norms_check(cfg):
     grid, pack = cfg.grid, cfg.pack
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.solver.seed)
     rows = []
 
     worst = 0.0

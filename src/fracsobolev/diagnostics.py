@@ -131,14 +131,14 @@ def _grow(window, cells, M):
     return tuple(slice(max(w.start - cells, 0), min(w.stop + cells, M)) for w in window)
 
 
-def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
+def atom_detect(m, nu, radius, threshold):
     """Greedy extraction of concentration atoms from an energy measure.
 
     Repeatedly picks the cell whose ball of ``radius`` holds the most energy
     mass, records the ball masses of both measures, zeroes the ball and
     excludes centers within ``radius`` of chosen atoms, stopping when the
     best ball holds no positive mass or less than ``threshold * total``, or
-    ``max_atoms`` were found.  The ball sums are one linear convolution of
+    DEFAULT_ATOM_CAP were found.  The ball sums are one linear convolution of
     the whole box with the ball; zeroing a ball moves them only within
     2 reach of its center (the reach of ``_ball_sample``), so after each
     atom that box is convolved again from the input within 3 reach.  Lest
@@ -165,7 +165,7 @@ def atom_detect(m, nu, radius, threshold, max_atoms=DEFAULT_ATOM_CAP):
     total = m.total
     sums = _convolve(sample, (work_mu,))[0]
     entries = []
-    for _ in range(max_atoms):
+    for _ in range(DEFAULT_ATOM_CAP):
         best = float(sums.max())
         idx = np.unravel_index(int(np.argmax(sums >= best - _TIE_TOL * total)), grid.shape)
         point = tuple(slice(i, i + 1) for i in idx)

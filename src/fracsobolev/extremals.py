@@ -63,8 +63,8 @@ class BubbleSpec:
     def __post_init__(self):
         if self.amplitude == 0:
             raise InvalidOrder("bubble amplitude must be nonzero")
-        if not self.scale > 0:
-            raise InvalidOrder(f"bubble scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise InvalidOrder(f"bubble scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
         if len(self.center) != self.pack.dim:
             raise InvalidOrder(f"center has {len(self.center)} components for dim {self.pack.dim}")
@@ -159,12 +159,12 @@ def _sample_bubble(grid, amplitude, scale, center, decay_power, window=None):
     return amplitude / (scale * scale + r2) ** decay_power
 
 
-def talenti_bubble(spec, grid, normalize=False, tail_threshold=DEFAULT_TAIL_THRESHOLD):
+def talenti_bubble(spec, grid, normalize=False):
     """Sample the extremal profile at cell centers.
 
     With ``normalize`` the amplitude is rescaled so the discrete homogeneous
     norm is exactly one.  Raises TailTooFat when the boundary-layer value
-    exceeds ``tail_threshold`` times the peak (box too small for the scale).
+    exceeds DEFAULT_TAIL_THRESHOLD times the peak (box too small for the scale).
     """
     vals = _sample_bubble(grid, spec.amplitude, spec.scale, spec.center, spec.decay_power)
     peak = float(np.max(np.abs(vals)))
@@ -174,10 +174,9 @@ def talenti_bubble(spec, grid, normalize=False, tail_threshold=DEFAULT_TAIL_THRE
         for idx in (0, -1):
             sl[ax] = idx
             boundary = max(boundary, float(np.max(np.abs(vals[tuple(sl)]))))
-    if boundary > tail_threshold * peak:
-        raise TailTooFat(
-            f"boundary tail {boundary / peak:.3f} of peak exceeds threshold {tail_threshold}"
-        )
+    if boundary > DEFAULT_TAIL_THRESHOLD * peak:
+        raise TailTooFat(f"boundary tail {boundary / peak:.3f} of peak exceeds threshold "
+                         f"{DEFAULT_TAIL_THRESHOLD}")
     u = Field(grid=grid, values=vals)
     if normalize:
         u = Field(grid=grid, values=vals / np.sqrt(hs_dot_norm_sq(u, spec.pack.s)))

@@ -28,8 +28,7 @@ expansion phase of a bracketing line search (Nocedal & Wright, Numerical
 Optimization, Alg. 3.5): x = g_k + t d for t = 1, 2, 4, ..., normalized onto
 the sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008), is taken while F_eps(x) strictly rises; A d = A g_k - A u_k
-costs no transform.  The deep sweep (1-D M = 2^14, s = 0.25, eps = 0.8 ...
-0.05) went from 222 to 93 outer and from 976 to 442 CG iterations.
+costs no transform.
 
 Every array of a solve covers only the domain's window, the bounding box of
 its cells, W per axis.  There each operator, the periodic kernel of
@@ -66,6 +65,8 @@ __all__ = [
     "TAIL_MARGIN_FRACTION",
     "INITIAL_PERTURBATION",
     "ANDERSON_DEPTH",
+    "CG_TOL",
+    "CG_MAX_ITERS",
 ]
 
 MASS_RADIUS_FRACTIONS = (0.2, 0.4)
@@ -74,6 +75,9 @@ TAIL_MARGIN_FRACTION = 0.5
 INITIAL_PERTURBATION = 0.01
 # residual differences in the Anderson least-squares fit
 ANDERSON_DEPTH = 3
+# relative residual every inner CG solve must reach, and the iterations it may take
+CG_TOL = 1e-9
+CG_MAX_ITERS = 2000
 # a difference whose Gram-Schmidt remainder keeps less than this share of its
 # norm is dropped from the fit as dependent on the newer ones
 _DEPENDENT_TOL = 1e-10
@@ -86,22 +90,15 @@ class SolverConfig:
     seed: int = 0
     eps_schedule: tuple = (0.8, 0.4, 0.2, 0.1)
     warm_start: bool = True
-    cg_tol: float = 1e-9
-    cg_max_iters: int = 2000
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidOrder(f"max_iters must be >= 1, got {self.max_iters}", param="max_iters")
-        if not self.tol > 0:
-            raise InvalidOrder(f"tol must be positive, got {self.tol}", param="tol")
+        if not 0 < self.tol < math.inf:
+            raise InvalidOrder(f"tol must be positive and finite, got {self.tol}", param="tol")
         sched = tuple(float(e) for e in self.eps_schedule)
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise InvalidOrder("eps_schedule must be strictly decreasing", param="eps_schedule")
-        if not self.cg_tol > 0:
-            raise InvalidOrder(f"cg_tol must be positive, got {self.cg_tol}", param="cg_tol")
-        if self.cg_max_iters < 1:
-            raise InvalidOrder(f"cg_max_iters must be >= 1, got {self.cg_max_iters}",
-                               param="cg_max_iters")
         object.__setattr__(self, "eps_schedule", sched)
 
 
@@ -283,6 +280,17 @@ def _lstsq_weights(target, columns):
     return gamma
 
 
+def _to_sphere(x, Ax, h_vol):
+    """Scale ``x`` and its image ``Ax`` in place to <x, A x> = 1 and return
+    them; None when <x, A x> is not positive."""
+    x_sq = float(np.dot(x.ravel(), Ax.ravel())) * h_vol
+    if not x_sq > 0.0:
+        return None
+    x /= math.sqrt(x_sq)
+    Ax /= math.sqrt(x_sq)
+    return x, Ax
+
+
 def _anderson_candidate(history, h_vol):
     """x = g_k - dG gamma and A x = A g_k - dAG gamma from the history of
     (g_i, A g_i, f_i) triples, oldest first, with gamma the least-squares
@@ -299,12 +307,7 @@ def _anderson_candidate(history, h_vol):
     for c, (a, b) in zip(gamma, pairs):
         x -= c * (b[0] - a[0])
         Ax -= c * (b[1] - a[1])
-    x_sq = float(np.dot(x.ravel(), Ax.ravel())) * h_vol
-    if not x_sq > 0.0:
-        return None
-    x /= math.sqrt(x_sq)
-    Ax /= math.sqrt(x_sq)
-    return x, Ax
+    return _to_sphere(x, Ax, h_vol)
 
 
 def _extend_step(newest, Au, F_g, f_eps, h_vol):
@@ -316,16 +319,13 @@ def _extend_step(newest, Au, F_g, f_eps, h_vol):
     Ad = Ag - Au
     best, taken, t = (g, Ag, F_g), 0, 1.0
     while True:
-        x, Ax = g + t * d, Ag + t * Ad
-        x_sq = float(np.dot(x.ravel(), Ax.ravel())) * h_vol
-        if not x_sq > 0.0:
+        step = _to_sphere(g + t * d, Ag + t * Ad, h_vol)
+        if step is None:
             break
-        x /= math.sqrt(x_sq)
-        Ax /= math.sqrt(x_sq)
-        F_x = f_eps(x)
+        F_x = f_eps(step[0])
         if not F_x > best[2]:
             break
-        best, taken, t = (x, Ax, F_x), taken + 1, 2.0 * t
+        best, taken, t = step + (F_x,), taken + 1, 2.0 * t
     return best + (taken,)
 
 
@@ -336,7 +336,7 @@ def solve(pack, mask, config, init=None):
     without the relative F_eps change dropping below tol.  Raises
     InvalidGrid if ``init`` lies on another grid than ``mask``,
     DegenerateInput if the iteration collapses to numerical zero and
-    InnerSolveFailed if an inner CG solve misses cg_tol.
+    InnerSolveFailed if an inner CG solve misses CG_TOL within CG_MAX_ITERS.
     """
     grid = mask.grid
     if init is not None and init.grid != grid:
@@ -354,18 +354,12 @@ def solve(pack, mask, config, init=None):
     apply_op, precond = _inner_ops(grid, inside, pack.s)
     work = np.empty((4,) + inside.shape)
 
-    def energy(v, Av):
-        return float(np.dot(v.ravel(), Av.ravel())) * h_vol
-
     def f_eps(v):
         return float(np.sum(np.abs(v[inside]) ** pexp)) * h_vol
 
     Au = apply_op(u, np.empty(inside.shape))
-    nrm_sq = energy(u, Au)
-    if not nrm_sq > 0.0:
+    if _to_sphere(u, Au, h_vol) is None:
         raise DegenerateInput("initial field has zero homogeneous norm")
-    u /= math.sqrt(nrm_sq)
-    Au /= math.sqrt(nrm_sq)
 
     F_old = f_eps(u)
     trace = [F_old]
@@ -383,10 +377,10 @@ def solve(pack, mask, config, init=None):
         rhs[inside] = np.abs(u_in) ** q * u_in
         np.multiply(u, w_norm, out=w)
         np.multiply(Au, w_norm, out=Aw)
-        k, res = _cg(apply_op, precond, rhs, w, Aw, config.cg_tol, config.cg_max_iters, work)
+        k, res = _cg(apply_op, precond, rhs, w, Aw, CG_TOL, CG_MAX_ITERS, work)
         cg_iters.append(k)
         cg_residuals.append(res)
-        w_sq = energy(w, Aw)
+        w_sq = float(np.dot(w.ravel(), Aw.ravel())) * h_vol
         if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
         w_norm = math.sqrt(w_sq)

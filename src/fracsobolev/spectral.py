@@ -38,6 +38,7 @@ embedding.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,19 +191,23 @@ class SpectralField:
     coeffs: np.ndarray
 
 
-def make_grid(dim, points_per_dim, half_width, max_points=DEFAULT_MAX_POINTS):
-    """Build a Grid; raises InvalidGrid on bad parameters or memory-cap breach."""
+def make_grid(dim, points_per_dim, half_width):
+    """Build a Grid; raises InvalidGrid on bad parameters, a cell volume
+    (2L/M)^N that is not positive and finite, or more than DEFAULT_MAX_POINTS
+    points."""
     if dim < 1:
         raise InvalidGrid(f"dim must be >= 1, got {dim}", param="dim")
     M = int(points_per_dim)
     if M < 4 or (M & (M - 1)) != 0:
         raise InvalidGrid(f"points_per_dim must be a power of two >= 4, got {points_per_dim}",
                           param="points_per_dim")
-    if not half_width > 0:
-        raise InvalidGrid(f"half_width must be positive, got {half_width}", param="half_width")
-    if M ** dim > max_points:
-        raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {max_points}",
+    if M ** dim > DEFAULT_MAX_POINTS:
+        raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {DEFAULT_MAX_POINTS}",
                           param="max_points")
+    # after the cap, dim is small; a product, unlike **, overflows to inf
+    if not 0 < math.prod([2.0 * half_width / M] * int(dim)) < math.inf:
+        raise InvalidGrid(f"half_width {half_width} gives no positive finite cell volume "
+                          f"(2L/M)^N", param="half_width")
     return Grid(dim=int(dim), points_per_dim=M, half_width=float(half_width))
 
 
@@ -367,14 +372,13 @@ def field_to_bytes(u, extra_header=None):
     return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
 
 
-def field_from_bytes(blob, max_points=DEFAULT_MAX_POINTS):
+def field_from_bytes(blob):
     """Parse the dump format back into a Field; raises InvalidGrid on a
     malformed header line or a payload that is not exactly 8 M^N bytes."""
     head, newline, payload = blob.partition(b"\n")
     try:
         header = json.loads(head)
-        grid = make_grid(header["dim"], header["points_per_dim"], header["half_width"],
-                         max_points=max_points)
+        grid = make_grid(header["dim"], header["points_per_dim"], header["half_width"])
     except (ValueError, TypeError, KeyError) as exc:
         raise InvalidGrid(f"malformed field dump header: {exc!r}")
     if not newline or len(payload) != 8 * grid.total_points:

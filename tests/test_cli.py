@@ -66,9 +66,13 @@ class TestParseConfig:
         ("N", "0", "N"),
         ("M", "3", "M"),
         ("L", "-1", "L"),
+        ("L", "inf", "L"),
+        ("L", "1e308", "L"),
         ("s", "0.5", "s"),
         ("eps-schedule", "0.4,0.8", "eps-schedule"),
         ("tol", "0", "tol"),
+        ("tol", "inf", "tol"),
+        ("lam", "inf", "lam"),
         ("max-iters", "0", "max-iters"),
         ("max-iters", "-3", "max-iters"),
     ])

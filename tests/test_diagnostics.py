@@ -317,13 +317,16 @@ class TestWindowsMatchWholeBox:
         (2, 64, 2.0, [(-0.8, 0.3), (1.95, -1.9), (0.5, 0.6), (0.5, 0.1)], 0.25),
         (2, 128, 2.0, [(-1.97, 1.97), (0.0, 0.0), (0.9, -0.4)], 5 * 4.0 / 128),
     ])
-    def test_atom_detect(self, rng, dim, M, L, centers, radius):
+    def test_atom_detect(self, monkeypatch, rng, dim, M, L, centers, radius):
+        import fracsobolev.diagnostics as diagnostics_mod
         g = make_grid(dim, M, L)
         mu, nu = _bump_measures(g, centers, rng)
         for threshold, cap in ((0.02, 16), (0.02, 2), (0.3, 16)):
-            found = atom_detect(mu, nu, radius=radius, threshold=threshold, max_atoms=cap)
+            monkeypatch.setattr(diagnostics_mod, "DEFAULT_ATOM_CAP", cap)
+            found = atom_detect(mu, nu, radius=radius, threshold=threshold)
             assert found == atom_detect_full(mu, nu, radius, threshold, cap)
             assert len(found) >= 1
+        monkeypatch.undo()
         assert len(atom_detect(mu, nu, radius=radius, threshold=0.02)) >= len(centers) - 1
 
     def test_atom_detect_glued_bubbles(self):
@@ -532,13 +535,15 @@ class TestAtomDetectDeterminism:
         assert abs(first - grid1d.axis[50]) <= 0.2
         assert found.entries[1].location[0] == pytest.approx(grid1d.axis[400], abs=0.2)
 
-    def test_atom_cap(self, grid1d):
+    def test_atom_cap(self, grid1d, monkeypatch):
+        import fracsobolev.diagnostics as diagnostics_mod
         from fracsobolev.diagnostics import CellMeasure
         masses = np.zeros(grid1d.shape)
         for idx in (60, 200, 350):
             masses[idx] = 1.0
         m = CellMeasure(grid=grid1d, masses=masses)
-        found = atom_detect(m, m, radius=0.2, threshold=0.05, max_atoms=2)
+        monkeypatch.setattr(diagnostics_mod, "DEFAULT_ATOM_CAP", 2)
+        found = atom_detect(m, m, radius=0.2, threshold=0.05)
         assert len(found) == 2
 
     def test_atom_list_json(self, grid1d):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracsobolev import extremals
 from fracsobolev import (AtomSpec, BubbleSpec, CutoffSpec, DomainMask,
                          BudgetExceeded, ExponentPack, Field, InvalidMask,
                          InvalidOrder, OverlappingAtoms, TailTooFat,
@@ -62,11 +63,13 @@ class TestTalentiBubble:
         want = 2.0 / 0.5 ** (1 - 2 * 0.25)
         assert float(np.max(u.values)) == pytest.approx(want, rel=1e-12)
 
-    def test_far_field_decay_slope(self):
+    def test_far_field_decay_slope(self, monkeypatch):
         g = make_grid(1, 4096, 64.0)
         pack = ExponentPack(dim=1, s=0.25)
         spec = BubbleSpec(amplitude=1.0, scale=0.5, center=(0.0,), pack=pack)
-        u = talenti_bubble(spec, g, tail_threshold=1.0)
+        # the slope is fitted out to the box edge, so no tail is too fat
+        monkeypatch.setattr(extremals, "DEFAULT_TAIL_THRESHOLD", 1.0)
+        u = talenti_bubble(spec, g)
         x = g.axis
         sel = (x > 2 * g.half_width / 3) & (x < g.half_width)
         slope = np.polyfit(np.log(x[sel]), np.log(u.values[sel]), 1)[0]
@@ -84,6 +87,11 @@ class TestTalentiBubble:
         spec = BubbleSpec(amplitude=1.0, scale=2.0, center=(0.0,), pack=pack)
         with pytest.raises(TailTooFat):
             talenti_bubble(spec, g)
+
+    def test_rejects_infinite_scale(self):
+        pack = ExponentPack(dim=1, s=0.25)
+        with pytest.raises(InvalidOrder, match="finite"):
+            BubbleSpec(amplitude=1.0, scale=float("inf"), center=(0.0,), pack=pack)
 
 
 class TestRescaledBubble:
@@ -134,7 +142,9 @@ class TestLocalizedBubble:
         g = make_grid(1, 2 ** Mexp, L)
         pack = ExponentPack(dim=1, s=s)
         base = BubbleSpec(amplitude=1.0, scale=lam, center=(0.0,), pack=pack)
-        unit = talenti_bubble(base, g, normalize=True, tail_threshold=1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremals, "DEFAULT_TAIL_THRESHOLD", 1.0)
+            unit = talenti_bubble(base, g, normalize=True)
         c = float(np.max(unit.values) * lam ** (2 * base.decay_power))
         spec = BubbleSpec(amplitude=c, scale=lam, center=(0.0,), pack=pack)
         cut = CutoffSpec(center=(0.0,), inner_radius=rho)

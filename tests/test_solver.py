@@ -7,7 +7,7 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
                          el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
-from fracsobolev.solver import default_initial_field
+from fracsobolev.solver import CG_TOL, default_initial_field
 
 from oracles import full_box_ops, gradient_ascent_oracle, plain_inverse_iteration
 
@@ -37,7 +37,7 @@ class TestSolverConfig:
             SolverConfig(tol=0.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("max_iters", 0), ("max_iters", -3), ("cg_max_iters", 0), ("cg_tol", 0.0),
+        ("max_iters", 0), ("max_iters", -3),
     ])
     def test_rejects_bad_iteration_limits(self, field, value):
         with pytest.raises(InvalidOrder) as err:
@@ -126,10 +126,13 @@ class TestSolve:
         assert not result.converged
         assert result.iters == 3
 
-    def test_inner_solve_failure_raises(self, ctx):
+    def test_inner_solve_failure_raises(self, ctx, monkeypatch):
+        import fracsobolev.solver as solver_mod
         g, mask = ctx
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)
-        cfg = SolverConfig(eps_schedule=(0.8,), cg_max_iters=1, cg_tol=1e-14)
+        cfg = SolverConfig(eps_schedule=(0.8,))
+        monkeypatch.setattr(solver_mod, "CG_MAX_ITERS", 1)
+        monkeypatch.setattr(solver_mod, "CG_TOL", 1e-14)
         with pytest.raises(InnerSolveFailed) as err:
             solve(pack, mask, cfg)
         assert "after 1 iterations" in str(err.value)
@@ -143,7 +146,7 @@ class TestAnderson:
         _, result = solved
         assert len(result.cg_iters) == len(result.cg_residuals) == result.iters
         assert len(result.accelerated) == result.iters
-        assert max(result.cg_residuals) <= SolverConfig().cg_tol
+        assert max(result.cg_residuals) <= CG_TOL
         # the first step has no history to extrapolate from
         assert not result.accelerated[0] and any(result.accelerated)
 
@@ -276,7 +279,7 @@ class TestPreconditionedCG:
         u = default_initial_field(mask).values[window]
         rhs = np.abs(u) ** (pack.subcritical_exponent - 2.0) * u
         op, pre = _inner_ops(grid, mask.inside[window], s)
-        tol = SolverConfig().cg_tol
+        tol = CG_TOL
         x, Ax = np.zeros(u.shape), np.zeros(u.shape)
         iters, rel = _cg(op, pre, rhs, x, Ax, tol, 2000, np.empty((4,) + u.shape))
         res = rhs - op(x, np.empty(u.shape))
@@ -420,7 +423,8 @@ class TestWindow:
 
         for mod in (spectral_mod, solver_mod):
             monkeypatch.setattr(mod, "_transform_pair", counting)
-        result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,), cg_tol=cg_tol))
+        monkeypatch.setattr(solver_mod, "CG_TOL", cg_tol)
+        result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
         assert len(result.cg_iters) == result.iters
         # the loose tolerance leaves some outer iterations with no CG step
         assert (0 in result.cg_iters) == (cg_tol > 1e-9)

@@ -35,9 +35,18 @@ class TestMakeGrid:
         with pytest.raises(InvalidGrid):
             make_grid(0, 8, 1.0)
 
-    def test_memory_cap(self):
+    @pytest.mark.parametrize("L", [1e200, 1e-200])
+    def test_rejects_non_finite_cell_volume(self, L):
+        # a finite positive spacing whose square over- or underflows
+        with pytest.raises(InvalidGrid) as err:
+            make_grid(2, 512, L)
+        assert err.value.param == "half_width"
+
+    def test_memory_cap(self, monkeypatch):
+        import fracsobolev.spectral as spectral_mod
+        monkeypatch.setattr(spectral_mod, "DEFAULT_MAX_POINTS", 2 ** 20)
         with pytest.raises(InvalidGrid):
-            make_grid(3, 1024, 1.0, max_points=2 ** 20)
+            make_grid(3, 1024, 1.0)
 
     @pytest.mark.parametrize("dim,M", [(1, 2 ** 13), (2, 128), (2, 512)])
     def test_radii_match_dense_coordinates(self, dim, M, rng):

@@ -192,9 +192,9 @@ class SpectralField:
 
 
 def make_grid(dim, points_per_dim, half_width):
-    """Build a Grid; raises InvalidGrid on bad parameters, a cell volume
-    (2L/M)^N that is not positive and finite, or more than DEFAULT_MAX_POINTS
-    points."""
+    """Build a Grid; raises InvalidGrid on bad parameters, a spacing 2L/M
+    that is not positive, a cell volume (2L/M)^N that is not positive and
+    finite, or more than DEFAULT_MAX_POINTS points."""
     if dim < 1:
         raise InvalidGrid(f"dim must be >= 1, got {dim}", param="dim")
     M = int(points_per_dim)
@@ -205,9 +205,10 @@ def make_grid(dim, points_per_dim, half_width):
         raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {DEFAULT_MAX_POINTS}",
                           param="max_points")
     # after the cap, dim is small; a product, unlike **, overflows to inf
-    if not 0 < math.prod([2.0 * half_width / M] * int(dim)) < math.inf:
-        raise InvalidGrid(f"half_width {half_width} gives no positive finite cell volume "
-                          f"(2L/M)^N", param="half_width")
+    h = 2.0 * half_width / M
+    if not (0 < h and 0 < math.prod([h] * int(dim)) < math.inf):
+        raise InvalidGrid(f"half_width {half_width} gives no positive spacing 2L/M with a "
+                          f"finite positive cell volume (2L/M)^N", param="half_width")
     return Grid(dim=int(dim), points_per_dim=M, half_width=float(half_width))
 
 

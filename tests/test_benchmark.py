@@ -8,16 +8,34 @@ module's ``__all__``, which ``Tracer.install`` reads.  The benchmark files
 are imported, never edited.
 """
 
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
 
-import spans  # noqa: E402
-import workloads  # noqa: E402
+
+def _load(name):
+    """Import ``perfbench/<name>.py`` without putting perfbench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+# workloads.py runs ``from proc import run_child``; lend it that name for the import only
+_saved_proc = sys.modules.get("proc")
+sys.modules["proc"] = _load("proc")
+try:
+    workloads = _load("workloads")
+finally:
+    if _saved_proc is None:
+        del sys.modules["proc"]
+    else:
+        sys.modules["proc"] = _saved_proc
 
 WORKLOADS = ("sweep-1d", "solve-2d", "analysis-2d", "cli-batch")
 

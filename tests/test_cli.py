@@ -81,6 +81,12 @@ class TestParseConfig:
             parse_config(["solve", f"--{flag}", value])
         assert err.value.key == key
 
+    @pytest.mark.parametrize("N", ["1", "2", "3"])
+    def test_negative_L_names_its_key_in_every_dim(self, N):
+        with pytest.raises(ConfigError) as err:
+            parse_config(["solve", "--N", N, "--M", "16", "--L", "-1"])
+        assert err.value.key == "L"
+
     @pytest.mark.parametrize("omega", [
         [1.0],
         {"kind": "interval", "bounds": 3},

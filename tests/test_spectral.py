@@ -32,6 +32,11 @@ class TestMakeGrid:
     def test_rejects_bad_half_width_and_dim(self):
         with pytest.raises(InvalidGrid):
             make_grid(1, 8, 0.0)
+        for dim in (1, 2, 3):
+            # an even power of a negative spacing is a positive volume
+            with pytest.raises(InvalidGrid) as err:
+                make_grid(dim, 8, -1.0)
+            assert err.value.param == "half_width"
         with pytest.raises(InvalidGrid):
             make_grid(0, 8, 1.0)
 
@@ -269,14 +274,16 @@ class TestDumpFormat:
         assert header["half_width"] == 8.0
 
     @pytest.mark.parametrize("damage", ["trailing_bytes", "short_payload", "no_newline",
-                                        "no_points_per_dim"])
+                                        "no_points_per_dim", "negative_half_width"])
     def test_malformed_blob_raises_invalid_grid(self, grid2d, rng, damage):
         import json
         blob = field_to_bytes(random_field(grid2d, rng))
         header, _, payload = blob.partition(b"\n")
         no_m = json.dumps({"dim": 2, "half_width": 4.0}).encode("utf-8")
+        neg_l = json.dumps({**json.loads(header), "half_width": -4.0}).encode("utf-8")
         bad = {"trailing_bytes": blob + bytes(8), "short_payload": blob[:-8],
-               "no_newline": header, "no_points_per_dim": no_m + b"\n" + payload}[damage]
+               "no_newline": header, "no_points_per_dim": no_m + b"\n" + payload,
+               "negative_half_width": neg_l + b"\n" + payload}[damage]
         with pytest.raises(InvalidGrid):
             field_from_bytes(bad)
 

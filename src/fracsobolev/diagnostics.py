@@ -4,9 +4,9 @@ tails, cutoff and commutator decay, and the limit functional bound.
 The localized probes work on the index box of their support and leave the
 rest of the box alone: ball masses on the ball's window
 (``Grid.ball_window``), the near-domain set on the domain's window grown by
-the margin, and atom detection's ball sums, after one whole-box
-convolution, on the box that each zeroed ball changes.  Each gives what its
-whole-box form gives, to the bit.
+the margin, which the mask keeps per margin, and atom detection's ball
+sums, after one whole-box convolution, on the box that each zeroed ball
+changes.  Each gives what its whole-box form gives, to the bit.
 """
 
 import json
@@ -152,7 +152,7 @@ def atom_detect(m, nu, radius, threshold):
         raise InvalidGrid(f"nu lies on the grid {nu.grid.shape} of half-width "
                           f"{nu.grid.half_width:g}, m on {grid.shape} of half-width "
                           f"{grid.half_width:g}")
-    if radius < 2.0 * grid.spacing:
+    if not radius >= 2.0 * grid.spacing:
         raise InvalidOrder(f"detection radius {radius} below two cells")
     if not (0.0 < threshold < 1.0):
         raise InvalidOrder(f"threshold must lie in (0, 1), got {threshold}")
@@ -207,12 +207,19 @@ def _near_domain(mask, margin):
     compares.  No other cell lies within the ball's reach of the domain's
     window (``DomainMask.window``), so the dilation is one linear
     convolution of the inside indicator on that window grown by the reach,
-    thresholded at 0.5.
+    thresholded at 0.5.  The mask, frozen with a read-only ``inside``,
+    keeps the set per margin, read-only, so it is built once.
     """
-    sample = _ball_sample(mask.grid, margin)
-    box = _grow(mask.window, len(sample) - 1, mask.grid.points_per_dim)
-    near = np.zeros(mask.grid.shape, dtype=bool)
-    near[box] = _convolve(sample, (mask.inside[box].astype(float),))[0] > 0.5
+    key = float(margin)
+    near = mask._near.get(key)
+    if near is None:
+        sample = _ball_sample(mask.grid, key)
+        box = _grow(mask.window, len(sample) - 1, mask.grid.points_per_dim)
+        near = np.zeros(mask.grid.shape, dtype=bool)
+        near[box] = _convolve(sample, (mask.inside[box].astype(float),))[0] > 0.5
+        near.setflags(write=False)
+        # setdefault keeps one set per margin when threads race here
+        near = mask._near.setdefault(key, near)
     return near
 
 

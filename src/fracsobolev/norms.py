@@ -4,7 +4,8 @@ The critical exponent 2* (``critical_exponent``) and the sharp constant S*
 (``sobolev_constant``) live here, beside ExponentPack, which takes its 2*
 from ``critical_exponent``; ``extremals`` and the package re-export both.
 Domain masks sample a user-supplied shape at cell centers.  The homogeneous
-norm is the plain spectral sum of |xi|^(2s)|u_hat|^2; the Gagliardo double
+norm is the plain spectral sum of |xi|^(2s)|u_hat|^2, taken on the box of
+the support when that is at most M/4 cells wide; the Gagliardo double
 integral is an off-diagonal pair sum, evaluated as zero-padded FFT
 convolutions with the kernel (``spectral.offset_convolve``), with a diagonal
 correction and (in 1-D) an exact exterior-tail term, so the
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import apply_multiplier, forward_transform, offset_convolve
+from .spectral import (_convolve, _kernel_sample, apply_multiplier, forward_transform,
+                       offset_convolve)
 
 __all__ = [
     "DomainMask",
@@ -101,6 +103,8 @@ class DomainMask:
             raise InvalidMask("domain touches the outermost cell layer of the box")
         ins.setflags(write=False)
         object.__setattr__(self, "inside", ins)
+        # near-domain sets per margin, read-only, which diagnostics._near_domain fills
+        object.__setattr__(self, "_near", {})
 
     @property
     def measure(self):
@@ -190,13 +194,51 @@ def lp_integral(u, p, mask=None):
     return float(np.sum(v ** p) * u.grid.cell_volume)
 
 
+def _narrow_support(values, width):
+    """Index slices of the bounding box of the nonzero cells of ``values``
+    when it spans at most ``width`` cells along every axis, () when no cell
+    is nonzero, else None.  One reduction reads the whole array; the other
+    axes are read on the slab that the support spans along axis 0.
+    """
+    N = values.ndim
+    hits = np.flatnonzero(values.any(axis=tuple(range(1, N))))
+    if hits.size == 0:
+        return ()
+    slab = values[hits[0]:hits[-1] + 1]
+    box = []
+    for ax in range(N):
+        if ax > 0:
+            hits = np.flatnonzero(slab.any(axis=tuple(a for a in range(N) if a != ax)))
+        if hits[-1] - hits[0] >= width:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
 def hs_dot_norm_sq(u, s):
-    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2,
-    computed as the squared L2 norm of (-Lap)^(s/2) u."""
+    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2.
+
+    A field whose support fits in a box of at most M/4 cells along every
+    axis takes <u, K * u> h^N on that box, with K the periodic kernel of
+    |xi|^(2s) (``Grid.kernel``) at the box's offsets, all below M/4, so the
+    linear convolution on the box is the periodic one.  It runs on the
+    box's padded lattice, at most about M/2 per axis, as the solver's
+    operator does.  Any other field takes the squared L2 norm of
+    (-Lap)^(s/2) u, one whole-box transform pair.  A field with no nonzero
+    cell gives 0.
+    """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
-    a = apply_multiplier(u.values, u.grid, s)
-    return float(np.sum(a * a)) * u.grid.cell_volume
+    g = u.grid
+    box = _narrow_support(u.values, g.points_per_dim // 4)
+    if box is None:
+        a = apply_multiplier(u.values, g, s)
+        return float(np.sum(a * a)) * g.cell_volume
+    if not box:
+        return 0.0
+    vals = u.values[box]
+    conv = _convolve(_kernel_sample(g, 2.0 * s, vals.shape), (vals,))[0]
+    return float(np.sum(vals * conv)) * g.cell_volume
 
 
 def hs_full_norm_sq(u, s):

@@ -34,12 +34,14 @@ Every array of a solve covers only the domain's window, the bounding box of
 its cells, W per axis.  There each operator, the periodic kernel of
 |xi|^(+-2s) at the offsets (-W, W), is Toeplitz: one real FFT pair on its
 circulant embedding, P = smooth(2W) per axis, in work arrays that the solve
-call allocates once and shares with nothing.  CG starts from ||w|| u with the
-image ||w|| A u, which on an unextended plain step are the previous w and A w,
-and keeps A w with w, which gives ||w||^2 = <w, A w>; so an outer iteration
-whose CG takes k > 0 steps runs 2k+1 pairs, extended or not: the first
-preconditioning, k operator and k-1 preconditioner applies, and one apply to
-the CG result.
+call allocates once and shares with nothing.  The kernels are the grid's
+cached ones (``Grid.kernel``), built the first time a grid meets an order
+and read by every later solve on it, as each eps of a sweep.  CG starts
+from ||w|| u with the image ||w|| A u, which on an unextended plain step are
+the previous w and A w, and keeps A w with w, which gives
+||w||^2 = <w, A w>; so an outer iteration whose CG takes k > 0 steps runs
+2k+1 pairs, extended or not: the first preconditioning, k operator and k-1
+preconditioner applies, and one apply to the CG result.
 """
 
 import math
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidGrid, InvalidOrder
 from .norms import hoelder_envelope, subcritical_value
-from .spectral import Field, _kernel_spectrum, _transform_pair, apply_multiplier, frac_power
+from .spectral import Field, _kernel_sample, _kernel_spectrum, _transform_pair, frac_power
 from . import diagnostics
 
 __all__ = [
@@ -168,19 +170,16 @@ def _inner_ops(grid, inside, s):
     ``inside`` is the domain on its window (``DomainMask.window``), and
     every array an apply takes or writes has its shape.  ``src`` must vanish
     off the inside cells, as every CG vector does, so the right-hand P is
-    the identity on it.  Each kernel is one whole-box apply to a delta,
-    cropped to the window.  Both applies write ``out`` and return it, and
-    share one half spectrum and one row buffer of the padded lattice,
-    allocated here, so an apply allocates nothing.
+    the identity on it.  Each kernel is the grid's cached one
+    (``Grid.kernel``) at the window's offsets.  Both applies write ``out``
+    and return it, and share one half spectrum and one row buffer of the
+    padded lattice, allocated here, so an apply allocates nothing.
     """
     outside = ~inside
-    delta = np.zeros(grid.shape)
-    delta[(0,) * grid.dim] = 1.0
-    crop = tuple(slice(0, n) for n in inside.shape)
     # SPD on domain-supported fields, which are never constant, so
     # annihilating the zero mode loses nothing and needs no mean check
     (P, op_spec), (_, pre_spec) = (
-        _kernel_spectrum(apply_multiplier(delta, grid, sigma)[crop], inside.shape)
+        _kernel_spectrum(_kernel_sample(grid, sigma, inside.shape), inside.shape)
         for sigma in (2.0 * s, -2.0 * s))
     rows = np.empty(inside.shape[:-1] + (P[-1],))
     spec = np.empty(op_spec.shape, dtype=complex)
@@ -426,9 +425,8 @@ def eps_sweep(pack_template, mask, config, init=None):
     concentration statistics from the energy measure and the top-octave
     resolution indicator, which flags a lattice spike but raises nothing.
     The tail is ``diagnostics.tail_energy``'s, taken from the entry's
-    measure and one near-domain set built per sweep."""
+    measure and the mask's near-domain set, the same for every eps."""
     diam = mask.diameter
-    # the same cells for every eps, so the dilation runs once per sweep
     near = diagnostics._near_domain(mask, TAIL_MARGIN_FRACTION * diam)
     entries = []
     prev = init

@@ -31,10 +31,12 @@ the same pair on a zero-padded lattice, whose kernel spectrum
 ``_convolve`` is the two together, for arrays of any shape: the whole box
 for ``offset_convolve`` (kernels of the offset distance |x_i - x_j|, as in
 the Gagliardo pair sum), the box or a window for the ball sums of
-``diagnostics``.  The solver builds kernel spectra for |xi|^sigma on a
-domain's window: there the periodic kernel, cropped to the window's
-offsets, is a Toeplitz operator, and the padded lattice is its circulant
-embedding.
+``diagnostics``.  The periodic kernel of |xi|^sigma at the offsets 0..M/2
+per axis is built once per grid and order by ``Grid.kernel`` and shared,
+read-only, as the weight is.  Cropped to a window's offsets
+(``_kernel_sample``) it is a Toeplitz operator there, and the padded
+lattice is its circulant embedding: the solver's operators on a domain's
+window, and the homogeneous norm of a field of narrow support, run so.
 """
 
 import json
@@ -82,6 +84,7 @@ class Grid:
         object.__setattr__(self, "cell_volume", self.spacing ** self.dim)
         object.__setattr__(self, "_axis", -self.half_width + self.spacing * np.arange(self.points_per_dim))
         object.__setattr__(self, "_multipliers", {})
+        object.__setattr__(self, "_kernels", {})
         self._axis.setflags(write=False)
 
     @property
@@ -116,6 +119,16 @@ class Grid:
         """|xi| on the full frequency lattice, shape (M,)*N; built on each call."""
         return self._lattice_norm(np.fft.fftfreq)
 
+    def _weight(self, sigma):
+        """|xi|^sigma on ``half_shape``, built afresh; the zero mode is 1
+        for sigma == 0 and 0 otherwise."""
+        mult = self._lattice_norm(np.fft.rfftfreq)
+        with np.errstate(divide="ignore"):
+            np.power(mult, sigma, out=mult)
+        # the zero mode, at index 0 on every axis, is the only one with |xi| == 0
+        mult[(0,) * self.dim] = 1.0 if sigma == 0 else 0.0
+        return mult
+
     def multiplier(self, sigma):
         """|xi|^sigma on the half-spectrum lattice ``half_shape``, cached
         and read-only.  The zero mode is 1 for sigma == 0 and 0 otherwise.
@@ -123,15 +136,32 @@ class Grid:
         key = float(sigma)
         mult = self._multipliers.get(key)
         if mult is None:
-            mult = self._lattice_norm(np.fft.rfftfreq)
-            with np.errstate(divide="ignore"):
-                np.power(mult, key, out=mult)
-            # the zero mode, at index 0 on every axis, is the only one with |xi| == 0
-            mult[(0,) * self.dim] = 1.0 if key == 0 else 0.0
+            mult = self._weight(key)
             mult.setflags(write=False)
             # setdefault keeps one array per order when threads race here
             mult = self._multipliers.setdefault(key, mult)
         return mult
+
+    def kernel(self, sigma):
+        """The periodic kernel of |xi|^sigma, even in each axis, at the
+        index offsets 0..M/2 per axis; cached and read-only.  It is one
+        whole-box apply to a delta, cut to those offsets, with the weight
+        of ``multiplier`` if that is cached and a transient copy if not,
+        so only the (M/2+1)^N octant stays.
+        """
+        key = float(sigma)
+        kern = self._kernels.get(key)
+        if kern is None:
+            M = self.points_per_dim
+            weight = self._multipliers.get(key)
+            delta = np.zeros(self.shape)
+            delta[(0,) * self.dim] = 1.0
+            full = _transform_pair(delta, self._weight(key) if weight is None else weight, M,
+                                   np.empty(self.half_shape, dtype=complex), None)
+            kern = full[(slice(0, M // 2 + 1),) * self.dim].copy()
+            kern.setflags(write=False)
+            kern = self._kernels.setdefault(key, kern)
+        return kern
 
     def coords(self):
         """Cell-center coordinate arrays, one per axis, each shaped (M,)*N."""
@@ -141,6 +171,8 @@ class Grid:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise InvalidGrid(f"center must have {self.dim} components, got {center.shape}")
+        if not np.all(np.isfinite(center)):
+            raise InvalidGrid(f"center must be finite, got {center}")
         return center
 
     def ball_window(self, center, reach):
@@ -215,7 +247,11 @@ def make_grid(dim, points_per_dim, half_width):
 def forward_transform(u):
     """Unitary DFT of a Field, scaled so Plancherel holds against cell sums."""
     g = u.grid
-    coeffs = g.cell_volume ** 0.5 * np.fft.fftn(u.values, norm="ortho")
+    # in place on one complex copy of the values, to the bits of the
+    # out-of-place form, which holds three such arrays at its peak
+    coeffs = u.values.astype(complex)
+    np.fft.fftn(coeffs, norm="ortho", out=coeffs)
+    coeffs *= g.cell_volume ** 0.5
     return SpectralField(grid=g, coeffs=coeffs)
 
 
@@ -283,16 +319,39 @@ def _kernel_spectrum(sample, shape):
     linear convolution of arrays of ``shape``.  ``sample`` holds a kernel
     even in each axis at the offsets 0..r; an axis n long is zero-padded to
     the smallest 5-smooth P >= n + r + 1, so no periodic image enters, and
-    the sample is mirrored to the negative offsets.
+    the sample is mirrored to the negative offsets.  Only the lattice's
+    nonzero rows along axis 0 are transformed along the other axes, and the
+    mirrored rows share the spectra of theirs, and the zero rows that of
+    one zero row; the values are those of ``rfftn`` of the whole lattice.
     """
     P = tuple(_smooth_length(n + k) for n, k in zip(shape, sample.shape))
-    lattice = np.zeros(P)
+    k0, N = sample.shape[0], len(P)
+    # the lattice in 1-D; its first k0 rows along axis 0 otherwise
+    lattice = np.zeros((P[0] if N == 1 else k0,) + P[1:])
     lattice[tuple(slice(0, k) for k in sample.shape)] = sample
     # fftfreq order per axis: offsets 0, ..., r, then -r, ..., -1
-    for ax, (p, k) in enumerate(zip(P, sample.shape)):
+    for ax in range(0 if N == 1 else 1, N):
+        p, k = P[ax], sample.shape[ax]
         lead = (slice(None),) * ax
         lattice[lead + (slice(p - k + 1, p),)] = lattice[lead + (slice(k - 1, 0, -1),)]
-    return P, np.fft.rfftn(lattice)
+    if N == 1:
+        return P, np.fft.rfft(lattice)
+    rows = np.fft.rfftn(lattice, axes=tuple(range(1, N)))
+    spec = np.empty(P[:-1] + rows.shape[-1:], dtype=complex)
+    spec[:k0] = rows
+    # a zero row's spectrum, signed zeros and all
+    spec[k0:P[0] - k0 + 1] = np.fft.rfftn(np.zeros(P[1:]))
+    spec[P[0] - k0 + 1:] = rows[k0 - 1:0:-1]
+    return P, np.fft.fft(spec, axis=0, out=spec)
+
+
+def _kernel_sample(grid, sigma, shape):
+    """``grid.kernel(sigma)`` at the offsets 0..n-1 of each axis n long of
+    ``shape``.  An offset d past M/2 reads the kernel at M - d, its value
+    by periodicity and evenness.
+    """
+    M = grid.points_per_dim
+    return grid.kernel(sigma)[np.ix_(*(np.minimum(d, M - d) for d in map(np.arange, shape)))]
 
 
 def _convolve(sample, arrays):

@@ -87,6 +87,12 @@ class TestMassInBall:
         assert mass_in_ball(m, (float(grid1d.axis[100]),), r_small) == pytest.approx(
             4.0 * grid1d.cell_volume)
 
+    @pytest.mark.parametrize("center", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_non_finite_center(self, grid2d, rng, center):
+        m = energy_density(Field(grid=grid2d, values=rng.standard_normal(grid2d.shape)), 0.5)
+        with pytest.raises(InvalidGrid):
+            mass_in_ball(m, center, 0.5)
+
     def test_bubble_family_mass_increases(self, loc_bubble_family):
         g, pack, cut, fields = loc_bubble_family
         vals = []
@@ -192,6 +198,11 @@ class TestAtomDetect:
             atom_detect(mu, mu, radius=0.5 * grid1d.spacing, threshold=0.1)
         with pytest.raises(InvalidOrder):
             atom_detect(mu, mu, radius=1.0, threshold=1.5)
+
+    def test_rejects_nan_radius(self, grid1d, rng):
+        mu = energy_density(Field(grid=grid1d, values=rng.standard_normal(grid1d.shape)), 0.25)
+        with pytest.raises(InvalidOrder):
+            atom_detect(mu, mu, radius=float("nan"), threshold=0.1)
 
 
 class TestTailEnergy:
@@ -386,6 +397,16 @@ class TestWindowsMatchWholeBox:
         mask = DomainMask.from_shape(make_grid(dim, M, L), shape)
         margin = fraction * mask.diameter
         assert np.array_equal(_near_domain(mask, margin), near_domain_full(mask, margin))
+
+    def test_near_domain_cached_per_margin(self):
+        mask = DomainMask.from_shape(make_grid(2, 128, 4.0), _TRIANGLE)
+        margins = (0.25 * mask.diameter, 0.5 * mask.diameter)
+        sets = [_near_domain(mask, m) for m in margins]
+        for near, margin in zip(sets, margins):
+            assert _near_domain(mask, margin) is near
+            assert not near.flags.writeable
+            assert np.array_equal(near, near_domain_full(mask, margin))
+        assert not np.array_equal(*sets)
 
 
 class TestWholeBoxWork:

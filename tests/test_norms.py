@@ -7,11 +7,13 @@ import pytest
 
 from fracsobolev import (ConstraintViolated, DegenerateInput, DomainMask,
                          ExponentPack, Field, InvalidMask, InvalidOrder,
-                         UnsupportedOrder, cutoff_profile,
+                         UnsupportedOrder, apply_multiplier, cutoff_profile,
                          gagliardo_seminorm_sq, hoelder_envelope,
                          hs_dot_norm_sq, hs_full_norm_sq, lp_integral,
                          make_grid, sobolev_constant, sobolev_quotient,
                          subcritical_value)
+
+from fracsobolev.norms import _narrow_support
 
 from conftest import random_field
 from oracles import gagliardo_seminorm_sq_dense, gaussian_hs_norm_sq_quadrature
@@ -132,6 +134,62 @@ class TestHsNorms:
         g = frac_power(u, 0.25)
         l2 = float(np.sum(g.values ** 2) * grid1d.cell_volume)
         assert hs_dot_norm_sq(u, 0.25) == pytest.approx(l2, rel=1e-10)
+
+
+def _whole_box_norm_sq(u, s):
+    """The whole-box form of hs_dot_norm_sq: ||(-Lap)^(s/2) u||^2."""
+    a = apply_multiplier(u.values, u.grid, s)
+    return float(np.sum(a * a)) * u.grid.cell_volume
+
+
+class TestHsWindow:
+    """hs_dot_norm_sq on the box of a support at most M/4 cells wide."""
+
+    @pytest.mark.parametrize("dim,M,starts,widths", [
+        (1, 2 ** 13, (3000,), (2048,)),
+        (1, 256, (0,), (64,)),
+        (1, 256, (192,), (64,)),
+        (2, 128, (40, 70), (32, 11)),
+        # touching the lower edge on one axis and the upper on the other
+        (2, 128, (0, 100), (20, 28)),
+        (3, 32, (5, 0, 24), (8, 3, 8)),
+    ])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_matches_the_whole_box_sum(self, rng, dim, M, starts, widths, s):
+        g = make_grid(dim, M, 4.0)
+        vals = np.zeros(g.shape)
+        box = tuple(slice(a, a + w) for a, w in zip(starts, widths))
+        vals[box] = rng.standard_normal(widths)
+        assert _narrow_support(vals, M // 4) == box
+        u = Field(grid=g, values=vals)
+        ref = _whole_box_norm_sq(u, s)
+        assert abs(hs_dot_norm_sq(u, s) - ref) <= 1e-13 * ref
+
+    def test_one_cell_too_wide_falls_back(self, rng):
+        g = make_grid(2, 64, 4.0)
+        vals = np.zeros(g.shape)
+        vals[10:27, 5:9] = rng.standard_normal((17, 4))
+        u = Field(grid=g, values=vals)
+        assert _narrow_support(vals, 16) is None
+        assert hs_dot_norm_sq(u, 0.5) == _whole_box_norm_sq(u, 0.5)
+
+    def test_wrapped_support_falls_back(self, rng):
+        # narrow across the periodic seam, wide as an index box
+        g = make_grid(1, 256, 4.0)
+        vals = np.zeros(g.shape)
+        vals[:3] = rng.standard_normal(3)
+        vals[-3:] = rng.standard_normal(3)
+        u = Field(grid=g, values=vals)
+        assert _narrow_support(vals, 64) is None
+        assert hs_dot_norm_sq(u, 0.25) == _whole_box_norm_sq(u, 0.25)
+
+    def test_zero_field(self, grid2d):
+        assert _narrow_support(np.zeros(grid2d.shape), 16) == ()
+        assert hs_dot_norm_sq(Field(grid=grid2d, values=np.zeros(grid2d.shape)), 0.5) == 0.0
+
+    def test_dense_field_keeps_the_whole_box_bits(self, grid2d, rng):
+        u = random_field(grid2d, rng)
+        assert hs_dot_norm_sq(u, 0.5) == _whole_box_norm_sq(u, 0.5)
 
 
 def _band_limited_compact(grid, rng, half):

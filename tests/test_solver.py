@@ -5,7 +5,7 @@ import pytest
 
 from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
-                         el_residual, eps_sweep, hoelder_envelope,
+                         apply_multiplier, el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
 from fracsobolev.solver import CG_TOL, default_initial_field
 
@@ -243,8 +243,9 @@ class TestExtendedStep:
                     assert i > 0 and not r.accelerated[i] and not r.accelerated[i - 1]
 
     def test_runs_no_transform(self, drift, monkeypatch):
-        # the pair count of a solve where the extension fires is still two
-        # kernel builds, the start's image and 2k+1 per outer iteration
+        # the pair count of a solve where the extension fires is still the
+        # start's image and 2k+1 per outer iteration; the drift sweep has
+        # already built the grid's kernels
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask, entries = drift
@@ -263,7 +264,7 @@ class TestExtendedStep:
         loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
         W = mask.window[-1].stop - mask.window[-1].start
         P = spectral_mod._smooth_length(2 * W)
-        assert lengths == [mask.grid.points_per_dim] * 2 + [P] * loop
+        assert lengths == [P] * loop
 
 
 class TestPreconditionedCG:
@@ -403,14 +404,44 @@ class TestWindow:
             ref = full(box, np.empty(g.shape))[window]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_window_wider_than_half_the_box(self, rng):
+        # W = 57 cells of M = 64: offsets past M/2 read the kernel at M - d
+        from fracsobolev.solver import _inner_ops
+        from fracsobolev.spectral import _convolve
+        g = make_grid(1, 64, 1.0)
+        mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-0.9, 0.9]})
+        inside = mask.inside[mask.window]
+        W = inside.shape[0]
+        assert W > g.points_per_dim // 2 + 1
+        src = np.where(inside, rng.standard_normal(inside.shape), 0.0)
+        delta = np.zeros(g.shape)
+        delta[0] = 1.0
+        for apply, sigma in zip(_inner_ops(g, inside, 0.25), (0.5, -0.5)):
+            got = apply(src, np.empty(inside.shape))
+            kernel = apply_multiplier(delta, g, sigma)[:W]
+            ref = np.where(inside, _convolve(kernel, (src,))[0], 0.0)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_cached_kernels_change_no_bit(self):
+        # two solves on one grid, the second on its cached kernels, give
+        # what a solve on a fresh grid gives
+        pack, mask = _domain_case("ball")
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        first, second = solve(pack, mask, cfg), solve(pack, mask, cfg)
+        _, fresh_mask = _domain_case("ball")
+        fresh = solve(pack, fresh_mask, cfg)
+        for r in (first, second):
+            assert r.maximizer.values.tobytes() == fresh.maximizer.values.tobytes()
+            assert r.trace == fresh.trace and r.cg_iters == fresh.cg_iters
+
     @pytest.mark.parametrize("kind,cg_tol", [("interval", 1e-9), ("interval", 1e-3),
                                              ("ball", 1e-9)])
     def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol):
-        # two M^N pairs build the kernels, then one pair for the start's
-        # image and 2k+1 per outer iteration whose CG takes k > 0 steps and
-        # none when the carried image already meets the tolerance; those
-        # run on the padded lattice of the window, smooth(2W) long on the
-        # last axis
+        # two M^N pairs build the kernels the first time the grid meets
+        # the order, then one pair for the start's image and 2k+1 per outer
+        # iteration whose CG takes k > 0 steps and none when the carried
+        # image already meets the tolerance; those run on the padded
+        # lattice of the window, smooth(2W) long on the last axis
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask = _domain_case(kind)
@@ -432,6 +463,11 @@ class TestWindow:
         W = mask.window[-1].stop - mask.window[-1].start
         P = spectral_mod._smooth_length(2 * W)
         assert lengths == [mask.grid.points_per_dim] * 2 + [P] * loop
+        # a second solve on the grid reads the cached kernels
+        lengths.clear()
+        again = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
+        assert again.cg_iters == result.cg_iters
+        assert lengths == [P] * loop
 
 
 class TestElResidual:

@@ -225,6 +225,76 @@ class TestMultiplier:
         assert abs(hs_dot_norm_sq(u, s) - ref) <= 1e-13 * ref
 
 
+def _delta_image(grid, sigma):
+    """|xi|^sigma applied to the delta at index 0, on the whole box."""
+    delta = np.zeros(grid.shape)
+    delta[(0,) * grid.dim] = 1.0
+    return apply_multiplier(delta, grid, sigma)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("sigma", [0.5, -0.5, 1.5])
+    def test_is_the_delta_image_on_the_octant(self, dim, M, sigma):
+        g = make_grid(dim, M, 2.0)
+        kern = g.kernel(sigma)
+        assert kern.shape == (M // 2 + 1,) * dim
+        assert np.array_equal(kern, _delta_image(g, sigma)[(slice(0, M // 2 + 1),) * dim])
+
+    def test_cached_and_read_only(self, grid2d):
+        kern = grid2d.kernel(0.5)
+        assert grid2d.kernel(0.5) is kern
+        assert not kern.flags.writeable
+        with pytest.raises(ValueError):
+            kern[0, 0] = 0.0
+
+    def test_keeps_no_multiplier(self):
+        # only the octant stays: the weight it was built from is transient
+        g = make_grid(2, 32, 2.0)
+        g.kernel(0.7)
+        assert 0.7 not in g._multipliers
+
+    def test_wide_window_sample_reads_the_mirror(self):
+        # offsets past M/2 read the kernel at M - d, within rounding of the
+        # delta image at d itself
+        from fracsobolev.spectral import _kernel_sample
+        g = make_grid(1, 64, 1.0)
+        ref = _delta_image(g, 0.5)[:60]
+        got = _kernel_sample(g, 0.5, (60,))
+        assert np.array_equal(got[:33], ref[:33])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _padded_lattice_spectrum(sample, shape):
+    """rfftn of the whole padded lattice that ``_kernel_spectrum`` describes."""
+    from fracsobolev.spectral import _smooth_length
+    P = tuple(_smooth_length(n + k) for n, k in zip(shape, sample.shape))
+    lattice = np.zeros(P)
+    lattice[tuple(slice(0, k) for k in sample.shape)] = sample
+    for ax, (p, k) in enumerate(zip(P, sample.shape)):
+        lead = (slice(None),) * ax
+        lattice[lead + (slice(p - k + 1, p),)] = lattice[lead + (slice(k - 1, 0, -1),)]
+    return P, np.fft.rfftn(lattice)
+
+
+class TestKernelSpectrum:
+    @pytest.mark.parametrize("sample_shape,shape", [
+        ((1,), (7,)), ((11,), (64,)), ((64,), (64,)),
+        ((1, 1), (20, 20)), ((11, 11), (512, 512)), ((3, 7), (10, 4)), ((64, 64), (64, 64)),
+        ((2, 2, 2), (20, 20, 20)), ((6, 2, 4), (5, 9, 3)), ((16, 16, 16), (16, 16, 16)),
+        # a reach past the arrays' length, whose mirrored rows overlap the sample's
+        ((11,), (3,)), ((9, 4), (2, 3)),
+    ])
+    def test_equals_rfftn_of_the_padded_lattice(self, rng, sample_shape, shape):
+        from fracsobolev.spectral import _kernel_spectrum
+        sample = rng.standard_normal(sample_shape)
+        P, spec = _kernel_spectrum(sample, shape)
+        P_ref, ref = _padded_lattice_spectrum(sample, shape)
+        assert P == P_ref
+        assert spec.shape == ref.shape
+        assert np.array_equal(spec, ref)
+
+
 class TestOffsetConvolve:
     def test_1d_matches_numpy_linear_convolution(self, rng):
         g = make_grid(1, 64, 2.0)

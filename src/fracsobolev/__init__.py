@@ -5,17 +5,15 @@ domains, and concentration diagnostics."""
 from .errors import (BudgetExceeded, ConfigError, ConstraintViolated,
                      DegenerateInput, FracSobolevError, InnerSolveFailed,
                      InvalidGrid, InvalidMask, InvalidOrder,
-                     NegativeOrderOnNonMeanZero, NonRealResult,
-                     OverlappingAtoms, TailTooFat, UnderResolved,
-                     UnsupportedOrder)
+                     NegativeOrderOnNonMeanZero, OverlappingAtoms, TailTooFat,
+                     UnderResolved, UnsupportedOrder)
 from .spectral import (Field, Grid, SpectralField, apply_multiplier,
                        field_from_bytes, field_to_bytes, forward_transform,
-                       frac_power, hs_inner, inverse_transform, make_grid,
-                       offset_convolve)
+                       frac_power, make_grid, offset_convolve)
 from .norms import (DomainMask, ExponentPack, critical_exponent,
                     gagliardo_seminorm_sq, hoelder_envelope, hs_dot_norm_sq,
-                    hs_full_norm_sq, lp_integral, sobolev_constant,
-                    sobolev_quotient, subcritical_value)
+                    lp_integral, sobolev_constant, sobolev_quotient,
+                    subcritical_value)
 from .extremals import (AtomSpec, BubbleSpec, CutoffSpec, cutoff_field,
                         cutoff_profile, glued_bubble_parts, glued_bubbles,
                         localized_bubble, recovery_sequence, rescaled_bubble,

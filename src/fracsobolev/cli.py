@@ -45,9 +45,9 @@ _FLAGS = {
 
 # constructor parameter named by an InvalidGrid/InvalidOrder -> config key
 _PARAM_KEYS = {
-    "dim": "N", "points_per_dim": "M", "max_points": "M", "half_width": "L",
+    "dim": "N", "points_per_dim": "M", "half_width": "L",
     "s": "s", "eps": "eps-schedule", "eps_schedule": "eps-schedule",
-    "max_iters": "max-iters", "tol": "tol",
+    "max_iters": "max-iters", "tol": "tol", "seed": "seed",
 }
 
 

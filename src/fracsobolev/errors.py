@@ -3,7 +3,6 @@
 __all__ = [
     "FracSobolevError",
     "InvalidGrid",
-    "NonRealResult",
     "NegativeOrderOnNonMeanZero",
     "InvalidMask",
     "InvalidOrder",
@@ -34,10 +33,6 @@ class FracSobolevError(Exception):
 
 class InvalidGrid(FracSobolevError):
     """Grid parameters violate the construction contract."""
-
-
-class NonRealResult(FracSobolevError):
-    """Inverse transform produced an imaginary residue above tolerance."""
 
 
 class NegativeOrderOnNonMeanZero(FracSobolevError):

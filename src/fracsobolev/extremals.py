@@ -222,8 +222,9 @@ def localized_bubble(spec, cut, eps, grid):
     Returns ``(v, pre_norm)`` where v has unit discrete homogeneous norm and
     support inside the double ball of ``cut``, and pre_norm is the norm of
     the truncated field before normalization.  The bubble and the cutoff
-    are sampled only on the double ball's window; the norm takes one
-    whole-box transform pair.
+    are sampled only on the double ball's window, and the norm
+    (``hs_dot_norm_sq``) runs on the box of the support when that is at
+    most M/4 cells wide, else as one whole-box transform pair.
     """
     box, phi = _cutoff_window(grid, cut.center, cut.inner_radius)
     vals = np.zeros(grid.shape)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import (_convolve, _kernel_sample, apply_multiplier, forward_transform,
-                       offset_convolve)
+from .spectral import _convolve, _kernel_sample, apply_multiplier, offset_convolve
 
 __all__ = [
     "DomainMask",
@@ -30,7 +29,6 @@ __all__ = [
     "sobolev_constant",
     "lp_integral",
     "hs_dot_norm_sq",
-    "hs_full_norm_sq",
     "gagliardo_seminorm_sq",
     "sobolev_quotient",
     "subcritical_value",
@@ -239,14 +237,6 @@ def hs_dot_norm_sq(u, s):
     vals = u.values[box]
     conv = _convolve(_kernel_sample(g, 2.0 * s, vals.shape), (vals,))[0]
     return float(np.sum(vals * conv)) * g.cell_volume
-
-
-def hs_full_norm_sq(u, s):
-    """Squared inhomogeneous norm: spectral sum with weight (1+|xi|^2)^s."""
-    if not s > 0:
-        raise InvalidOrder(f"s must be positive, got {s}")
-    c = forward_transform(u).coeffs
-    return float(np.sum((1.0 + u.grid.xi_norm ** 2) ** s * np.abs(c) ** 2))
 
 
 def gagliardo_seminorm_sq(u, s):

@@ -98,6 +98,8 @@ class SolverConfig:
             raise InvalidOrder(f"max_iters must be >= 1, got {self.max_iters}", param="max_iters")
         if not 0 < self.tol < math.inf:
             raise InvalidOrder(f"tol must be positive and finite, got {self.tol}", param="tol")
+        if self.seed < 0:
+            raise InvalidOrder(f"seed must be >= 0, got {self.seed}", param="seed")
         sched = tuple(float(e) for e in self.eps_schedule)
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise InvalidOrder("eps_schedule must be strictly decreasing", param="eps_schedule")

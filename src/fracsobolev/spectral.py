@@ -19,11 +19,9 @@ in place on that one spectrum.  The unnormalized pair needs no scaling,
 since the h^(N/2) factors of the unitary convention cancel.  The weight is
 built once per grid and order by ``Grid.multiplier`` and shared, read-only;
 its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
-(pseudo-inverse on mean-zero fields).  frac_power, hs_inner and the
-homogeneous norm use it.  The full-spectrum forward_transform /
-inverse_transform pair remains for callers that want the coefficients; the
-imaginary-residue check runs in inverse_transform only, which takes
-coefficients from outside.
+(pseudo-inverse on mean-zero fields).  frac_power and the homogeneous
+norm use it.  ``forward_transform`` gives the full unitary spectrum, for
+callers that want the coefficients.
 
 Linear convolutions with a kernel that is even in each axis run through
 the same pair on a zero-padded lattice, whose kernel spectrum
@@ -32,11 +30,12 @@ the same pair on a zero-padded lattice, whose kernel spectrum
 for ``offset_convolve`` (kernels of the offset distance |x_i - x_j|, as in
 the Gagliardo pair sum), the box or a window for the ball sums of
 ``diagnostics``.  The periodic kernel of |xi|^sigma at the offsets 0..M/2
-per axis is built once per grid and order by ``Grid.kernel`` and shared,
-read-only, as the weight is.  Cropped to a window's offsets
-(``_kernel_sample``) it is a Toeplitz operator there, and the padded
-lattice is its circulant embedding: the solver's operators on a domain's
-window, and the homogeneous norm of a field of narrow support, run so.
+per axis, the inverse transform of the weight, is built once per grid and
+order by ``Grid.kernel`` and shared, read-only, as the weight is.  Cropped
+to a window's offsets (``_kernel_sample``) it is a Toeplitz operator there,
+and the padded lattice is its circulant embedding: the solver's operators
+on a domain's window, and the homogeneous norm of a field of narrow
+support, run so.
 """
 
 import json
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid, NegativeOrderOnNonMeanZero, NonRealResult
+from .errors import InvalidGrid, NegativeOrderOnNonMeanZero
 
 __all__ = [
     "Grid",
@@ -53,11 +52,9 @@ __all__ = [
     "SpectralField",
     "make_grid",
     "forward_transform",
-    "inverse_transform",
     "apply_multiplier",
     "offset_convolve",
     "frac_power",
-    "hs_inner",
     "field_to_bytes",
     "field_from_bytes",
     "DEFAULT_MAX_POINTS",
@@ -65,7 +62,6 @@ __all__ = [
 
 DEFAULT_MAX_POINTS = 2 ** 24
 
-_IMAG_TOL = 1e-10
 _MEAN_TOL = 1e-10
 
 
@@ -106,23 +102,14 @@ class Grid:
         """Cell-center coordinates along one axis."""
         return self._axis
 
-    def _lattice_norm(self, last_freqs):
-        """|xi| with np.fft.fftfreq on the leading axes and ``last_freqs`` on the last."""
-        M, h = self.points_per_dim, self.spacing
-        ks = [np.fft.fftfreq(M, d=h)] * (self.dim - 1) + [last_freqs(M, d=h)]
-        mats = np.meshgrid(*(2.0 * np.pi * k for k in ks), indexing="ij", sparse=True)
-        sq = sum(m * m for m in mats)
-        return np.sqrt(sq, out=sq)
-
-    @property
-    def xi_norm(self):
-        """|xi| on the full frequency lattice, shape (M,)*N; built on each call."""
-        return self._lattice_norm(np.fft.fftfreq)
-
     def _weight(self, sigma):
         """|xi|^sigma on ``half_shape``, built afresh; the zero mode is 1
         for sigma == 0 and 0 otherwise."""
-        mult = self._lattice_norm(np.fft.rfftfreq)
+        M, h = self.points_per_dim, self.spacing
+        ks = [np.fft.fftfreq(M, d=h)] * (self.dim - 1) + [np.fft.rfftfreq(M, d=h)]
+        mats = np.meshgrid(*(2.0 * np.pi * k for k in ks), indexing="ij", sparse=True)
+        mult = sum(m * m for m in mats)
+        np.sqrt(mult, out=mult)
         with np.errstate(divide="ignore"):
             np.power(mult, sigma, out=mult)
         # the zero mode, at index 0 on every axis, is the only one with |xi| == 0
@@ -144,21 +131,15 @@ class Grid:
 
     def kernel(self, sigma):
         """The periodic kernel of |xi|^sigma, even in each axis, at the
-        index offsets 0..M/2 per axis; cached and read-only.  It is one
-        whole-box apply to a delta, cut to those offsets, with the weight
-        of ``multiplier`` if that is cached and a transient copy if not,
-        so only the (M/2+1)^N octant stays.
+        index offsets 0..M/2 per axis; cached and read-only.  It is the
+        inverse transform of a transient weight, cut to those offsets, so
+        only the (M/2+1)^N octant stays.
         """
         key = float(sigma)
         kern = self._kernels.get(key)
         if kern is None:
-            M = self.points_per_dim
-            weight = self._multipliers.get(key)
-            delta = np.zeros(self.shape)
-            delta[(0,) * self.dim] = 1.0
-            full = _transform_pair(delta, self._weight(key) if weight is None else weight, M,
-                                   np.empty(self.half_shape, dtype=complex), None)
-            kern = full[(slice(0, M // 2 + 1),) * self.dim].copy()
+            full = np.fft.irfftn(self._weight(key), s=self.shape, axes=tuple(range(self.dim)))
+            kern = full[(slice(0, self.points_per_dim // 2 + 1),) * self.dim].copy()
             kern.setflags(write=False)
             kern = self._kernels.setdefault(key, kern)
         return kern
@@ -235,7 +216,7 @@ def make_grid(dim, points_per_dim, half_width):
                           param="points_per_dim")
     if M ** dim > DEFAULT_MAX_POINTS:
         raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {DEFAULT_MAX_POINTS}",
-                          param="max_points")
+                          param="points_per_dim")
     # after the cap, dim is small; a product, unlike **, overflows to inf
     h = 2.0 * half_width / M
     if not (0 < h and 0 < math.prod([h] * int(dim)) < math.inf):
@@ -253,18 +234,6 @@ def forward_transform(u):
     np.fft.fftn(coeffs, norm="ortho", out=coeffs)
     coeffs *= g.cell_volume ** 0.5
     return SpectralField(grid=g, coeffs=coeffs)
-
-
-def inverse_transform(U):
-    """Invert forward_transform; raises NonRealResult on broken conjugate symmetry."""
-    g = U.grid
-    w = np.fft.ifftn(U.coeffs, norm="ortho") / g.cell_volume ** 0.5
-    scale = float(np.max(np.abs(w)))
-    if scale > 0 and float(np.max(np.abs(w.imag))) > _IMAG_TOL * scale:
-        raise NonRealResult(
-            f"imaginary residue {np.max(np.abs(w.imag)) / scale:.3e} exceeds {_IMAG_TOL:.0e} relative"
-        )
-    return Field(grid=g, values=w.real)
 
 
 def _transform_pair(values, weight, n, spec, out):
@@ -407,12 +376,6 @@ def frac_power(u, sigma):
                 f"zero mode {zero_amp:.3e} exceeds {_MEAN_TOL:.0e} of norm {total:.3e}"
             )
     return Field(grid=g, values=apply_multiplier(u.values, g, sigma))
-
-
-def hs_inner(u, v, s):
-    """Homogeneous H^s inner product  sum |xi|^(2s) Re(u_hat conj(v_hat))."""
-    Av = apply_multiplier(v.values, v.grid, 2.0 * s)
-    return float(np.sum(u.values * Av)) * u.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

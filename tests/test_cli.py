@@ -65,6 +65,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("flag,value,key", [
         ("N", "0", "N"),
         ("M", "3", "M"),
+        # over the grid cap, refused before anything is allocated
+        ("M", "33554432", "M"),
         ("L", "-1", "L"),
         ("L", "inf", "L"),
         ("L", "1e308", "L"),
@@ -75,6 +77,7 @@ class TestParseConfig:
         ("lam", "inf", "lam"),
         ("max-iters", "0", "max-iters"),
         ("max-iters", "-3", "max-iters"),
+        ("seed", "-1", "seed"),
     ])
     def test_bad_value_names_its_key(self, flag, value, key):
         with pytest.raises(ConfigError) as err:
@@ -119,6 +122,12 @@ class TestExitCodes:
         assert code == 2
         assert "max-iters" in capsys.readouterr().err
         assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_exit_2(self, command, tmp_path, capsys):
+        assert main([command, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "config error: seed:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_default_flags_succeed_or_name_M(self, command, tmp_path, capsys):

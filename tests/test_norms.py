@@ -9,7 +9,7 @@ from fracsobolev import (ConstraintViolated, DegenerateInput, DomainMask,
                          ExponentPack, Field, InvalidMask, InvalidOrder,
                          UnsupportedOrder, apply_multiplier, cutoff_profile,
                          gagliardo_seminorm_sq, hoelder_envelope,
-                         hs_dot_norm_sq, hs_full_norm_sq, lp_integral,
+                         hs_dot_norm_sq, lp_integral,
                          make_grid, sobolev_constant, sobolev_quotient,
                          subcritical_value)
 
@@ -107,26 +107,6 @@ class TestHsNorms:
         u = Field(grid=g, values=np.exp(-r2 / 2.0))
         oracle = gaussian_hs_norm_sq_quadrature(dim, s)
         assert hs_dot_norm_sq(u, s) == pytest.approx(oracle, rel=0.01)
-
-    def test_full_norm_constant(self, grid1d):
-        c = 1.7
-        u = Field(grid=grid1d, values=c * np.ones(grid1d.shape))
-        assert hs_full_norm_sq(u, 0.4) == pytest.approx(c * c * 2 * grid1d.half_width, rel=1e-12)
-
-    def test_full_norm_single_harmonic_at_unit_freq(self):
-        g = make_grid(1, 256, np.pi)  # xi_1 = 1 exactly
-        u = Field(grid=g, values=np.cos(g.axis))
-        l2 = float(np.sum(u.values ** 2) * g.cell_volume)
-        assert hs_full_norm_sq(u, 0.3) == pytest.approx(2 ** 0.3 * l2, rel=1e-12)
-
-    def test_modewise_dominance(self, grid1d, rng):
-        for _ in range(5):
-            u = random_field(grid1d, rng)
-            full = hs_full_norm_sq(u, 0.25)
-            dot = hs_dot_norm_sq(u, 0.25)
-            l2 = float(np.sum(u.values ** 2) * grid1d.cell_volume)
-            assert full >= dot - 1e-12 * full
-            assert full >= l2 - 1e-12 * full
 
     def test_matches_frac_power_l2(self, grid1d, rng):
         from fracsobolev import frac_power
@@ -339,14 +319,3 @@ class TestHoelderEnvelope:
         Sstar = sobolev_constant(1, 0.25)
         want = Sstar ** ((4.0 - 0.8) / 4.0) * mask.measure ** (0.8 / 4.0)
         assert hoelder_envelope(pack, mask) == pytest.approx(want, rel=1e-12)
-
-
-def test_full_weight_dominates_modewise(grid1d):
-    # (1+|xi|^2)^s >= max(1, |xi|^(2s)) at every lattice frequency
-    s = 0.25
-    xi = grid1d.xi_norm
-    full = (1.0 + xi ** 2) ** s
-    dot = np.zeros_like(xi)
-    dot[xi > 0] = xi[xi > 0] ** (2 * s)
-    assert np.all(full >= 1.0)
-    assert np.all(full >= dot)

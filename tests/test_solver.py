@@ -44,6 +44,11 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
         assert err.value.param == field
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidOrder) as err:
+            SolverConfig(seed=-1)
+        assert err.value.param == "seed"
+
 
 class TestSolve:
     def test_converges_and_respects_invariants(self, ctx, solved):
@@ -437,11 +442,11 @@ class TestWindow:
     @pytest.mark.parametrize("kind,cg_tol", [("interval", 1e-9), ("interval", 1e-3),
                                              ("ball", 1e-9)])
     def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol):
-        # two M^N pairs build the kernels the first time the grid meets
-        # the order, then one pair for the start's image and 2k+1 per outer
-        # iteration whose CG takes k > 0 steps and none when the carried
-        # image already meets the tolerance; those run on the padded
-        # lattice of the window, smooth(2W) long on the last axis
+        # one pair for the start's image and 2k+1 per outer iteration whose
+        # CG takes k > 0 steps and none when the carried image already
+        # meets the tolerance, all on the padded lattice of the window,
+        # smooth(2W) long on the last axis; the kernels of both orders are
+        # built the first time the grid meets them, with no pair
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask = _domain_case(kind)
@@ -462,12 +467,15 @@ class TestWindow:
         loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
         W = mask.window[-1].stop - mask.window[-1].start
         P = spectral_mod._smooth_length(2 * W)
-        assert lengths == [mask.grid.points_per_dim] * 2 + [P] * loop
+        assert lengths == [P] * loop
+        kernels = dict(mask.grid._kernels)
+        assert set(kernels) == {2.0 * pack.s, -2.0 * pack.s}
         # a second solve on the grid reads the cached kernels
         lengths.clear()
         again = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
         assert again.cg_iters == result.cg_iters
         assert lengths == [P] * loop
+        assert all(mask.grid._kernels[k] is kern for k, kern in kernels.items())
 
 
 class TestElResidual:

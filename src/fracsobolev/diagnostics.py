@@ -4,9 +4,11 @@ tails, cutoff and commutator decay, and the limit functional bound.
 The localized probes work on the index box of their support and leave the
 rest of the box alone: ball masses on the ball's window
 (``Grid.ball_window``), the near-domain set on the domain's window grown by
-the margin, which the mask keeps per margin, and atom detection's ball
-sums, after one whole-box convolution, on the box that each zeroed ball
-changes.  Each gives what its whole-box form gives, to the bit.
+the margin, which the mask keeps per margin, atom detection's ball sums,
+after one whole-box convolution, on the box that each zeroed ball changes,
+and the commutator's products on the box where the cutoff is nonzero.  No
+probe copies its input measure or field.  Each gives what its whole-box
+form gives, to the bit.
 """
 
 import json
@@ -17,8 +19,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, InvalidGrid, InvalidOrder
 from .extremals import cutoff_field
-from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import Field, _convolve, _offset_distances, frac_power
+from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
+from .spectral import Field, _convolve, _offset_distances, _same_grid, frac_power
 
 __all__ = [
     "CellMeasure",
@@ -84,20 +86,25 @@ class AtomList:
 
 def energy_density(u, s):
     """Per-cell masses of |(-Lap)^(s/2) u|^2 dx for s > 0; total equals the
-    squared homogeneous norm up to rounding."""
+    squared homogeneous norm up to rounding.  The masses are the image of
+    u, squared and scaled in place."""
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
-    g = frac_power(u, s)
-    return CellMeasure(grid=u.grid, masses=g.values ** 2 * u.grid.cell_volume)
+    masses = frac_power(u, s).values
+    masses *= masses
+    masses *= u.grid.cell_volume
+    return CellMeasure(grid=u.grid, masses=masses)
 
 
 def lp_density(u, p, mask=None):
     """Per-cell masses of |u|^p dx for p > 0, optionally restricted to a
-    domain mask; with a mask only the inside cells are evaluated."""
+    domain mask; with a mask only the inside cells are evaluated.  A mask
+    on another grid than u raises InvalidGrid."""
     if not p > 0:
         raise InvalidOrder(f"p must be positive, got {p}")
     if mask is None:
         return CellMeasure(grid=u.grid, masses=np.abs(u.values) ** p * u.grid.cell_volume)
+    _same_grid(u.grid, mask.grid, "mask", "u")
     vals = np.zeros(u.grid.shape)
     vals[mask.inside] = np.abs(u.values[mask.inside]) ** p * u.grid.cell_volume
     return CellMeasure(grid=u.grid, masses=vals)
@@ -144,14 +151,15 @@ def atom_detect(m, nu, radius, threshold):
     atom that box is convolved again from the input within 3 reach.  Lest
     FFT rounding decide a tie, the center is the first cell in C order whose
     sum is within ``_TIE_TOL * total`` of the best, and the masses and the
-    threshold test use the exact sum over that ball's cells.  ``nu`` must
-    lie on the grid of ``m`` (InvalidGrid otherwise).
+    threshold test use the exact sum over that ball's cells.  Neither
+    measure is copied: the zeroed cells are exactly those no longer
+    allowed as centers, so a ball mass, or the input of a local
+    convolution, reads the measure where allowed and zero elsewhere, on
+    its own box.  ``nu`` must lie on the grid of ``m`` (InvalidGrid
+    otherwise).
     """
     grid = m.grid
-    if nu.grid != grid:
-        raise InvalidGrid(f"nu lies on the grid {nu.grid.shape} of half-width "
-                          f"{nu.grid.half_width:g}, m on {grid.shape} of half-width "
-                          f"{grid.half_width:g}")
+    _same_grid(grid, nu.grid, "nu", "m")
     if not radius >= 2.0 * grid.spacing:
         raise InvalidOrder(f"detection radius {radius} below two cells")
     if not (0.0 < threshold < 1.0):
@@ -159,11 +167,14 @@ def atom_detect(m, nu, radius, threshold):
     M = grid.points_per_dim
     sample = _ball_sample(grid, radius)
     reach = len(sample) - 1
-    work_mu = m.masses.copy()
-    work_nu = nu.masses.copy()
     allowed = np.ones(grid.shape, dtype=bool)
+
+    def zeroed(masses, box):
+        """``masses`` on ``box``, zero on the balls already extracted."""
+        return np.where(allowed[box], masses[box], 0.0)
+
     total = m.total
-    sums = _convolve(sample, (work_mu,))[0]
+    sums = _convolve(sample, (m.masses,))[0]
     entries = []
     for _ in range(DEFAULT_ATOM_CAP):
         best = float(sums.max())
@@ -173,17 +184,16 @@ def atom_detect(m, nu, radius, threshold):
         # the ball about idx on its box: the sample at |offset| per axis
         ball = sample[np.ix_(*(np.abs(np.arange(w.start, w.stop) - i)
                                for w, i in zip(box, idx)))]
-        mu = float(work_mu[box][ball].sum())
+        mu = float(zeroed(m.masses, box)[ball].sum())
         # no center left, or the best ball holds too little mass
         if not (allowed[idx] and mu > 0.0 and mu >= threshold * total):
             break
         center = tuple(float(grid.axis[i]) for i in idx)
-        entries.append(AtomEntry(location=center, mu=mu, nu=float(work_nu[box][ball].sum())))
-        work_mu[box][ball] = 0.0
-        work_nu[box][ball] = 0.0
+        entries.append(AtomEntry(location=center, mu=mu,
+                                 nu=float(zeroed(nu.masses, box)[ball].sum())))
         allowed[box][ball] = False
         near, src = _grow(point, 2 * reach, M), _grow(point, 3 * reach, M)
-        local = _convolve(sample, (work_mu[src],))[0]
+        local = _convolve(sample, (zeroed(m.masses, src),))[0]
         sums[near] = local[tuple(slice(a.start - b.start, a.stop - b.start)
                                  for a, b in zip(near, src))]
         sums[near][~allowed[near]] = -np.inf
@@ -229,9 +239,11 @@ def _tail_mass(m, near):
 
 
 def tail_energy(u, s, mask, margin):
-    """Energy mass over cells farther than ``margin`` from the domain."""
+    """Energy mass over cells farther than ``margin`` from the domain; a
+    mask on another grid than u raises InvalidGrid."""
     if not margin > 0:
         raise InvalidOrder(f"margin must be positive, got {margin}")
+    _same_grid(u.grid, mask.grid, "mask", "u")
     return _tail_mass(energy_density(u, s), _near_domain(mask, margin))
 
 
@@ -286,11 +298,31 @@ def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):
 
 
 def commutator_residual(u, phi, s):
-    """L2 norm of  phi * (-Lap)^(s/2) u - (-Lap)^(s/2)(phi u)."""
-    phi_vals = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    a = phi_vals * frac_power(u, s).values
-    b = frac_power(Field(grid=u.grid, values=phi_vals * u.values), s).values
-    return math.sqrt(float(np.sum((a - b) ** 2)) * u.grid.cell_volume)
+    """L2 norm of  phi * (-Lap)^(s/2) u - (-Lap)^(s/2)(phi u).
+
+    ``phi`` is a Field on the grid of u or an array of its shape
+    (InvalidGrid otherwise).  Both products are formed only on the box of
+    the cells where phi is nonzero (empty for phi == 0), as phi u is zero
+    elsewhere, and so is phi (-Lap)^(s/2) u; phi u is checked finite, as
+    a Field is.  The difference is taken and squared in place on the image
+    of phi u.
+    """
+    g = u.grid
+    if isinstance(phi, Field):
+        _same_grid(g, phi.grid, "phi", "u")
+        phi_vals = phi.values
+    else:
+        phi_vals = np.asarray(phi, dtype=float)
+        if phi_vals.shape != g.shape:
+            raise InvalidGrid(f"phi of shape {phi_vals.shape} does not match grid shape {g.shape}")
+    box = _narrow_support(phi_vals, g.points_per_dim) or (slice(0, 0),) * g.dim
+    a = phi_vals[box] * frac_power(u, s).values[box]
+    phi_u = np.zeros(g.shape)
+    phi_u[box] = phi_vals[box] * u.values[box]
+    b = frac_power(Field(grid=g, values=phi_u), s).values
+    b[box] -= a
+    b *= b
+    return math.sqrt(float(np.sum(b)) * g.cell_volume)
 
 
 def gamma_limit_value(u, atoms, pack, mask):

@@ -7,7 +7,8 @@ rescaled bubbles, renormalized on the grid; glued sums place disjointly
 supported localized bubbles at prescribed atoms; recovery fields join a
 fixed smooth function to a glued sum through an annular cutoff.  A cutoff,
 and the bubble it truncates, are sampled only on the window of the
-cutoff's double ball (``Grid.ball_window``); every other cell is zero.
+cutoff's double ball (``Grid.ball_window``); every other cell is zero, and
+a glued sum adds each bubble on its window only.
 """
 
 import json
@@ -226,6 +227,13 @@ def localized_bubble(spec, cut, eps, grid):
     (``hs_dot_norm_sq``) runs on the box of the support when that is at
     most M/4 cells wide, else as one whole-box transform pair.
     """
+    vals, _, pre_norm = _localized_window(spec, cut, eps, grid)
+    return Field(grid=grid, values=vals), pre_norm
+
+
+def _localized_window(spec, cut, eps, grid):
+    """The values of ``localized_bubble`` on the whole box, the window of
+    the cutoff's double ball outside which they are zero, and pre_norm."""
     box, phi = _cutoff_window(grid, cut.center, cut.inner_radius)
     vals = np.zeros(grid.shape)
     vals[box] = phi * _rescaled_values(spec, eps, grid, box)
@@ -233,7 +241,7 @@ def localized_bubble(spec, cut, eps, grid):
     if pre_norm == 0.0:
         raise UnderResolved("cutoff annihilated the rescaled bubble")
     vals[box] /= pre_norm
-    return Field(grid=grid, values=vals), pre_norm
+    return vals, box, pre_norm
 
 
 def _snap_to_mask(point, mask):
@@ -279,25 +287,35 @@ def atom_localizations(atoms, grid, mask=None, radii=None):
     return out
 
 
+def _glued_specs(atoms, grid, mask, pack, radii):
+    """Bubble and cutoff spec per atom, once ``atom_localizations`` has
+    checked them all."""
+    return [(BubbleSpec(amplitude=1.0, scale=GLUED_SCALE_FRACTION * rho, center=center,
+                        pack=pack),
+             CutoffSpec(center=center, inner_radius=rho))
+            for center, rho in atom_localizations(atoms, grid, mask=mask, radii=radii)]
+
+
 def glued_bubble_parts(atoms, eps, grid, mask, pack, radii=None):
     """Unit-norm localized bubble per atom, supports pairwise disjoint; each
     bubble has scale ``GLUED_SCALE_FRACTION`` of its localization radius."""
-    parts = []
-    for (center, rho) in atom_localizations(atoms, grid, mask=mask, radii=radii):
-        spec = BubbleSpec(amplitude=1.0, scale=GLUED_SCALE_FRACTION * rho, center=center,
-                          pack=pack)
-        cut = CutoffSpec(center=center, inner_radius=rho)
-        v, _ = localized_bubble(spec, cut, eps, grid)
-        parts.append(v)
-    return parts
+    return [localized_bubble(spec, cut, eps, grid)[0]
+            for spec, cut in _glued_specs(atoms, grid, mask, pack, radii)]
 
 
 def glued_bubbles(atoms, eps, grid, mask, pack, radii=None):
-    """Square-root-mass combination  sum_j sqrt(mu_j) v_eps^j  of localized bubbles."""
-    parts = glued_bubble_parts(atoms, eps, grid, mask, pack, radii=radii)
+    """Square-root-mass combination  sum_j sqrt(mu_j) v_eps^j  of the
+    localized bubbles of ``glued_bubble_parts``.  Each term is added on its
+    double ball's window, outside which it is zero, and each bubble is
+    freed before the next is built.  The sum is that of the whole-box terms
+    to the bit: adding +0 changes no sum but -0, and a sum begun at +0 is
+    never -0."""
     total = np.zeros(grid.shape)
-    for mu, v in zip(atoms.masses, parts):
-        total += np.sqrt(mu) * v.values
+    for mu, (spec, cut) in zip(atoms.masses, _glued_specs(atoms, grid, mask, pack, radii)):
+        vals, box, _ = _localized_window(spec, cut, eps, grid)
+        total[box] += np.sqrt(mu) * vals[box]
+        # so that two whole-box bubbles are never held at once
+        del vals
     return Field(grid=grid, values=total)
 
 

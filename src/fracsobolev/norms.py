@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import _convolve, _kernel_sample, apply_multiplier, offset_convolve
+from .spectral import (_convolve, _kernel_sample, _same_grid, apply_multiplier,
+                       offset_convolve)
 
 __all__ = [
     "DomainMask",
@@ -183,13 +184,17 @@ def _points_in_polygon(X, Y, verts):
 
 
 def lp_integral(u, p, mask=None):
-    """Integral of |u|^p over the masked cells (whole box when mask is None)."""
+    """Integral of |u|^p over the masked cells (whole box when mask is None);
+    a mask on another grid than u raises InvalidGrid."""
     if not p > 0:
         raise InvalidOrder(f"p must be positive, got {p}")
-    v = np.abs(u.values)
+    v = u.values
     if mask is not None:
+        _same_grid(u.grid, mask.grid, "mask", "u")
         v = v[mask.inside]
-    return float(np.sum(v ** p) * u.grid.cell_volume)
+    v = np.abs(v)
+    v **= p
+    return float(np.sum(v) * u.grid.cell_volume)
 
 
 def _narrow_support(values, width):

@@ -140,7 +140,9 @@ class SweepEntry:
 
 def el_residual(u, pack, mask):
     """Rayleigh multiplier and relative L2 residual of the Euler-Lagrange
-    equation (-Lap)^s u = lambda |u|^(2*-2-eps) u tested on the domain cells."""
+    equation (-Lap)^s u = lambda |u|^(2*-2-eps) u tested on the domain cells.
+    The right-hand side and the residual are formed on the domain's cells
+    only, into a box of zeros."""
     feps = subcritical_value(u, pack, mask)
     if feps < 1e-14:
         raise DegenerateInput(f"subcritical value {feps:.3e} below 1e-14")
@@ -148,8 +150,12 @@ def el_residual(u, pack, mask):
     Au = frac_power(u, 2.0 * pack.s)
     h_vol = u.grid.cell_volume
     multiplier = float(np.dot(u.values.ravel(), Au.values.ravel())) * h_vol / feps
-    res = mask.restrict(Au.values - multiplier * np.abs(u.values) ** q * u.values)
-    res_norm = math.sqrt(float(np.sum(res ** 2)) * h_vol)
+    inside = mask.inside
+    vals = u.values[inside]
+    res = np.zeros(u.grid.shape)
+    res[inside] = Au.values[inside] - multiplier * np.abs(vals) ** q * vals
+    res *= res
+    res_norm = math.sqrt(float(np.sum(res)) * h_vol)
     Au_norm = math.sqrt(float(np.sum(Au.values ** 2)) * h_vol)
     return multiplier, res_norm / Au_norm
 

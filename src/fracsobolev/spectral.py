@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid, NegativeOrderOnNonMeanZero
+from .errors import InvalidGrid, InvalidOrder, NegativeOrderOnNonMeanZero
 
 __all__ = [
     "Grid",
@@ -104,7 +104,10 @@ class Grid:
 
     def _weight(self, sigma):
         """|xi|^sigma on ``half_shape``, built afresh; the zero mode is 1
-        for sigma == 0 and 0 otherwise."""
+        for sigma == 0 and 0 otherwise.  A non-finite sigma raises
+        InvalidOrder, so no weight or kernel is built or cached for it."""
+        if not math.isfinite(sigma):
+            raise InvalidOrder(f"order sigma must be finite, got {sigma}")
         M, h = self.points_per_dim, self.spacing
         ks = [np.fft.fftfreq(M, d=h)] * (self.dim - 1) + [np.fft.rfftfreq(M, d=h)]
         mats = np.meshgrid(*(2.0 * np.pi * k for k in ks), indexing="ij", sparse=True)
@@ -118,7 +121,8 @@ class Grid:
 
     def multiplier(self, sigma):
         """|xi|^sigma on the half-spectrum lattice ``half_shape``, cached
-        and read-only.  The zero mode is 1 for sigma == 0 and 0 otherwise.
+        and read-only.  The zero mode is 1 for sigma == 0 and 0 otherwise;
+        a non-finite sigma raises InvalidOrder.
         """
         key = float(sigma)
         mult = self._multipliers.get(key)
@@ -133,7 +137,8 @@ class Grid:
         """The periodic kernel of |xi|^sigma, even in each axis, at the
         index offsets 0..M/2 per axis; cached and read-only.  It is the
         inverse transform of a transient weight, cut to those offsets, so
-        only the (M/2+1)^N octant stays.
+        only the (M/2+1)^N octant stays.  A non-finite sigma raises
+        InvalidOrder.
         """
         key = float(sigma)
         kern = self._kernels.get(key)
@@ -202,6 +207,15 @@ class SpectralField:
 
     grid: Grid
     coeffs: np.ndarray
+
+
+def _same_grid(grid, other, name, ref):
+    """Raise InvalidGrid, naming both grids, unless ``other``, the grid of
+    ``name``, is ``grid``, the grid of ``ref``."""
+    if other != grid:
+        raise InvalidGrid(f"{name} lies on the grid {other.shape} of half-width "
+                          f"{other.half_width:g}, {ref} on {grid.shape} of half-width "
+                          f"{grid.half_width:g}")
 
 
 def make_grid(dim, points_per_dim, half_width):

@@ -11,7 +11,10 @@ its accelerated outer loop from plain normalized inverse iteration.  The
 localized diagnostics, which work on the windows of their supports, have
 whole-box forms here: the cutoff and the localized bubble sampled on every
 cell, ball masses over every cell's radius, the dilation and the ball sums
-as convolutions of the whole box, the latter repeated every round.
+as convolutions of the whole box, the latter repeated every round on a
+zeroed copy of the measure, the commutator's products and the glued sum's
+terms on every cell, and the Euler-Lagrange residual formed on every cell
+and then masked.
 """
 
 import math
@@ -23,8 +26,8 @@ from scipy.integrate import quad
 from scipy.special import gamma as sp_gamma, gammaln
 
 from fracsobolev import (AtomEntry, AtomList, Field, apply_multiplier, cutoff_profile,
-                         frac_power, hs_dot_norm_sq, lp_integral, offset_convolve,
-                         rescaled_bubble)
+                         frac_power, glued_bubble_parts, hs_dot_norm_sq, lp_integral,
+                         offset_convolve, rescaled_bubble, subcritical_value)
 from fracsobolev.diagnostics import _TIE_TOL, _ball_offsets
 
 
@@ -201,6 +204,38 @@ def atom_detect_full(m, nu, radius, threshold, max_atoms=16):
         work_nu[ball] = 0.0
         allowed &= ~ball
     return AtomList(entries=tuple(entries))
+
+
+def commutator_residual_full(u, phi, s):
+    """``commutator_residual`` with phi (-Lap)^(s/2) u and phi u formed on
+    every cell of the box."""
+    phi_vals = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
+    a = phi_vals * frac_power(u, s).values
+    b = frac_power(Field(grid=u.grid, values=phi_vals * u.values), s).values
+    return math.sqrt(float(np.sum((a - b) ** 2)) * u.grid.cell_volume)
+
+
+def glued_bubbles_full(atoms, eps, grid, mask, pack, radii=None):
+    """``glued_bubbles`` as the whole-box sum of sqrt(mu_j) times each of
+    ``glued_bubble_parts``."""
+    total = np.zeros(grid.shape)
+    for mu, v in zip(atoms.masses, glued_bubble_parts(atoms, eps, grid, mask, pack, radii)):
+        total += np.sqrt(mu) * v.values
+    return Field(grid=grid, values=total)
+
+
+def el_residual_full(u, pack, mask):
+    """``el_residual`` with |u|^(2*-2-eps) u and the residual formed on every
+    cell of the box, then restricted to the domain."""
+    feps = subcritical_value(u, pack, mask)
+    q = pack.subcritical_exponent - 2.0
+    Au = frac_power(u, 2.0 * pack.s)
+    h_vol = u.grid.cell_volume
+    multiplier = float(np.dot(u.values.ravel(), Au.values.ravel())) * h_vol / feps
+    res = mask.restrict(Au.values - multiplier * np.abs(u.values) ** q * u.values)
+    res_norm = math.sqrt(float(np.sum(res ** 2)) * h_vol)
+    Au_norm = math.sqrt(float(np.sum(Au.values ** 2)) * h_vol)
+    return multiplier, res_norm / Au_norm
 
 
 def near_domain_edt(mask, margin):

@@ -1,5 +1,7 @@
 """Energy measures, atom detection, tails, cutoff/commutator decay, limit bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,17 @@ from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
                          ExponentPack, Field, InvalidGrid, InvalidOrder, atom_detect,
                          commutator_residual, cutoff_convergence_probe,
                          cutoff_field, cutoff_profile, energy_density,
-                         gamma_limit_value, glued_bubbles, hs_dot_norm_sq,
+                         frac_power, gamma_limit_value, glued_bubbles, hs_dot_norm_sq,
                          localized_bubble, lp_density, make_grid,
                          mass_in_ball, sobolev_constant, tail_energy,
                          top_octave_share)
-from fracsobolev.diagnostics import CellMeasure, _near_domain, argmax_cell
+from fracsobolev.diagnostics import CellMeasure, _ball_sample, _near_domain, argmax_cell
+from fracsobolev.spectral import _convolve
 
-from oracles import (atom_detect_full, brute_force_best_ball, cutoff_field_full,
-                     localized_bubble_full, mass_in_ball_full, near_domain_edt,
-                     near_domain_full)
+from conftest import random_field
+from oracles import (atom_detect_full, brute_force_best_ball, commutator_residual_full,
+                     cutoff_field_full, glued_bubbles_full, localized_bubble_full,
+                     mass_in_ball_full, near_domain_edt, near_domain_full)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,11 @@ class TestEnergyDensity:
         with pytest.raises(InvalidOrder):
             energy_density(u, s)
 
+    def test_rejects_infinite_order(self, grid1d, rng):
+        u = Field(grid=grid1d, values=rng.standard_normal(grid1d.shape))
+        with pytest.raises(InvalidOrder):
+            energy_density(u, float("inf"))
+
     def test_localized_bubble_mass_concentrates(self, loc_bubble_family):
         g, pack, cut, fields = loc_bubble_family
         m = energy_density(fields[1 / 32], pack.s)
@@ -71,6 +80,13 @@ class TestLpDensity:
         whole = lp_density(u, 3.0).masses
         assert np.array_equal(lp_density(u, 3.0, interval_mask).masses,
                               np.where(interval_mask.inside, whole, 0.0))
+
+    def test_mask_on_another_grid_raises(self, grid2d, rng):
+        u = random_field(grid2d, rng)
+        for g in (make_grid(2, 64, 2.0), make_grid(2, 32, 4.0)):
+            mask = DomainMask.from_shape(g, _BALL)
+            with pytest.raises(InvalidGrid, match="half-width"):
+                lp_density(u, 3.0, mask)
 
 
 class TestMassInBall:
@@ -218,6 +234,13 @@ class TestTailEnergy:
         assert leak > 0.0
         assert leak < hs_dot_norm_sq(u, 0.25)
 
+    def test_mask_on_another_grid_raises(self, grid2d, rng):
+        u = random_field(grid2d, rng)
+        for g in (make_grid(2, 64, 2.0), make_grid(2, 32, 4.0)):
+            mask = DomainMask.from_shape(g, _BALL)
+            with pytest.raises(InvalidGrid, match="half-width"):
+                tail_energy(u, 0.5, mask, 0.2)
+
 
 class TestTopOctaveShare:
     """Fields of a few lattice modes, whose energies are known in closed
@@ -340,6 +363,61 @@ class TestWindowsMatchWholeBox:
         monkeypatch.undo()
         assert len(atom_detect(mu, nu, radius=radius, threshold=0.02)) >= len(centers) - 1
 
+    @pytest.mark.parametrize("dim,M,L,spikes", [
+        (1, 512, 8.0, [(100,), (104,), (300,), (400,), (450,)]),
+        (2, 64, 2.0, [(10, 10), (12, 11), (40, 40), (50, 20), (50, 50)]),
+    ])
+    def test_atom_detect_overlaps_ties_and_zeros(self, monkeypatch, rng, dim, M, L, spikes):
+        # radius 8h (1-D) or 4h (2-D): the first two spikes share their
+        # balls; the last three lie where the measure is otherwise exactly
+        # zero, two of them tied and one heavier by 1e-13, within the tie rule
+        import fracsobolev.diagnostics as diagnostics_mod
+        g = make_grid(dim, M, L)
+        masses = np.zeros(g.shape)
+        masses[:M // 2] = 1e-3 * rng.random((M // 2,) + g.shape[1:])
+        for idx, w in zip(spikes, (1.0, 0.9, 1.0, 1.0 + 1e-13, 1.0)):
+            masses[idx] += w
+        mu = CellMeasure(grid=g, masses=masses)
+        nu = CellMeasure(grid=g, masses=rng.random(g.shape) * (masses > 0.5))
+        for threshold, cap in ((0.02, 16), (0.02, 2), (0.3, 16)):
+            monkeypatch.setattr(diagnostics_mod, "DEFAULT_ATOM_CAP", cap)
+            found = atom_detect(mu, nu, radius=0.25, threshold=threshold)
+            assert found == atom_detect_full(mu, nu, 0.25, threshold, cap)
+            assert len(found) >= 1
+
+    @pytest.mark.parametrize("dim,M,L", [(1, 512, 8.0), (2, 64, 2.0)])
+    def test_commutator_residual(self, rng, dim, M, L):
+        g = make_grid(dim, M, L)
+        u = random_field(g, rng)
+        cuts = (CutoffSpec(center=(0.3,) * dim, inner_radius=0.4),
+                # the double ball crosses the lower box edge on every axis
+                CutoffSpec(center=(-L + 0.1,) * dim, inner_radius=0.3))
+        phis = [cutoff_field(cut, g) for cut in cuts]
+        phis += [Field(grid=g, values=np.zeros(g.shape)), Field(grid=g, values=rng.random(g.shape))]
+        for phi in phis:
+            for s in (0.25, 0.5, 1.0):
+                expected = commutator_residual_full(u, phi, s)
+                assert commutator_residual(u, phi, s) == expected
+                assert commutator_residual(u, phi.values, s) == expected
+        assert commutator_residual(u, phis[2], 0.5) == 0.0
+
+    @pytest.mark.parametrize("dim,M,L,points,radii", [
+        (1, 1024, 4.0, ((-1.0,), (0.5,), (1.3,)), None),
+        (2, 256, 2.0, ((-0.6, 0.4), (0.5, 0.5), (0.1, -0.7)), [0.2] * 3),
+        # the double balls of the first two, about cell centers, lie less
+        # than a cell apart, so their windows, one cell wider, overlap
+        (2, 256, 2.0, ((-0.5, 0.0), (0.3125, 0.0), (0.0, 1.0)), [0.2031, 0.2, 0.15]),
+    ])
+    def test_glued_bubbles(self, dim, M, L, points, radii):
+        g = make_grid(dim, M, L)
+        pack = ExponentPack(dim=dim, s=0.3)
+        atoms = AtomSpec(points=points, masses=(0.2, 0.3, 0.25))
+        for mask in (None, DomainMask.from_shape(g, {"kind": "ball", "center": [0.0] * dim,
+                                                    "radius": 1.5})):
+            got = glued_bubbles(atoms, 1.0, g, mask, pack, radii=radii)
+            assert np.array_equal(got.values, glued_bubbles_full(atoms, 1.0, g, mask, pack,
+                                                                 radii).values)
+
     def test_atom_detect_glued_bubbles(self):
         g = make_grid(2, 256, 2.0)
         pack = ExponentPack(dim=2, s=0.5)
@@ -409,6 +487,54 @@ class TestWindowsMatchWholeBox:
         assert not np.array_equal(*sets)
 
 
+def _peak_boxes(g, fn):
+    """Peak memory that ``fn()`` allocates, in whole-box float arrays of
+    ``g``; a first call fills the grid's caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * g.total_points)
+
+
+class TestNoWholeBoxCopies:
+    """The concentration diagnostics allocate, besides what they return and
+    the transforms they run, no whole-box array: a copy of an input, or a
+    product of fields that vanish off a small window, would add a box."""
+
+    @pytest.fixture(scope="class")
+    def glued(self):
+        g = make_grid(2, 512, 4.0)
+        pack = ExponentPack(dim=2, s=0.5)
+        atoms = AtomSpec(points=((0.5, 0.0), (-0.25, 0.43), (-0.25, -0.43)),
+                         masses=(0.22, 0.25, 0.28))
+        return g, pack, atoms, glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.16] * 3)
+
+    def test_atom_detect(self, glued):
+        g, pack, _, u = glued
+        mu, nu = energy_density(u, pack.s), lp_density(u, pack.two_star)
+        assert len(atom_detect(mu, nu, radius=0.15, threshold=0.1)) == 3
+        # the whole-box convolution, its lattice and spectra, is the floor
+        conv = _peak_boxes(g, lambda: _convolve(_ball_sample(g, 0.15), (mu.masses,)))
+        assert _peak_boxes(g, lambda: atom_detect(mu, nu, radius=0.15, threshold=0.1)) < conv + 0.5
+
+    def test_commutator_residual(self, glued):
+        g, pack, atoms, u = glued
+        phi = cutoff_field(CutoffSpec(center=atoms.points[0], inner_radius=0.16), g)
+        # one transform pair, its spectrum and image, and phi u
+        pair = _peak_boxes(g, lambda: frac_power(u, pack.s))
+        assert _peak_boxes(g, lambda: commutator_residual(u, phi, pack.s)) < pair + 1.5
+
+    def test_glued_bubbles(self, glued):
+        g, pack, atoms, _ = glued
+        # the sum and one bubble at a time
+        peak = _peak_boxes(g, lambda: glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.16] * 3))
+        assert peak < 2.5
+
+
 class TestWholeBoxWork:
     def test_one_whole_box_pair_per_atom_detect(self, monkeypatch, rng):
         import fracsobolev.spectral as spectral_mod
@@ -474,6 +600,15 @@ class TestCommutator:
         u = Field(grid=grid1d, values=np.zeros(grid1d.shape))
         phi = Field(grid=grid1d, values=np.ones(grid1d.shape))
         assert commutator_residual(u, phi, 0.25) == 0.0
+
+    def test_phi_on_another_grid_raises(self, grid2d, rng):
+        u = random_field(grid2d, rng)
+        for g in (make_grid(2, 64, 2.0), make_grid(2, 32, 4.0)):
+            with pytest.raises(InvalidGrid, match="half-width"):
+                commutator_residual(u, Field(grid=g, values=np.ones(g.shape)), 0.5)
+        for shape in ((32, 32), (64,), (64, 64, 1)):
+            with pytest.raises(InvalidGrid, match="shape"):
+                commutator_residual(u, np.ones(shape), 0.5)
 
     def test_2d_bubble_family_halves(self):
         g = make_grid(2, 2048, 4.0)

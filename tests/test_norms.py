@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracsobolev import (ConstraintViolated, DegenerateInput, DomainMask,
-                         ExponentPack, Field, InvalidMask, InvalidOrder,
+                         ExponentPack, Field, InvalidGrid, InvalidMask, InvalidOrder,
                          UnsupportedOrder, apply_multiplier, cutoff_profile,
                          gagliardo_seminorm_sq, hoelder_envelope,
                          hs_dot_norm_sq, lp_integral,
@@ -81,6 +81,15 @@ class TestLpIntegral:
         u = Field(grid=grid1d, values=vals)
         for p in (1.0, 3.7):
             assert lp_integral(u, p, interval_mask) == pytest.approx(interval_mask.measure / 2, rel=0.02)
+
+    def test_mask_on_another_grid_raises(self, rng):
+        # the first mask has the field's shape, on a box of another half-width
+        u = random_field(make_grid(2, 64, 4.0), rng)
+        for g in (make_grid(2, 64, 2.0), make_grid(2, 32, 4.0), make_grid(1, 64, 4.0)):
+            mask = DomainMask.from_shape(g, {"kind": "box", "lower": [-1.0] * g.dim,
+                                             "upper": [1.0] * g.dim})
+            with pytest.raises(InvalidGrid, match="half-width"):
+                lp_integral(u, 3.0, mask)
 
     @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_order(self, p):
@@ -299,6 +308,13 @@ class TestSubcriticalValue:
     def test_zero_field(self, grid1d, interval_mask, pack_head):
         u = Field(grid=grid1d, values=np.zeros(grid1d.shape))
         assert subcritical_value(u, pack_head, interval_mask) == 0.0
+
+    def test_mask_on_another_grid_raises(self, grid1d, pack_head):
+        u = Field(grid=grid1d, values=np.zeros(grid1d.shape))
+        for g in (make_grid(1, 512, 4.0), make_grid(1, 256, 8.0)):
+            mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]})
+            with pytest.raises(InvalidGrid, match="half-width"):
+                subcritical_value(u, pack_head, mask)
 
     def test_constraint_enforced(self, grid1d, interval_mask, pack_head):
         vals = interval_mask.restrict(np.exp(-grid1d.axis ** 2))

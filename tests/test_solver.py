@@ -9,7 +9,8 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          hs_dot_norm_sq, make_grid, solve)
 from fracsobolev.solver import CG_TOL, default_initial_field
 
-from oracles import full_box_ops, gradient_ascent_oracle, plain_inverse_iteration
+from oracles import (el_residual_full, full_box_ops, gradient_ascent_oracle,
+                     plain_inverse_iteration)
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +503,21 @@ class TestElResidual:
         mult, _ = el_residual(result.maximizer, pack, mask)
         assert len(pairs) == 2
         assert mult == pytest.approx(result.multiplier, rel=1e-12)
+
+    @pytest.mark.parametrize("dim,M,shape", [
+        (1, 512, {"kind": "interval", "bounds": [-1.0, 1.0]}),
+        (2, 64, {"kind": "ball", "center": [0.1, 0.0], "radius": 1.0}),
+        (2, 64, {"kind": "box", "lower": [-1.0, -0.6], "upper": [1.0, 0.7]}),
+        (2, 64, {"kind": "polygon", "vertices": [[-1.0, -1.0], [1.0, -0.8], [0.2, 1.1]]}),
+        (3, 16, {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.5}),
+    ])
+    def test_matches_the_whole_box_residual(self, dim, M, shape):
+        g = make_grid(dim, M, 4.0)
+        mask = DomainMask.from_shape(g, shape)
+        pack = ExponentPack(dim=dim, s=0.25 if dim == 1 else 0.5, eps=0.5)
+        u = default_initial_field(mask, seed=dim)
+        u = Field(grid=g, values=u.values / np.sqrt(hs_dot_norm_sq(u, pack.s)))
+        assert el_residual(u, pack, mask) == el_residual_full(u, pack, mask)
 
     def test_generic_field_positive_multiplier(self, ctx):
         g, mask = ctx

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracsobolev import (Field, InvalidGrid, NegativeOrderOnNonMeanZero,
+from fracsobolev import (Field, InvalidGrid, InvalidOrder, NegativeOrderOnNonMeanZero,
                          apply_multiplier, field_from_bytes, field_to_bytes,
                          forward_transform, frac_power, hs_dot_norm_sq,
                          make_grid, offset_convolve)
@@ -163,6 +163,20 @@ class TestMultiplier:
         assert not mult.flags.writeable
         with pytest.raises(ValueError):
             mult[1] = 0.0
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_order(self, grid1d, rng, sigma):
+        # neither the weight nor the kernel is built, nor cached, per call
+        for build in (grid1d.multiplier, grid1d.kernel):
+            for _ in range(3):
+                with pytest.raises(InvalidOrder):
+                    build(sigma)
+        assert not grid1d._multipliers and not grid1d._kernels
+        vals = rng.standard_normal(grid1d.shape)
+        with pytest.raises(InvalidOrder):
+            apply_multiplier(vals, grid1d, sigma)
+        with pytest.raises(InvalidOrder):
+            frac_power(Field(grid=grid1d, values=vals - vals.mean()), sigma)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, -0.5])
     def test_frac_power_matches_reference(self, grid1d, rng, sigma):

@@ -13,6 +13,15 @@ any start on the sphere.  The fixed point satisfies the discrete constrained
 stationarity condition with multiplier 1 / F_eps, so the Euler-Lagrange
 residual of a converged solve is tolerance-limited.
 
+The inner solves are inexact (Golub & Ye, BIT 2000): a step's CG stops at
+relative residual ETA_FACTOR |dF| / F of the step before, clipped to
+[CG_TOL, ETA_MAX], and the first step's at ETA_MAX, forcing terms as in
+Eisenstat & Walker (SIAM J. Sci. Comput. 1996).  The ascent argument holds
+for exact solves only, so a plain step from a CG that stopped above CG_TOL
+and would lower F_eps resumes the same CG from its w and A w down to CG_TOL
+and is retaken.  A solve ends only on a step solved to CG_TOL: a looser
+step that meets the stop test makes the next step exact.
+
 The accelerated step is Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
 SIAM J. Numer. Anal. 2011) on the last plain images g_i and residuals
 f_i = g_i - u_i: x = g_k - dG gamma, with gamma the least-squares fit of f_k
@@ -39,9 +48,10 @@ cached ones (``Grid.kernel``), built the first time a grid meets an order
 and read by every later solve on it, as each eps of a sweep.  CG starts
 from ||w|| u with the image ||w|| A u, which on an unextended plain step are
 the previous w and A w, and keeps A w with w, which gives
-||w||^2 = <w, A w>; so an outer iteration whose CG takes k > 0 steps runs
-2k+1 pairs, extended or not: the first preconditioning, k operator and k-1
-preconditioner applies, and one apply to the CG result.
+||w||^2 = <w, A w>; so a CG that takes k > 0 steps runs 2k+1 pairs: the
+first preconditioning, k operator and k-1 preconditioner applies, and one
+apply to its result.  An outer iteration runs 2k+1 pairs, extended or not,
+and one more when a resumed CG follows one that took steps.
 """
 
 import math
@@ -69,6 +79,8 @@ __all__ = [
     "ANDERSON_DEPTH",
     "CG_TOL",
     "CG_MAX_ITERS",
+    "ETA_MAX",
+    "ETA_FACTOR",
 ]
 
 MASS_RADIUS_FRACTIONS = (0.2, 0.4)
@@ -77,9 +89,15 @@ TAIL_MARGIN_FRACTION = 0.5
 INITIAL_PERTURBATION = 0.01
 # residual differences in the Anderson least-squares fit
 ANDERSON_DEPTH = 3
-# relative residual every inner CG solve must reach, and the iterations it may take
+# relative residual of an exact inner CG solve, on which every solve ends,
+# and the iterations an inner CG may take
 CG_TOL = 1e-9
 CG_MAX_ITERS = 2000
+# forcing terms of the inexact inner solves: an outer step's CG stops at
+# relative residual ETA_FACTOR |dF| / F of the step before, clipped to
+# [CG_TOL, ETA_MAX]; the first step stops at ETA_MAX
+ETA_MAX = 1e-3
+ETA_FACTOR = 1e-2
 # a difference whose Gram-Schmidt remainder keeps less than this share of its
 # norm is dropped from the fit as dependent on the newer ones
 _DEPENDENT_TOL = 1e-10
@@ -115,12 +133,14 @@ class SolveResult:
     trace: tuple
     converged: bool
     # one entry per outer iteration: inner CG iterations, the CG's final
-    # relative residual, whether the safeguard took the Anderson step, and
-    # the doublings the extended plain step took (0 when none)
+    # relative residual, whether the safeguard took the Anderson step, the
+    # doublings the extended plain step took, and the CG iterations run
+    # after the ascent guard resumed a loose solve (both 0 when none)
     cg_iters: tuple = ()
     cg_residuals: tuple = ()
     accelerated: tuple = ()
     extended: tuple = ()
+    resumed: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -343,7 +363,8 @@ def solve(pack, mask, config, init=None):
     without the relative F_eps change dropping below tol.  Raises
     InvalidGrid if ``init`` lies on another grid than ``mask``,
     DegenerateInput if the iteration collapses to numerical zero and
-    InnerSolveFailed if an inner CG solve misses CG_TOL within CG_MAX_ITERS.
+    InnerSolveFailed if an inner CG solve misses its tolerance within
+    CG_MAX_ITERS.
     """
     grid = mask.grid
     if init is not None and init.grid != grid:
@@ -370,13 +391,23 @@ def solve(pack, mask, config, init=None):
 
     F_old = f_eps(u)
     trace = [F_old]
-    cg_iters, cg_residuals, accelerated, extended = [], [], [], []
+    cg_iters, cg_residuals, accelerated, extended, resumed = [], [], [], [], []
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     rhs = np.zeros(inside.shape)
     w = np.empty(inside.shape)
     Aw = np.empty(inside.shape)
+
+    def plain_step():
+        w_sq = float(np.dot(w.ravel(), Aw.ravel())) * h_vol
+        if not 0.0 < w_sq < math.inf:
+            raise DegenerateInput("iteration collapsed to numerical zero")
+        w_norm = math.sqrt(w_sq)
+        g = w / w_norm
+        return w_norm, g, Aw / w_norm, f_eps(g)
+
     # ||w|| = F_eps at the fixed point, so the first CG starts from F_eps u
     w_norm = F_old
+    eta = ETA_MAX
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
@@ -384,17 +415,19 @@ def solve(pack, mask, config, init=None):
         rhs[inside] = np.abs(u_in) ** q * u_in
         np.multiply(u, w_norm, out=w)
         np.multiply(Au, w_norm, out=Aw)
-        k, res = _cg(apply_op, precond, rhs, w, Aw, CG_TOL, CG_MAX_ITERS, work)
-        cg_iters.append(k)
+        k, res = _cg(apply_op, precond, rhs, w, Aw, max(eta, CG_TOL), CG_MAX_ITERS, work)
+        w_norm, g, Ag, F_new = plain_step()
+        more = 0
+        if res > CG_TOL and F_new < F_old:
+            # only an exact solve is sure to ascend: finish this one
+            more, res = _cg(apply_op, precond, rhs, w, Aw, CG_TOL, CG_MAX_ITERS, work)
+            w_norm, g, Ag, F_new = plain_step()
+        cg_iters.append(k + more)
         cg_residuals.append(res)
-        w_sq = float(np.dot(w.ravel(), Aw.ravel())) * h_vol
-        if not 0.0 < w_sq < math.inf:
-            raise DegenerateInput("iteration collapsed to numerical zero")
-        w_norm = math.sqrt(w_sq)
-        g, Ag = w / w_norm, Aw / w_norm
+        resumed.append(more)
         history.append((g, Ag, g - u))
         Au_k = Au
-        u, Au, F_new = g, Ag, f_eps(g)
+        u, Au = g, Ag
         cand = _anderson_candidate(history, h_vol)
         F_x = -math.inf if cand is None else f_eps(cand[0])
         took = F_x >= F_new
@@ -412,8 +445,13 @@ def solve(pack, mask, config, init=None):
         extended.append(doublings)
         trace.append(F_new)
         if abs(F_new - F_old) <= config.tol * abs(F_old):
-            converged = True
-            break
+            if res <= CG_TOL:
+                converged = True
+                break
+            # a solve ends only on an exact step
+            eta = CG_TOL
+        else:
+            eta = min(ETA_MAX, ETA_FACTOR * abs(F_new - F_old) / abs(F_old))
         F_old = F_new
 
     values = np.zeros(grid.shape)
@@ -424,7 +462,7 @@ def solve(pack, mask, config, init=None):
                        multiplier=1.0 / value, iters=iters, trace=tuple(trace),
                        converged=converged, cg_iters=tuple(cg_iters),
                        cg_residuals=tuple(cg_residuals), accelerated=tuple(accelerated),
-                       extended=tuple(extended))
+                       extended=tuple(extended), resumed=tuple(resumed))
 
 
 def eps_sweep(pack_template, mask, config, init=None):

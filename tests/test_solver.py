@@ -7,7 +7,7 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
                          apply_multiplier, el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
-from fracsobolev.solver import CG_TOL, default_initial_field
+from fracsobolev.solver import CG_TOL, ETA_MAX, default_initial_field
 
 from oracles import (el_residual_full, full_box_ops, gradient_ascent_oracle,
                      plain_inverse_iteration)
@@ -51,6 +51,11 @@ class TestSolverConfig:
         assert err.value.param == "seed"
 
 
+# eps = 0.4 at s = 0.1, where 2* - 2 = 0.5
+_ASCENT_CASES = [("interval", 0.1, 0.4), ("interval", 0.25, 0.8), ("interval", 0.45, 0.8),
+                 ("ball", 0.5, 0.8), ("box", 0.5, 0.8)]
+
+
 class TestSolve:
     def test_converges_and_respects_invariants(self, ctx, solved):
         g, mask = ctx
@@ -80,10 +85,7 @@ class TestSolve:
         assert res < 5e-3
         assert mult > 0
 
-    # eps = 0.4 at s = 0.1, where 2* - 2 = 0.5
-    @pytest.mark.parametrize("kind,s,eps", [("interval", 0.1, 0.4), ("interval", 0.25, 0.8),
-                                            ("interval", 0.45, 0.8), ("ball", 0.5, 0.8),
-                                            ("box", 0.5, 0.8)])
+    @pytest.mark.parametrize("kind,s,eps", _ASCENT_CASES)
     def test_ascent_from_first_step(self, kind, s, eps):
         # F_eps is convex and each step maximizes its linearization on the
         # unit sphere, so no step lowers it, the first one included
@@ -152,7 +154,11 @@ class TestAnderson:
         _, result = solved
         assert len(result.cg_iters) == len(result.cg_residuals) == result.iters
         assert len(result.accelerated) == result.iters
-        assert max(result.cg_residuals) <= CG_TOL
+        assert len(result.resumed) == result.iters
+        # inner solves are loose while F_eps moves, and a solve ends on an
+        # exact one
+        assert max(result.cg_residuals) <= ETA_MAX
+        assert result.cg_residuals[-1] <= CG_TOL
         # the first step has no history to extrapolate from
         assert not result.accelerated[0] and any(result.accelerated)
 
@@ -174,6 +180,7 @@ class TestAnderson:
         pack, mask = _domain_case(kind)
         cfg = SolverConfig(eps_schedule=(pack.eps,))
         monkeypatch.setattr(solver_mod, "ANDERSON_DEPTH", 0)
+        monkeypatch.setattr(solver_mod, "ETA_MAX", CG_TOL)
         result = solve(pack, mask, cfg)
         _, ref_value, ref_iters = plain_inverse_iteration(pack, mask, tol=cfg.tol)
         assert not any(result.accelerated)
@@ -207,6 +214,84 @@ class TestAnderson:
         assert len(offers) == result.iters - 1
         assert not any(result.accelerated)
         assert result.iters == plain.iters and result.trace == plain.trace
+
+
+class TestInexactInnerSolves:
+    """Inner CG tolerances that follow the outer progress, against exact
+    inner solves (ETA_MAX pinned to CG_TOL)."""
+
+    @staticmethod
+    def _disc():
+        g = make_grid(2, 128, 4.0)
+        return (ExponentPack(dim=2, s=0.5, eps=0.8),
+                DomainMask.from_shape(g, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}))
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_ends_on_an_exact_step(self, monkeypatch, tol):
+        # a loose step that meets the stop test hands over to an exact one,
+        # which here costs at most one outer iteration over exact inner solves
+        import fracsobolev.solver as solver_mod
+        pack, mask = self._disc()
+        cfg = SolverConfig(eps_schedule=(pack.eps,), tol=tol)
+        result = solve(pack, mask, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_mod, "ETA_MAX", CG_TOL)
+            exact = solve(pack, mask, cfg)
+        assert result.converged and exact.converged
+        assert result.cg_residuals[-1] <= CG_TOL
+        assert result.iters <= exact.iters + 1
+        again = solve(pack, mask, cfg, init=result.maximizer)
+        assert again.converged and again.iters <= 2
+
+    def test_ascent_guard_resumes_loose_solves(self, monkeypatch):
+        # with the first inner solve this loose, the box's plain step would
+        # lower F_eps: the guard resumes that CG to CG_TOL and retakes the
+        # step; on the other cases no loose step lowers it
+        import fracsobolev.solver as solver_mod
+        monkeypatch.setattr(solver_mod, "ETA_MAX", 0.5)
+        real_cg = solver_mod._cg
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real_cg(*args)
+
+        monkeypatch.setattr(solver_mod, "_cg", counting)
+        resumes = []
+        for kind, s, eps in _ASCENT_CASES:
+            _, mask = _domain_case(kind)
+            pack = ExponentPack(dim=mask.grid.dim, s=s, eps=eps)
+            calls.clear()
+            result = solve(pack, mask, SolverConfig(eps_schedule=(eps,)))
+            assert result.converged
+            assert np.all(np.diff(result.trace) >= -1e-10)
+            resumes.append(len(calls) - result.iters)
+        assert any(resumes)
+
+    def test_runs_a_quarter_fewer_pairs(self, monkeypatch):
+        import fracsobolev.solver as solver_mod
+        import fracsobolev.spectral as spectral_mod
+        pack, mask = self._disc()
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        real_pair = spectral_mod._transform_pair
+        pairs = []
+
+        def counting(*args):
+            pairs.append(1)
+            return real_pair(*args)
+
+        for mod in (spectral_mod, solver_mod):
+            monkeypatch.setattr(mod, "_transform_pair", counting)
+        inexact = solve(pack, mask, cfg)
+        inexact_pairs = len(pairs)
+        pairs.clear()
+        monkeypatch.setattr(solver_mod, "ETA_MAX", CG_TOL)
+        exact = solve(pack, mask, cfg)
+        assert inexact.converged and exact.converged
+        assert inexact_pairs == _transform_pairs(inexact)
+        assert len(pairs) == _transform_pairs(exact)
+        assert inexact_pairs <= 0.75 * len(pairs)
+        assert abs(inexact.value - exact.value) <= 2 * cfg.tol * exact.value
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +427,13 @@ def _domain_case(kind):
     return ExponentPack(dim=2, s=0.5, eps=0.8), DomainMask.from_shape(g, _SHAPES_2D[kind])
 
 
+def _transform_pairs(result):
+    """Transform pairs a solve runs: one for the start's image, then 2k+1
+    for each inner CG that takes k > 0 steps, a resumed one included."""
+    return 1 + sum(2 * k + 1 for total, more in zip(result.cg_iters, result.resumed)
+                   for k in (total - more, more) if k > 0)
+
+
 def _moved_to_edge(mask):
     """``mask`` rolled so its window ends at cell M-2, one before the
     outer layer, and the roll per axis."""
@@ -440,14 +532,19 @@ class TestWindow:
             assert r.maximizer.values.tobytes() == fresh.maximizer.values.tobytes()
             assert r.trace == fresh.trace and r.cg_iters == fresh.cg_iters
 
-    @pytest.mark.parametrize("kind,cg_tol", [("interval", 1e-9), ("interval", 1e-3),
-                                             ("ball", 1e-9)])
-    def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol):
-        # one pair for the start's image and 2k+1 per outer iteration whose
-        # CG takes k > 0 steps and none when the carried image already
-        # meets the tolerance, all on the padded lattice of the window,
-        # smooth(2W) long on the last axis; the kernels of both orders are
-        # built the first time the grid meets them, with no pair
+    @pytest.mark.parametrize("kind,cg_tol,eta_max", [
+        pytest.param("interval", 1e-9, ETA_MAX, id="interval-1e-09"),
+        pytest.param("interval", 1e-3, ETA_MAX, id="interval-0.001"),
+        pytest.param("ball", 1e-9, ETA_MAX, id="ball-1e-09"),
+        # the box's first plain step, solved to 0.5, lowers F_eps and resumes
+        pytest.param("box", 1e-9, 0.5, id="box-resumed"),
+    ])
+    def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol, eta_max):
+        # one pair for the start's image and 2k+1 per inner CG that takes
+        # k > 0 steps and none when the carried image already meets the
+        # tolerance, all on the padded lattice of the window, smooth(2W)
+        # long on the last axis; the kernels of both orders are built the
+        # first time the grid meets them, with no pair
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask = _domain_case(kind)
@@ -461,11 +558,13 @@ class TestWindow:
         for mod in (spectral_mod, solver_mod):
             monkeypatch.setattr(mod, "_transform_pair", counting)
         monkeypatch.setattr(solver_mod, "CG_TOL", cg_tol)
+        monkeypatch.setattr(solver_mod, "ETA_MAX", eta_max)
         result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
-        assert len(result.cg_iters) == result.iters
+        assert len(result.cg_iters) == len(result.resumed) == result.iters
         # the loose tolerance leaves some outer iterations with no CG step
         assert (0 in result.cg_iters) == (cg_tol > 1e-9)
-        loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
+        assert any(result.resumed) == (eta_max > ETA_MAX)
+        loop = _transform_pairs(result)
         W = mask.window[-1].stop - mask.window[-1].start
         P = spectral_mod._smooth_length(2 * W)
         assert lengths == [P] * loop

@@ -8,7 +8,9 @@ the margin, which the mask keeps per margin, atom detection's ball sums,
 after one whole-box convolution, on the box that each zeroed ball changes,
 and the commutator's products on the box where the cutoff is nonzero.  No
 probe copies its input measure or field.  Each gives what its whole-box
-form gives, to the bit.
+form gives, to the bit.  The energy measure, the tail and the commutator
+read the image (-Lap)^(s/2) u that u keeps (``spectral.frac_power``), so
+on one field they run its transform pair once.
 """
 
 import json
@@ -20,7 +22,8 @@ import numpy as np
 from .errors import BudgetExceeded, DegenerateInput, InvalidGrid, InvalidOrder
 from .extremals import cutoff_field
 from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import Field, _convolve, _offset_distances, _same_grid, frac_power
+from .spectral import (Field, _convolve, _offset_distances, _same_grid, apply_multiplier,
+                       frac_power)
 
 __all__ = [
     "CellMeasure",
@@ -87,11 +90,11 @@ class AtomList:
 def energy_density(u, s):
     """Per-cell masses of |(-Lap)^(s/2) u|^2 dx for s > 0; total equals the
     squared homogeneous norm up to rounding.  The masses are the image of
-    u, squared and scaled in place."""
+    u that u keeps (``frac_power``), squared into a new array and scaled."""
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
-    masses = frac_power(u, s).values
-    masses *= masses
+    image = frac_power(u, s).values
+    masses = image * image
     masses *= u.grid.cell_volume
     return CellMeasure(grid=u.grid, masses=masses)
 
@@ -240,7 +243,9 @@ def _tail_mass(m, near):
 
 def tail_energy(u, s, mask, margin):
     """Energy mass over cells farther than ``margin`` from the domain; a
-    mask on another grid than u raises InvalidGrid."""
+    mask on another grid than u raises InvalidGrid.  The energy measure
+    reads the image that u keeps, so after ``energy_density(u, s)`` no
+    transform runs."""
     if not margin > 0:
         raise InvalidOrder(f"margin must be positive, got {margin}")
     _same_grid(u.grid, mask.grid, "mask", "u")
@@ -254,9 +259,11 @@ def top_octave_share(u, s):
     A resolution indicator: a maximizer the grid resolves keeps it near 1e-3
     or below, a lattice spike near 0.1.  One half-spectrum transform; each
     half-spectrum mode counts twice except those with a last-axis index of
-    0 or M/2, which are their own conjugates.  Raises DegenerateInput for a
-    field with no energy.
+    0 or M/2, which are their own conjugates.  Raises InvalidOrder for
+    s <= 0 and DegenerateInput for a field with no energy.
     """
+    if not s > 0:
+        raise InvalidOrder(f"s must be positive, got {s}")
     g = u.grid
     M = g.points_per_dim
     weight = g.multiplier(2.0 * s)
@@ -304,8 +311,9 @@ def commutator_residual(u, phi, s):
     (InvalidGrid otherwise).  Both products are formed only on the box of
     the cells where phi is nonzero (empty for phi == 0), as phi u is zero
     elsewhere, and so is phi (-Lap)^(s/2) u; phi u is checked finite, as
-    a Field is.  The difference is taken and squared in place on the image
-    of phi u.
+    a Field is.  (-Lap)^(s/2) u is the image that u keeps
+    (``frac_power``); the image of phi u is a fresh array, on which the
+    difference is taken and squared in place.
     """
     g = u.grid
     if isinstance(phi, Field):
@@ -319,7 +327,7 @@ def commutator_residual(u, phi, s):
     a = phi_vals[box] * frac_power(u, s).values[box]
     phi_u = np.zeros(g.shape)
     phi_u[box] = phi_vals[box] * u.values[box]
-    b = frac_power(Field(grid=g, values=phi_u), s).values
+    b = apply_multiplier(Field(grid=g, values=phi_u).values, g, s)
     b[box] -= a
     b *= b
     return math.sqrt(float(np.sum(b)) * g.cell_volume)

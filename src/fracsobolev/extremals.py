@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceeded, InvalidMask, InvalidOrder,
+from .errors import (BudgetExceeded, InvalidGrid, InvalidMask, InvalidOrder,
                      OverlappingAtoms, TailTooFat, UnderResolved)
-from .norms import (ExponentPack, critical_exponent, hs_dot_norm_sq,
-                    sobolev_constant)
+from .norms import (ExponentPack, _window_norm_sq, critical_exponent,
+                    hs_dot_norm_sq, sobolev_constant)
 from .spectral import Field
 
 __all__ = [
@@ -224,23 +224,27 @@ def localized_bubble(spec, cut, eps, grid):
     support inside the double ball of ``cut``, and pre_norm is the norm of
     the truncated field before normalization.  The bubble and the cutoff
     are sampled only on the double ball's window, and the norm
-    (``hs_dot_norm_sq``) runs on the box of the support when that is at
-    most M/4 cells wide, else as one whole-box transform pair.
+    (``hs_dot_norm_sq``) runs on the box of the support found in that
+    window when it is at most M/4 cells wide, else as one whole-box
+    transform pair.
     """
-    vals, _, pre_norm = _localized_window(spec, cut, eps, grid)
-    return Field(grid=grid, values=vals), pre_norm
+    vals, box, pre_norm = _localized_window(spec, cut, eps, grid)
+    full = np.zeros(grid.shape)
+    full[box] = vals
+    return Field(grid=grid, values=full), pre_norm
 
 
 def _localized_window(spec, cut, eps, grid):
-    """The values of ``localized_bubble`` on the whole box, the window of
-    the cutoff's double ball outside which they are zero, and pre_norm."""
+    """The values of ``localized_bubble`` on the window of the cutoff's
+    double ball, outside which they are zero, that window, and pre_norm."""
     box, phi = _cutoff_window(grid, cut.center, cut.inner_radius)
-    vals = np.zeros(grid.shape)
-    vals[box] = phi * _rescaled_values(spec, eps, grid, box)
-    pre_norm = float(np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=vals), spec.pack.s)))
+    vals = phi * _rescaled_values(spec, eps, grid, box)
+    if not np.all(np.isfinite(vals)):
+        raise InvalidGrid("localized bubble contains non-finite entries")
+    pre_norm = float(np.sqrt(_window_norm_sq(vals, grid, spec.pack.s, box)))
     if pre_norm == 0.0:
         raise UnderResolved("cutoff annihilated the rescaled bubble")
-    vals[box] /= pre_norm
+    vals /= pre_norm
     return vals, box, pre_norm
 
 
@@ -305,17 +309,15 @@ def glued_bubble_parts(atoms, eps, grid, mask, pack, radii=None):
 
 def glued_bubbles(atoms, eps, grid, mask, pack, radii=None):
     """Square-root-mass combination  sum_j sqrt(mu_j) v_eps^j  of the
-    localized bubbles of ``glued_bubble_parts``.  Each term is added on its
-    double ball's window, outside which it is zero, and each bubble is
-    freed before the next is built.  The sum is that of the whole-box terms
-    to the bit: adding +0 changes no sum but -0, and a sum begun at +0 is
-    never -0."""
+    localized bubbles of ``glued_bubble_parts``.  Each bubble is built,
+    normalized and added on its double ball's window only, outside which
+    it is zero, so the sum is the one whole-box array.  The sum is that of
+    the whole-box terms to the bit: adding +0 changes no sum but -0, and a
+    sum begun at +0 is never -0."""
     total = np.zeros(grid.shape)
     for mu, (spec, cut) in zip(atoms.masses, _glued_specs(atoms, grid, mask, pack, radii)):
         vals, box, _ = _localized_window(spec, cut, eps, grid)
-        total[box] += np.sqrt(mu) * vals[box]
-        # so that two whole-box bubbles are never held at once
-        del vals
+        total[box] += np.sqrt(mu) * vals
     return Field(grid=grid, values=total)
 
 

@@ -232,16 +232,27 @@ def hs_dot_norm_sq(u, s):
     """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
-    g = u.grid
-    box = _narrow_support(u.values, g.points_per_dim // 4)
+    return _window_norm_sq(u.values, u.grid, s)
+
+
+def _window_norm_sq(values, grid, s, window=None):
+    """``hs_dot_norm_sq`` of the field that equals ``values`` on ``window``
+    (index slices, one per axis; the whole box by default) and is zero
+    elsewhere.  The support is found on ``values`` alone; only a support
+    wider than M/4 cells fills a whole box, for the transform pair."""
+    box = _narrow_support(values, grid.points_per_dim // 4)
     if box is None:
-        a = apply_multiplier(u.values, g, s)
-        return float(np.sum(a * a)) * g.cell_volume
+        if window is not None:
+            full = np.zeros(grid.shape)
+            full[window] = values
+            values = full
+        a = apply_multiplier(values, grid, s)
+        return float(np.sum(a * a)) * grid.cell_volume
     if not box:
         return 0.0
-    vals = u.values[box]
-    conv = _convolve(_kernel_sample(g, 2.0 * s, vals.shape), (vals,))[0]
-    return float(np.sum(vals * conv)) * g.cell_volume
+    vals = values[box]
+    conv = _convolve(_kernel_sample(grid, 2.0 * s, vals.shape), (vals,))[0]
+    return float(np.sum(vals * conv)) * grid.cell_volume
 
 
 def gagliardo_seminorm_sq(u, s):

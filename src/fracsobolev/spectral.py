@@ -20,8 +20,12 @@ since the h^(N/2) factors of the unitary convention cancel.  The weight is
 built once per grid and order by ``Grid.multiplier`` and shared, read-only;
 its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
 (pseudo-inverse on mean-zero fields).  frac_power and the homogeneous
-norm use it.  ``forward_transform`` gives the full unitary spectrum, for
-callers that want the coefficients.
+norm use it.  A Field's values are a read-only view, and a field keeps
+the frac_power image of each order for as long as it lives (2 MB per
+order on a 2-D M = 512 box): a repeat call returns the same image Field
+and runs no transform.  The homogeneous norm keeps nothing.
+``forward_transform`` gives the full unitary spectrum, for callers that
+want the coefficients.
 
 Linear convolutions with a kernel that is even in each axis run through
 the same pair on a zero-padded lattice, whose kernel spectrum
@@ -187,18 +191,29 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real samples of a function at the cell centers of a grid."""
+    """Real samples of a function at the cell centers of a grid.
+
+    ``values`` is a read-only view; the array passed in stays writable.
+    The field keeps its ``frac_power`` images, one per order, for as long
+    as it lives.  Complex samples raise InvalidGrid, as do non-finite ones.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise InvalidGrid("field values must be real, got a complex array")
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidGrid("field contains non-finite entries")
+        v = v.view()
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        # frac_power images per order, which frac_power fills
+        object.__setattr__(self, "_images", {})
 
 
 @dataclass(frozen=True)
@@ -376,10 +391,15 @@ def frac_power(u, sigma):
 
     For sigma < 0 the zero mode is annihilated (pseudo-inverse), which is
     only meaningful on mean-zero fields; a nonzero mean raises
-    NegativeOrderOnNonMeanZero.
+    NegativeOrderOnNonMeanZero.  The image is kept on u, one per order, so
+    a repeat call returns the same Field and runs no transform.
     """
     if sigma == 0:
         return u
+    key = float(sigma)
+    image = u._images.get(key)
+    if image is not None:
+        return image
     g = u.grid
     if sigma < 0:
         # zero-mode amplitude and L2 norm of the unitary coefficients, by Plancherel
@@ -389,7 +409,9 @@ def frac_power(u, sigma):
             raise NegativeOrderOnNonMeanZero(
                 f"zero mode {zero_amp:.3e} exceeds {_MEAN_TOL:.0e} of norm {total:.3e}"
             )
-    return Field(grid=g, values=apply_multiplier(u.values, g, sigma))
+    image = Field(grid=g, values=apply_multiplier(u.values, g, key))
+    # setdefault keeps one image per order when threads race here
+    return u._images.setdefault(key, image)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,12 @@ class TestTopOctaveShare:
         with pytest.raises(DegenerateInput):
             top_octave_share(Field(grid=g, values=np.zeros(g.shape)), 0.25)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_order(self, rng, s):
+        g = make_grid(1, 64, 8.0)
+        with pytest.raises(InvalidOrder):
+            top_octave_share(Field(grid=g, values=rng.standard_normal(g.shape)), s)
+
 
 _INTERVAL = {"kind": "interval", "bounds": [-1.0, 1.0]}
 _BALL = {"kind": "ball", "center": [0.3, -0.2], "radius": 1.0}
@@ -524,28 +530,36 @@ class TestNoWholeBoxCopies:
     def test_commutator_residual(self, glued):
         g, pack, atoms, u = glued
         phi = cutoff_field(CutoffSpec(center=atoms.points[0], inner_radius=0.16), g)
-        # one transform pair, its spectrum and image, and phi u
-        pair = _peak_boxes(g, lambda: frac_power(u, pack.s))
+        # one transform pair, its spectrum and image, and phi u; u keeps
+        # its image, so the pair is measured on a fresh field each call
+        pair = _peak_boxes(g, lambda: frac_power(Field(grid=g, values=u.values), pack.s))
         assert _peak_boxes(g, lambda: commutator_residual(u, phi, pack.s)) < pair + 1.5
 
     def test_glued_bubbles(self, glued):
         g, pack, atoms, _ = glued
-        # the sum and one bubble at a time
+        # the sum; each bubble is built and normalized on its window
         peak = _peak_boxes(g, lambda: glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.16] * 3))
-        assert peak < 2.5
+        assert peak < 1.5
+
+
+@pytest.fixture
+def pair_shapes(monkeypatch):
+    """The shape of the input of every transform pair run from here on."""
+    import fracsobolev.spectral as spectral_mod
+    real_pair = spectral_mod._transform_pair
+    shapes = []
+
+    def counting(values, *args):
+        shapes.append(values.shape)
+        return real_pair(values, *args)
+
+    monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+    return shapes
 
 
 class TestWholeBoxWork:
-    def test_one_whole_box_pair_per_atom_detect(self, monkeypatch, rng):
-        import fracsobolev.spectral as spectral_mod
-        real_pair = spectral_mod._transform_pair
-        shapes = []
-
-        def counting(values, *args):
-            shapes.append(values.shape)
-            return real_pair(values, *args)
-
-        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+    def test_one_whole_box_pair_per_atom_detect(self, pair_shapes, rng):
+        shapes = pair_shapes
         g = make_grid(2, 128, 4.0)
         spots = [(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0), (0.0, 0.0)]
         for n_atoms in (0, 1, 3, 5):
@@ -556,6 +570,24 @@ class TestWholeBoxWork:
             assert shapes.count(g.shape) == 1
             # and one small convolution per atom
             assert len(shapes) == 1 + n_atoms
+
+    def test_probes_share_one_image(self, pair_shapes):
+        g = make_grid(2, 256, 4.0)
+        pack = ExponentPack(dim=2, s=0.5)
+        atoms = AtomSpec(points=((1.5, 0.0), (-1.5, 0.5)), masses=(0.3, 0.4))
+        u = glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.4] * 2)
+        mask = DomainMask.from_shape(g, _BALL)
+        phi = cutoff_field(CutoffSpec(center=atoms.points[0], inner_radius=0.4), g)
+        pair_shapes.clear()
+        mu = energy_density(u, pack.s)
+        tail = tail_energy(u, pack.s, mask, 0.5)
+        comm = commutator_residual(u, phi, pack.s)
+        # the image of u, kept on u, and that of phi u
+        assert pair_shapes.count(g.shape) == 2
+        fresh = Field(grid=g, values=u.values)
+        assert np.array_equal(energy_density(fresh, pack.s).masses, mu.masses)
+        assert tail == tail_energy(Field(grid=g, values=u.values), pack.s, mask, 0.5)
+        assert comm == commutator_residual_full(fresh, phi, pack.s)
 
 
 class TestCutoffProbe:

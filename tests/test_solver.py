@@ -587,10 +587,12 @@ class TestElResidual:
 
     def test_two_transform_pairs(self, ctx, solved, monkeypatch):
         # the unit-ball check, then (-Lap)^s u for both the residual and
-        # the multiplier, which on the unit sphere is the solver's 1 / F_eps
+        # the multiplier, which on the unit sphere is the solver's 1 / F_eps;
+        # the field keeps (-Lap)^s u, so a second call runs the check alone
         import fracsobolev.spectral as spectral_mod
         g, mask = ctx
         pack, result = solved
+        u = Field(grid=g, values=result.maximizer.values)
         real_pair = spectral_mod._transform_pair
         pairs = []
 
@@ -599,9 +601,11 @@ class TestElResidual:
             return real_pair(*args)
 
         monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
-        mult, _ = el_residual(result.maximizer, pack, mask)
+        mult, _ = el_residual(u, pack, mask)
         assert len(pairs) == 2
         assert mult == pytest.approx(result.multiplier, rel=1e-12)
+        assert el_residual(u, pack, mask)[0] == mult
+        assert len(pairs) == 3
 
     @pytest.mark.parametrize("dim,M,shape", [
         (1, 512, {"kind": "interval", "bounds": [-1.0, 1.0]}),

@@ -136,6 +136,33 @@ class TestFracPower:
         with pytest.raises(NegativeOrderOnNonMeanZero):
             frac_power(u, -0.5)
 
+    def test_image_kept_per_order(self, grid2d, rng, monkeypatch):
+        import fracsobolev.spectral as spectral_mod
+        real_pair = spectral_mod._transform_pair
+        pairs = []
+
+        def counting(*args):
+            pairs.append(1)
+            return real_pair(*args)
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        vals = rng.standard_normal(grid2d.shape)
+        u = Field(grid=grid2d, values=vals - vals.mean())
+        for sigma in (0.5, -0.5):
+            image = frac_power(u, sigma)
+            assert frac_power(u, sigma) is image
+            assert np.array_equal(image.values, apply_multiplier(vals - vals.mean(), grid2d, sigma))
+        # one pair per order, and one per check above
+        assert len(pairs) == 4
+        assert frac_power(u, 0.5) is not frac_power(u, 0.25)
+
+    def test_non_finite_order_caches_nothing(self, grid1d, rng):
+        u = random_field(grid1d, rng)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(InvalidOrder):
+                frac_power(u, sigma)
+        assert not u._images
+
     def test_negative_order_inverts(self, grid1d, rng):
         vals = rng.standard_normal(grid1d.shape)
         u = Field(grid=grid1d, values=vals - vals.mean())
@@ -380,3 +407,25 @@ class TestFieldValidation:
         g = make_grid(2, 8, 1.0)
         with pytest.raises(InvalidGrid):
             Field(grid=g, values=np.zeros(g.total_points))
+
+    def test_rejects_complex_values(self, grid1d):
+        vals = np.zeros(grid1d.shape, dtype=complex)
+        vals[0] = 1 + 2j
+        with pytest.raises(InvalidGrid):
+            Field(grid=grid1d, values=vals)
+        # a zero imaginary part is still a complex array
+        with pytest.raises(InvalidGrid):
+            Field(grid=grid1d, values=vals.real + 0j)
+
+    def test_values_read_only(self, grid1d, rng):
+        vals = rng.standard_normal(grid1d.shape)
+        u = Field(grid=grid1d, values=vals)
+        image = frac_power(u, 0.5)
+        for field in (u, image):
+            with pytest.raises(ValueError):
+                field.values[0] = 1.0
+            with pytest.raises(ValueError):
+                field.values *= 2.0
+        # the caller's array is shared, not copied, and stays writable
+        vals[0] = 7.0
+        assert u.values[0] == 7.0

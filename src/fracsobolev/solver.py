@@ -62,7 +62,8 @@ import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidGrid, InvalidOrder
 from .norms import hoelder_envelope, subcritical_value
-from .spectral import Field, _kernel_sample, _kernel_spectrum, _transform_pair, frac_power
+from .spectral import (Field, _kernel_sample, _kernel_spectrum, _transform_pair,
+                       apply_multiplier)
 from . import diagnostics
 
 __all__ = [
@@ -167,16 +168,16 @@ def el_residual(u, pack, mask):
     if feps < 1e-14:
         raise DegenerateInput(f"subcritical value {feps:.3e} below 1e-14")
     q = pack.subcritical_exponent - 2.0
-    Au = frac_power(u, 2.0 * pack.s)
+    Au = apply_multiplier(u.values, u.grid, 2.0 * pack.s)
     h_vol = u.grid.cell_volume
-    multiplier = float(np.dot(u.values.ravel(), Au.values.ravel())) * h_vol / feps
+    multiplier = float(np.dot(u.values.ravel(), Au.ravel())) * h_vol / feps
     inside = mask.inside
     vals = u.values[inside]
     res = np.zeros(u.grid.shape)
-    res[inside] = Au.values[inside] - multiplier * np.abs(vals) ** q * vals
+    res[inside] = Au[inside] - multiplier * np.abs(vals) ** q * vals
     res *= res
     res_norm = math.sqrt(float(np.sum(res)) * h_vol)
-    Au_norm = math.sqrt(float(np.sum(Au.values ** 2)) * h_vol)
+    Au_norm = math.sqrt(float(np.sum(Au ** 2)) * h_vol)
     return multiplier, res_norm / Au_norm
 
 
@@ -485,7 +486,10 @@ def eps_sweep(pack_template, mask, config, init=None):
                                       argmax=(), mass_r1=float("nan"), mass_r2=float("nan"),
                                       tail_energy=float("nan"), error=str(exc)))
             continue
-        measure = diagnostics.energy_density(result.maximizer, pack.s)
+        # a throwaway field over the maximizer's values keeps the image, so
+        # the entry holds no image that nothing reads again
+        u = result.maximizer
+        measure = diagnostics.energy_density(Field(grid=u.grid, values=u.values), pack.s)
         argmax = diagnostics.argmax_cell(measure)
         total = measure.total
         mass_r1 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[0] * diam) / total

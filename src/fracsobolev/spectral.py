@@ -196,6 +196,11 @@ class Field:
     ``values`` is a read-only view; the array passed in stays writable.
     The field keeps its ``frac_power`` images, one per order, for as long
     as it lives.  Complex samples raise InvalidGrid, as do non-finite ones.
+
+    A float64 array is shared, not copied: the field takes it over, and
+    its caller must not write to it afterwards.  Such a write would change
+    ``values`` but not the images already kept, which would then belong
+    to the old samples; wrap a copy to keep the array in use.
     """
 
     grid: Grid

@@ -587,12 +587,10 @@ class TestElResidual:
 
     def test_two_transform_pairs(self, ctx, solved, monkeypatch):
         # the unit-ball check, then (-Lap)^s u for both the residual and
-        # the multiplier, which on the unit sphere is the solver's 1 / F_eps;
-        # the field keeps (-Lap)^s u, so a second call runs the check alone
+        # the multiplier, which on the unit sphere is the solver's 1 / F_eps
         import fracsobolev.spectral as spectral_mod
         g, mask = ctx
         pack, result = solved
-        u = Field(grid=g, values=result.maximizer.values)
         real_pair = spectral_mod._transform_pair
         pairs = []
 
@@ -601,11 +599,10 @@ class TestElResidual:
             return real_pair(*args)
 
         monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
-        mult, _ = el_residual(u, pack, mask)
+        mult, _ = el_residual(result.maximizer, pack, mask)
         assert len(pairs) == 2
         assert mult == pytest.approx(result.multiplier, rel=1e-12)
-        assert el_residual(u, pack, mask)[0] == mult
-        assert len(pairs) == 3
+        assert not result.maximizer._images
 
     @pytest.mark.parametrize("dim,M,shape", [
         (1, 512, {"kind": "interval", "bounds": [-1.0, 1.0]}),
@@ -657,6 +654,11 @@ class TestEpsSweep:
             assert 0.0 < e.mass_r1 <= e.mass_r2 <= 1.0 + 1e-12
             assert e.tail_energy >= 0.0
             assert len(e.argmax) == 1
+
+    def test_entries_keep_no_image(self, sweep):
+        # the energy measure is read once, so no maximizer keeps its image
+        for e in sweep:
+            assert not e.result.maximizer._images
 
     def test_top_octave_flags_spikes(self, sweep):
         # the M = 512 grid resolves eps = 0.8 (half-width 10 cells) and
@@ -783,10 +785,41 @@ class TestConcurrentUse:
         rng = np.random.default_rng(11)
         fields = [Field(grid=g, values=rng.standard_normal(g.shape)) for _ in range(8)]
         serial = [frac_power(u, 0.5).values for u in fields]
+        # fresh fields, which keep no image yet, so every transform runs here
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(lambda u: frac_power(u, 0.5).values, fields))
+            parallel = list(pool.map(
+                lambda u: frac_power(Field(grid=g, values=u.values), 0.5).values, fields))
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
+
+    def test_racing_threads_get_one_image(self, ctx):
+        # threads that race on one fresh field may each run the transform,
+        # but setdefault keeps one image and hands that to all of them
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        from fracsobolev import frac_power
+        g, mask = ctx
+        vals = np.random.default_rng(12).standard_normal(g.shape)
+        expected = frac_power(Field(grid=g, values=vals), 0.5).values
+        workers = 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                u = Field(grid=g, values=vals)
+                start = threading.Barrier(workers)
+
+                def run(_):
+                    start.wait(timeout=30)
+                    return frac_power(u, 0.5)
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    images = list(pool.map(run, range(workers), timeout=60))
+                assert all(image is images[0] for image in images)
+                assert frac_power(u, 0.5) is images[0]
+                assert np.array_equal(images[0].values, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parallel_solves_on_one_grid_match_serial(self):
         # each solve owns its work arrays, so solves sharing a grid cannot interfere

@@ -429,3 +429,16 @@ class TestFieldValidation:
         # the caller's array is shared, not copied, and stays writable
         vals[0] = 7.0
         assert u.values[0] == 7.0
+
+    def test_caller_write_leaves_kept_image(self, grid1d, rng):
+        # the ownership rule of Field: a write to the shared array after an
+        # image is kept changes the values but not the image
+        vals = rng.standard_normal(grid1d.shape)
+        u = Field(grid=grid1d, values=vals)
+        image = frac_power(u, 0.5)
+        before = image.values.copy()
+        vals[0] += 1.0
+        assert frac_power(u, 0.5) is image
+        assert np.array_equal(image.values, before)
+        fresh = frac_power(Field(grid=grid1d, values=vals), 0.5)
+        assert not np.array_equal(fresh.values, before)

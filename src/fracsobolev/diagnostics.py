@@ -22,8 +22,8 @@ import numpy as np
 from .errors import BudgetExceeded, DegenerateInput, InvalidGrid, InvalidOrder
 from .extremals import cutoff_field
 from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import (Field, _convolve, _offset_distances, _same_grid, apply_multiplier,
-                       frac_power)
+from .spectral import (Field, _convolve, _half_spectrum_energy, _offset_distances, _same_grid,
+                       apply_multiplier, frac_power)
 
 __all__ = [
     "CellMeasure",
@@ -257,20 +257,17 @@ def top_octave_share(u, s):
     octave |xi| > pi / (2h), the upper half of the resolved frequencies.
 
     A resolution indicator: a maximizer the grid resolves keeps it near 1e-3
-    or below, a lattice spike near 0.1.  One half-spectrum transform; each
-    half-spectrum mode counts twice except those with a last-axis index of
-    0 or M/2, which are their own conjugates.  Raises InvalidOrder for
-    s <= 0 and DegenerateInput for a field with no energy.
+    or below, a lattice spike near 0.1.  One forward half-spectrum
+    transform (``spectral._half_spectrum_energy``), as the homogeneous norm
+    runs.  Raises InvalidOrder for s <= 0 and DegenerateInput for a field
+    with no energy.
     """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
     g = u.grid
     M = g.points_per_dim
     weight = g.multiplier(2.0 * s)
-    dens = np.abs(np.fft.rfftn(u.values))
-    dens *= dens
-    dens *= weight
-    dens[..., 1:(M + 1) // 2] *= 2.0
+    dens = _half_spectrum_energy(u.values, weight, g.shape)
     total = float(dens.sum())
     if not total > 0.0:
         raise DegenerateInput("field has no homogeneous energy")
@@ -297,10 +294,7 @@ def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):
             w = Field(grid=u.grid, values=u.values * phi)
         else:
             w = Field(grid=u.grid, values=u.values * phi - u.values)
-        if not np.any(w.values):
-            out.append(0.0)
-        else:
-            out.append(math.sqrt(hs_dot_norm_sq(w, s)))
+        out.append(math.sqrt(hs_dot_norm_sq(w, s)))
     return out
 
 
@@ -337,7 +331,7 @@ def gamma_limit_value(u, atoms, pack, mask):
     """Limit functional  int_Omega |u|^(2*) + S* sum mu_j^(2*/2)  of an
     admissible pair; raises BudgetExceeded when energy plus atom mass
     exceeds one beyond tolerance."""
-    energy = hs_dot_norm_sq(u, pack.s) if np.any(u.values) else 0.0
+    energy = hs_dot_norm_sq(u, pack.s)
     mu_sum = sum(e.mu for e in atoms) if atoms is not None else 0.0
     if energy + mu_sum > 1.0 + _BUDGET_TOL:
         raise BudgetExceeded(f"energy {energy:.6f} plus atom mass {mu_sum:.6f} exceeds 1")

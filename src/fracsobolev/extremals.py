@@ -62,8 +62,8 @@ class BubbleSpec:
     pack: ExponentPack
 
     def __post_init__(self):
-        if self.amplitude == 0:
-            raise InvalidOrder("bubble amplitude must be nonzero")
+        if not 0 < abs(self.amplitude) < np.inf:
+            raise InvalidOrder(f"bubble amplitude must be nonzero and finite, got {self.amplitude}")
         if not 0 < self.scale < np.inf:
             raise InvalidOrder(f"bubble scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
@@ -223,10 +223,8 @@ def localized_bubble(spec, cut, eps, grid):
     Returns ``(v, pre_norm)`` where v has unit discrete homogeneous norm and
     support inside the double ball of ``cut``, and pre_norm is the norm of
     the truncated field before normalization.  The bubble and the cutoff
-    are sampled only on the double ball's window, and the norm
-    (``hs_dot_norm_sq``) runs on the box of the support found in that
-    window when it is at most M/4 cells wide, else as one whole-box
-    transform pair.
+    are sampled only on the double ball's window, and the norm is taken
+    on that window (``norms._window_norm_sq``).
     """
     vals, box, pre_norm = _localized_window(spec, cut, eps, grid)
     full = np.zeros(grid.shape)
@@ -241,7 +239,7 @@ def _localized_window(spec, cut, eps, grid):
     vals = phi * _rescaled_values(spec, eps, grid, box)
     if not np.all(np.isfinite(vals)):
         raise InvalidGrid("localized bubble contains non-finite entries")
-    pre_norm = float(np.sqrt(_window_norm_sq(vals, grid, spec.pack.s, box)))
+    pre_norm = float(np.sqrt(_window_norm_sq(vals, grid, spec.pack.s)))
     if pre_norm == 0.0:
         raise UnderResolved("cutoff annihilated the rescaled bubble")
     vals /= pre_norm
@@ -337,7 +335,7 @@ def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
     """
     if mask is not None and np.any(u.values[~mask.inside] != 0.0):
         raise InvalidMask("recovery base field must vanish outside the domain mask")
-    energy = hs_dot_norm_sq(u, pack.s) if np.any(u.values) else 0.0
+    energy = hs_dot_norm_sq(u, pack.s)
     budget = energy + sum(atoms.masses) if len(atoms.masses) else energy
     if budget >= 1.0:
         raise BudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")

@@ -4,11 +4,11 @@ The critical exponent 2* (``critical_exponent``) and the sharp constant S*
 (``sobolev_constant``) live here, beside ExponentPack, which takes its 2*
 from ``critical_exponent``; ``extremals`` and the package re-export both.
 Domain masks sample a user-supplied shape at cell centers.  The homogeneous
-norm is the plain spectral sum of |xi|^(2s)|u_hat|^2, taken on the box of
-the support when that is at most M/4 cells wide; the Gagliardo double
-integral is an off-diagonal pair sum, evaluated as zero-padded FFT
-convolutions with the kernel (``spectral.offset_convolve``), with a diagonal
-correction and (in 1-D) an exact exterior-tail term, so the
+norm is the plain spectral sum of |xi|^(2s)|u_hat|^2, one forward transform
+of the whole box, or of the box of a support at most M/4 cells wide; the
+Gagliardo double integral is an off-diagonal pair sum, evaluated as
+zero-padded FFT convolutions with the kernel (``spectral.offset_convolve``),
+with a diagonal correction and (in 1-D) an exact exterior-tail term, so the
 Fourier/Gagliardo ratio is stable under refinement.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import (_convolve, _kernel_sample, _same_grid, apply_multiplier,
+from .spectral import (_half_spectrum_energy, _kernel_sample, _kernel_spectrum, _same_grid,
                        offset_convolve)
 
 __all__ = [
@@ -224,35 +224,32 @@ def hs_dot_norm_sq(u, s):
     A field whose support fits in a box of at most M/4 cells along every
     axis takes <u, K * u> h^N on that box, with K the periodic kernel of
     |xi|^(2s) (``Grid.kernel``) at the box's offsets, all below M/4, so the
-    linear convolution on the box is the periodic one.  It runs on the
-    box's padded lattice, at most about M/2 per axis, as the solver's
-    operator does.  Any other field takes the squared L2 norm of
-    (-Lap)^(s/2) u, one whole-box transform pair.  A field with no nonzero
-    cell gives 0.
+    linear convolution on the box is the periodic one.  By Parseval that is
+    the sum of K_hat |U|^2 / P^N over the box's padded lattice, at most
+    about M/2 per axis, as the solver's operator uses.  Any other field
+    takes the sum of |xi|^(2s) |U|^2 / M^N over the whole box.  Either is
+    one forward transform.  A field with no nonzero cell gives 0.
     """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
     return _window_norm_sq(u.values, u.grid, s)
 
 
-def _window_norm_sq(values, grid, s, window=None):
-    """``hs_dot_norm_sq`` of the field that equals ``values`` on ``window``
-    (index slices, one per axis; the whole box by default) and is zero
-    elsewhere.  The support is found on ``values`` alone; only a support
-    wider than M/4 cells fills a whole box, for the transform pair."""
+def _window_norm_sq(values, grid, s):
+    """``hs_dot_norm_sq`` of the field equal to ``values``, the whole box or
+    a window of it (|u_hat| does not depend on where it lies), and zero
+    elsewhere: a sum of ``_half_spectrum_energy`` on the whole box, or on
+    the padded lattice (P >= 2n per axis) of a narrow support's box."""
     box = _narrow_support(values, grid.points_per_dim // 4)
     if box is None:
-        if window is not None:
-            full = np.zeros(grid.shape)
-            full[window] = values
-            values = full
-        a = apply_multiplier(values, grid, s)
-        return float(np.sum(a * a)) * grid.cell_volume
+        dens = _half_spectrum_energy(values, grid.multiplier(2.0 * s), grid.shape)
+        return float(np.sum(dens)) / grid.total_points * grid.cell_volume
     if not box:
         return 0.0
     vals = values[box]
-    conv = _convolve(_kernel_sample(grid, 2.0 * s, vals.shape), (vals,))[0]
-    return float(np.sum(vals * conv)) * grid.cell_volume
+    P, kernel_spec = _kernel_spectrum(_kernel_sample(grid, 2.0 * s, vals.shape), vals.shape)
+    dens = _half_spectrum_energy(vals, kernel_spec.real, P)
+    return float(np.sum(dens)) / math.prod(P) * grid.cell_volume
 
 
 def gagliardo_seminorm_sq(u, s):

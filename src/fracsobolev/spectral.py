@@ -12,20 +12,19 @@ With this scaling the discrete Plancherel identity
 holds with no extra weights, and the homogeneous Sobolev norm is the plain
 spectral sum  sum |xi|^(2s) |coeffs|^2.
 
-Every |xi|^sigma consumer of a whole-box field goes through one transform
+Every |xi|^sigma image of a whole-box field comes from one transform
 pair, ``apply_multiplier``: ``rfftn`` of the real samples, times the weight
 on the half-spectrum lattice (``Grid.half_shape``), then the inverse, run
 in place on that one spectrum.  The unnormalized pair needs no scaling,
 since the h^(N/2) factors of the unitary convention cancel.  The weight is
 built once per grid and order by ``Grid.multiplier`` and shared, read-only;
 its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
-(pseudo-inverse on mean-zero fields).  frac_power and the homogeneous
-norm use it.  A Field's values are a read-only view, and a field keeps
-the frac_power image of each order for as long as it lives (2 MB per
-order on a 2-D M = 512 box): a repeat call returns the same image Field
-and runs no transform.  The homogeneous norm keeps nothing.
-``forward_transform`` gives the full unitary spectrum, for callers that
-want the coefficients.
+(pseudo-inverse on mean-zero fields).  frac_power uses it.  A Field's
+values are a read-only view, and a field keeps the frac_power image of
+each order for as long as it lives (2 MB per order on a 2-D M = 512 box):
+a repeat call returns the same image Field and runs no transform.  Energy
+sums  sum weight |V|^2  run only the forward half (``_half_spectrum_energy``)
+and keep nothing.  ``forward_transform`` gives the full unitary spectrum.
 
 Linear convolutions with a kernel that is even in each axis run through
 the same pair on a zero-padded lattice, whose kernel spectrum
@@ -38,8 +37,8 @@ per axis, the inverse transform of the weight, is built once per grid and
 order by ``Grid.kernel`` and shared, read-only, as the weight is.  Cropped
 to a window's offsets (``_kernel_sample``) it is a Toeplitz operator there,
 and the padded lattice is its circulant embedding: the solver's operators
-on a domain's window, and the homogeneous norm of a field of narrow
-support, run so.
+on a domain's window run so, and the homogeneous norm of a field of
+narrow support weights its padded half spectrum with the kernel's.
 """
 
 import json
@@ -189,7 +188,7 @@ class Grid:
         return np.sqrt(sum(m * m for m in mats))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real samples of a function at the cell centers of a grid.
 
@@ -297,6 +296,17 @@ def apply_multiplier(values, grid, sigma):
         raise InvalidGrid(f"values of shape {values.shape} do not match grid shape {grid.shape}")
     spec = np.empty(grid.half_shape, dtype=complex)
     return _transform_pair(values, grid.multiplier(sigma), grid.points_per_dim, spec, None)
+
+
+def _half_spectrum_energy(values, weight, shape):
+    """``weight`` |V|^2 on the ``rfftn`` half spectrum V of ``values`` zero-padded
+    to ``shape``, doubled except where the last-axis index is 0 or n/2, its own
+    conjugate, so its sum is the whole spectrum's.  One forward transform."""
+    dens = np.abs(np.fft.rfftn(values, s=shape, axes=tuple(range(len(shape)))))
+    dens *= dens
+    dens *= weight
+    dens[..., 1:(shape[-1] + 1) // 2] *= 2.0
+    return dens
 
 
 def _offset_distances(grid, offsets):

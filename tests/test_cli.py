@@ -176,6 +176,57 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+# The CSVs of the default commands with --seed 0 --reproducible.  A change
+# that moves these numbers on purpose updates them and lists the moved
+# digits in CHANGES.md.
+DEFAULT_CSVS = {
+    "bubble-verify": ("bubble_verify.csv",
+        "N,s,M,L,eps,lam,sobolev_constant,quotient,rel_err\n"
+        "1,0.25,512,8.0,0.0,1.0,1.3932039296856769,19.58184466148634,13.055260858978652\n"),
+    "norms-check": ("norms_check.csv",
+        "quantity,N,M,L,s,value\n"
+        "plancherel_max_rel_err,1,512,8.0,0.25,2.143242379283949e-16\n"
+        "gagliardo_ratio_mean,1,512,8.0,0.25,0.0996570409641766\n"
+        "gagliardo_ratio_cv,1,512,8.0,0.25,0.0009131029602326461\n"
+        "gagliardo_fitted_constant,1,512,8.0,0.25,0.0996570409641766\n"),
+    "solve": ("solve.csv",
+        "N,s,M,L,eps,value,envelope,multiplier,iters,converged,residual\n"
+        "1,0.25,512,8.0,0.8,0.8869810383765334,1.4929658260103178,1.1274198170350163,16,true,7.965145770871688e-06\n"),
+    "sweep": ("sweep.csv",
+        "N,s,M,L,eps,value,envelope,multiplier,iters,converged,argmax_coords,mass_r1,mass_r2,tail_energy\n"
+        "1,0.25,512,8.0,0.8,0.8869810383765334,1.4929658260103178,1.1274198170350163,16,true,0.0,0.85369853658692,0.9111736494545031,0.04409826605848018\n"
+        "1,0.25,512,8.0,0.4,0.9604337095802477,1.4422225402773308,1.0411962741676826,14,true,0.0,0.9439943484391281,0.955820889586459,0.022818042955677263\n"
+        "1,0.25,512,8.0,0.2,1.0882295930743529,1.4175013617614753,0.9189237329733924,10,true,0.0,0.9710186242594832,0.975918692887105,0.012537007222610124\n"
+        "1,0.25,512,8.0,0.1,1.1738118774238322,1.4053001343274985,0.8519252694858587,7,true,0.0,0.9744602241364926,0.9786058617368646,0.011152259770053076\n"),
+}
+
+
+def _same_cell(got, want):
+    """Integer, boolean and text cells match exactly, float cells within
+    1e-12 relative."""
+    if want in ("true", "false") or re.fullmatch(r"-?\d+", want):
+        return got == want
+    try:
+        return float(got) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    except ValueError:
+        return got == want
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CSVS))
+def test_default_numbers_stay(command, tmp_path, capsys):
+    name, recorded = DEFAULT_CSVS[command]
+    assert main([command, "--seed", "0", "--reproducible", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = [ln.split(",") for ln in (tmp_path / name).read_text().splitlines()]
+    want = [ln.split(",") for ln in recorded.splitlines()]
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        assert len(row) == len(ref)
+        bad = [(col, g, w) for col, g, w in zip(want[0], row, ref) if not _same_cell(g, w)]
+        assert bad == []
+
+
 def _read_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")

@@ -1,5 +1,7 @@
 """Sharp constant, bubble profiles, localization, gluing, recovery fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestLocalizedBubble:
         assert np.all(v.values[outside] == 0.0)
         assert hs_dot_norm_sq(v, 0.25) == pytest.approx(1.0, abs=1e-8)
         assert pre > 0
+
+    @pytest.mark.parametrize("amplitude", [float("inf"), float("nan")])
+    def test_non_finite_amplitude_raises(self, amplitude):
+        g, pack = make_grid(1, 1024, 8.0), ExponentPack(dim=1, s=0.25)
+        cut = CutoffSpec(center=(0.0,), inner_radius=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidOrder, match="finite"):
+                localized_bubble(BubbleSpec(amplitude=amplitude, scale=0.05, center=(0.0,),
+                                            pack=pack), cut, 0.5, g)
 
     def test_prenorm_settles_near_one(self):
         # grid-normalized reference bubble: truncation norm converges

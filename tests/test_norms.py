@@ -11,7 +11,7 @@ from fracsobolev import (ConstraintViolated, DegenerateInput, DomainMask,
                          gagliardo_seminorm_sq, hoelder_envelope,
                          hs_dot_norm_sq, lp_integral,
                          make_grid, sobolev_constant, sobolev_quotient,
-                         subcritical_value)
+                         subcritical_value, top_octave_share)
 
 from fracsobolev.norms import _narrow_support
 
@@ -126,9 +126,15 @@ class TestHsNorms:
 
 
 def _whole_box_norm_sq(u, s):
-    """The whole-box form of hs_dot_norm_sq: ||(-Lap)^(s/2) u||^2."""
-    a = apply_multiplier(u.values, u.grid, s)
-    return float(np.sum(a * a)) * u.grid.cell_volume
+    """The whole-box form of hs_dot_norm_sq: sum |xi|^(2s) |U|^2 h^N / M^N
+    over the rfftn half spectrum U, a mode counted twice unless its
+    last-axis index is 0 or M/2."""
+    g = u.grid
+    dens = np.abs(np.fft.rfftn(u.values))
+    dens *= dens
+    dens *= g.multiplier(2.0 * s)
+    dens[..., 1:g.points_per_dim // 2] *= 2.0
+    return float(np.sum(dens)) / g.total_points * g.cell_volume
 
 
 class TestHsWindow:
@@ -142,6 +148,9 @@ class TestHsWindow:
         # touching the lower edge on one axis and the upper on the other
         (2, 128, (0, 100), (20, 28)),
         (3, 32, (5, 0, 24), (8, 3, 8)),
+        # odd padded lengths: P = 75, and P = (75, 27)
+        (1, 256, (10,), (37,)),
+        (2, 256, (10, 10), (37, 13)),
     ])
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
     def test_matches_the_whole_box_sum(self, rng, dim, M, starts, widths, s):
@@ -179,6 +188,37 @@ class TestHsWindow:
     def test_dense_field_keeps_the_whole_box_bits(self, grid2d, rng):
         u = random_field(grid2d, rng)
         assert hs_dot_norm_sq(u, 0.5) == _whole_box_norm_sq(u, 0.5)
+
+    @pytest.mark.parametrize("dim,M", [(1, 512), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.8])
+    def test_forward_sum_matches_the_pair(self, rng, dim, M, s):
+        # the forward-only sum against ||(-Lap)^(s/2) u||^2 from the pair
+        g = make_grid(dim, M, 4.0)
+        u = random_field(g, rng)
+        a = apply_multiplier(u.values, g, s)
+        pair = float(np.sum(a * a)) * g.cell_volume
+        assert abs(_whole_box_norm_sq(u, s) - pair) <= 1e-13 * pair
+
+    def test_runs_no_inverse_transform(self, rng, monkeypatch):
+        import fracsobolev.spectral as spectral_mod
+        g = make_grid(2, 128, 4.0)
+        narrow = np.zeros(g.shape)
+        narrow[40:72, 70:81] = rng.standard_normal((32, 11))
+        fields = [Field(grid=g, values=narrow), random_field(g, rng)]
+        # the narrow branch reads the kernel that the grid keeps, which
+        # one inverse transform builds on first use
+        g.kernel(1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inverse transform ran")
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        monkeypatch.setattr(np.fft, "irfftn", refuse)
+        assert _narrow_support(narrow, 32) is not None
+        for u in fields:
+            assert hs_dot_norm_sq(u, 0.5) > 0.0
+            assert 0.0 < top_octave_share(u, 0.5) < 1.0
 
 
 def _band_limited_compact(grid, rng, half):

@@ -430,6 +430,15 @@ class TestFieldValidation:
         vals[0] = 7.0
         assert u.values[0] == 7.0
 
+    def test_equality_is_identity(self, grid1d, rng):
+        vals = rng.standard_normal(grid1d.shape)
+        u = Field(grid=grid1d, values=vals)
+        assert u == u
+        assert not u != u
+        twin = Field(grid=grid1d, values=vals.copy())
+        assert u != twin
+        assert not u == twin
+
     def test_caller_write_leaves_kept_image(self, grid1d, rng):
         # the ownership rule of Field: a write to the shared array after an
         # image is kept changes the values but not the image

@@ -7,7 +7,9 @@ failed to converge, a gamma-check audit was violated or skipped, or a
 runtime error, 2 configuration error, also a runtime error that names a
 key.  Data goes to files under --out; diagnostics go to standard error.
 With --reproducible the timestamp header line is suppressed and outputs
-are byte-identical for identical config and seed.
+are byte-identical for identical config and seed, whatever the BLAS thread
+settings: the solver sums its inner products in blocks too short for
+OpenBLAS to split across threads (``solver._dot``).
 """
 
 import datetime

@@ -13,7 +13,6 @@ read the image (-Lap)^(s/2) u that u keeps (``spectral.frac_power``), so
 on one field they run its transform pair once.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,10 +80,6 @@ class AtomList:
     @property
     def total_mu(self):
         return sum(e.mu for e in self.entries)
-
-    def to_json(self):
-        return json.dumps([{"x": list(e.location), "mu": e.mu, "nu": e.nu}
-                           for e in self.entries])
 
 
 def energy_density(u, s):

@@ -11,7 +11,6 @@ cutoff's double ball (``Grid.ball_window``); every other cell is zero, and
 a glued sum adds each bubble on its window only.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +73,6 @@ class BubbleSpec:
     def decay_power(self):
         return (self.pack.dim - 2.0 * self.pack.s) / 2.0
 
-    def to_json(self):
-        return json.dumps({"amplitude": self.amplitude, "scale": self.scale,
-                           "center": list(self.center), "dim": self.pack.dim,
-                           "s": self.pack.s}, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class CutoffSpec:
@@ -91,10 +85,6 @@ class CutoffSpec:
         if not self.inner_radius > 0:
             raise InvalidOrder(f"inner_radius must be positive, got {self.inner_radius}")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
-
-    def to_json(self):
-        return json.dumps({"center": list(self.center), "inner_radius": self.inner_radius},
-                          sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -119,10 +109,6 @@ class AtomSpec:
                     raise InvalidOrder(f"atom points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", ms)
-
-    def to_json(self):
-        return json.dumps({"points": [list(p) for p in self.points],
-                           "masses": list(self.masses)}, sort_keys=True)
 
 
 def cutoff_profile(r, rho):
@@ -252,8 +238,7 @@ def _snap_to_mask(point, mask):
     idx = tuple(int(np.argmin(np.abs(grid.axis - c))) for c in point)
     if mask.inside[idx]:
         return tuple(float(grid.axis[i]) for i in idx)
-    coords = grid.coords()
-    d2 = sum((c - p) ** 2 for c, p in zip(coords, point))
+    d2 = sum((c - p) ** 2 for c, p in zip(np.ix_(*[grid.axis] * grid.dim), point))
     d2 = np.where(mask.inside, d2, np.inf)
     j = np.unravel_index(int(np.argmin(d2)), grid.shape)
     return tuple(float(grid.axis[i]) for i in j)

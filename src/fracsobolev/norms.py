@@ -12,7 +12,6 @@ with a diagonal correction and (in 1-D) an exact exterior-tail term, so the
 Fourier/Gagliardo ratio is stable under refinement.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -112,10 +111,8 @@ class DomainMask:
     @property
     def window(self):
         """Index slices, one per axis, of the bounding box of the inside cells."""
-        N = self.grid.dim
-        hits = (np.flatnonzero(self.inside.any(axis=tuple(a for a in range(N) if a != ax)))
-                for ax in range(N))
-        return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+        # no span reaches M cells, so this is never None
+        return _narrow_support(self.inside, self.grid.points_per_dim)
 
     @property
     def diameter(self):
@@ -125,14 +122,11 @@ class DomainMask:
         return float(np.sqrt(sq))
 
     def centroid(self):
-        pts = [c[self.inside].mean() for c in self.grid.coords()]
-        return np.array(pts)
+        return np.array([np.broadcast_to(c, self.inside.shape)[self.inside].mean()
+                         for c in np.ix_(*[self.grid.axis] * self.grid.dim)])
 
     def restrict(self, values):
         return np.where(self.inside, values, 0.0)
-
-    def to_json(self):
-        return json.dumps({"shape": self.shape_spec}, sort_keys=True)
 
     @staticmethod
     def from_shape(grid, spec):
@@ -142,23 +136,23 @@ class DomainMask:
         ball {center:[...], radius: r}, polygon {vertices:[[x,y],...]} (N=2).
         """
         kind = spec.get("kind")
-        coords = grid.coords()
         if kind == "interval":
             if grid.dim != 1:
                 raise InvalidMask("interval shape requires a 1-D grid")
             a, b = spec["bounds"]
-            inside = (coords[0] > a) & (coords[0] < b)
+            inside = (grid.axis > a) & (grid.axis < b)
         elif kind == "box":
             lower, upper = spec["lower"], spec["upper"]
             inside = np.ones(grid.shape, dtype=bool)
-            for c, lo, hi in zip(coords, lower, upper):
+            for c, lo, hi in zip(np.ix_(*[grid.axis] * grid.dim), lower, upper):
                 inside &= (c > lo) & (c < hi)
         elif kind == "ball":
             inside = grid.radii(spec["center"]) < spec["radius"]
         elif kind == "polygon":
             if grid.dim != 2:
                 raise InvalidMask("polygon shape requires a 2-D grid")
-            inside = _points_in_polygon(coords[0], coords[1], np.asarray(spec["vertices"], float))
+            inside = _points_in_polygon(*np.ix_(grid.axis, grid.axis),
+                                        np.asarray(spec["vertices"], float))
         else:
             raise InvalidMask(f"unknown shape kind {kind!r}")
         return DomainMask(grid=grid, inside=inside, shape_spec=dict(spec))
@@ -171,7 +165,7 @@ def _touches_outer_layer(values):
 
 def _points_in_polygon(X, Y, verts):
     # even-odd rule ray casting, vectorized over all cells
-    inside = np.zeros(X.shape, dtype=bool)
+    inside = np.zeros(np.broadcast_shapes(X.shape, Y.shape), dtype=bool)
     n = len(verts)
     for i in range(n):
         x1, y1 = verts[i]

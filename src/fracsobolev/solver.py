@@ -52,6 +52,10 @@ the previous w and A w, and keeps A w with w, which gives
 first preconditioning, k operator and k-1 preconditioner applies, and one
 apply to its result.  An outer iteration runs 2k+1 pairs, extended or not,
 and one more when a resumed CG follows one that took steps.
+
+Every inner product, ``el_residual``'s too, is ``_dot``: ``np.dot`` on blocks
+that OpenBLAS sums on one thread, added exactly, so no result depends on
+the BLAS thread settings.
 """
 
 import math
@@ -102,6 +106,10 @@ ETA_FACTOR = 1e-2
 # a difference whose Gram-Schmidt remainder keeps less than this share of its
 # norm is dropped from the fit as dependent on the newer ones
 _DEPENDENT_TOL = 1e-10
+# longest block _dot hands to np.dot: OpenBLAS splits a dot product of more
+# than 10,000 elements across threads, so its rounding follows the thread
+# count (scipy-openblas 0.3.31: 10,000 elements keep one CPU busy, 10,001 two)
+_DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,17 @@ class SweepEntry:
     top_octave: float = float("nan")
 
 
+def _dot(a, b):
+    """<a, b> of the flattened arrays: ``np.dot`` up to _DOT_BLOCK elements,
+    else the correctly rounded sum (``math.fsum``) of ``np.dot`` over
+    consecutive _DOT_BLOCK-long blocks."""
+    a, b = a.ravel(), b.ravel()
+    if a.size <= _DOT_BLOCK:
+        return float(np.dot(a, b))
+    return math.fsum(float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+                     for i in range(0, a.size, _DOT_BLOCK))
+
+
 def el_residual(u, pack, mask):
     """Rayleigh multiplier and relative L2 residual of the Euler-Lagrange
     equation (-Lap)^s u = lambda |u|^(2*-2-eps) u tested on the domain cells.
@@ -170,7 +189,7 @@ def el_residual(u, pack, mask):
     q = pack.subcritical_exponent - 2.0
     Au = apply_multiplier(u.values, u.grid, 2.0 * pack.s)
     h_vol = u.grid.cell_volume
-    multiplier = float(np.dot(u.values.ravel(), Au.ravel())) * h_vol / feps
+    multiplier = _dot(u.values, Au) * h_vol / feps
     inside = mask.inside
     vals = u.values[inside]
     res = np.zeros(u.grid.shape)
@@ -236,21 +255,21 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
     before that.
     """
     r, z, p, Ap = work
-    b_norm = math.sqrt(float(np.dot(rhs.ravel(), rhs.ravel())))
+    b_norm = math.sqrt(_dot(rhs, rhs))
     if b_norm == 0.0:
         x.fill(0.0)
         Ax.fill(0.0)
         return 0, 0.0
     np.subtract(rhs, Ax, out=r)
-    r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+    r_norm = math.sqrt(_dot(r, r))
     if r_norm <= tol * b_norm:
         return 0, r_norm / b_norm
     np.copyto(p, precond(r, z))
-    rz = float(np.dot(r.ravel(), z.ravel()))
+    rz = _dot(r, z)
     iters = 0
     while iters < max_iters:
         apply_op(p, Ap)
-        denom = float(np.dot(p.ravel(), Ap.ravel()))
+        denom = _dot(p, Ap)
         if denom <= 0.0:
             break
         iters += 1
@@ -258,12 +277,12 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
         # z is free until the next precond, Ap until the next apply_op
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(Ap, alpha, out=Ap)
-        r_norm = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+        r_norm = math.sqrt(_dot(r, r))
         if r_norm <= tol * b_norm:
             apply_op(x, Ax)
             return iters, r_norm / b_norm
         precond(r, z)
-        rz_new = float(np.dot(r.ravel(), z.ravel()))
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -280,12 +299,12 @@ def _lstsq_weights(target, columns):
     returns None when every column does."""
     basis, coef, kept = [], [], []
     for j, v in enumerate(columns):
-        norm = math.sqrt(float(np.dot(v, v)))
+        norm = math.sqrt(_dot(v, v))
         r = []
         for qv in basis:
-            r.append(float(np.dot(qv, v)))
+            r.append(_dot(qv, v))
             v -= r[-1] * qv
-        rest = math.sqrt(float(np.dot(v, v)))
+        rest = math.sqrt(_dot(v, v))
         if not rest > _DEPENDENT_TOL * norm:
             continue
         v /= rest
@@ -296,7 +315,7 @@ def _lstsq_weights(target, columns):
         return None
     rhs = []
     for qv in basis:
-        rhs.append(float(np.dot(qv, target)))
+        rhs.append(_dot(qv, target))
         target -= rhs[-1] * qv
     gamma = np.zeros(len(columns))
     # back substitution on R, whose column l is coef[l]
@@ -311,7 +330,7 @@ def _lstsq_weights(target, columns):
 def _to_sphere(x, Ax, h_vol):
     """Scale ``x`` and its image ``Ax`` in place to <x, A x> = 1 and return
     them; None when <x, A x> is not positive."""
-    x_sq = float(np.dot(x.ravel(), Ax.ravel())) * h_vol
+    x_sq = _dot(x, Ax) * h_vol
     if not x_sq > 0.0:
         return None
     x /= math.sqrt(x_sq)
@@ -399,7 +418,7 @@ def solve(pack, mask, config, init=None):
     Aw = np.empty(inside.shape)
 
     def plain_step():
-        w_sq = float(np.dot(w.ravel(), Aw.ravel())) * h_vol
+        w_sq = _dot(w, Aw) * h_vol
         if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
         w_norm = math.sqrt(w_sq)

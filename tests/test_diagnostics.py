@@ -733,15 +733,3 @@ class TestAtomDetectDeterminism:
         monkeypatch.setattr(diagnostics_mod, "DEFAULT_ATOM_CAP", 2)
         found = atom_detect(m, m, radius=0.2, threshold=0.05)
         assert len(found) == 2
-
-    def test_atom_list_json(self, grid1d):
-        import json
-        from fracsobolev.diagnostics import CellMeasure
-        masses = np.zeros(grid1d.shape)
-        masses[128] = 2.0
-        m = CellMeasure(grid=grid1d, masses=masses)
-        found = atom_detect(m, m, radius=0.2, threshold=0.5)
-        parsed = json.loads(found.to_json())
-        assert len(parsed) == 1
-        assert parsed[0]["mu"] == pytest.approx(2.0)
-        assert "x" in parsed[0] and "nu" in parsed[0]

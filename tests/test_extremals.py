@@ -381,18 +381,6 @@ class TestQuotientOptimality:
         assert (qs.max() - qs.min()) / qs.mean() < 0.01
 
 
-class TestSpecSerialization:
-    def test_bubble_cutoff_atom_json(self):
-        import json
-        pack = ExponentPack(dim=1, s=0.25)
-        spec = BubbleSpec(amplitude=1.5, scale=0.5, center=(0.25,), pack=pack)
-        cut = CutoffSpec(center=(0.0,), inner_radius=0.75)
-        atoms = AtomSpec(points=((-0.5,), (0.5,)), masses=(0.3, 0.4))
-        assert json.loads(spec.to_json())["scale"] == 0.5
-        assert json.loads(cut.to_json())["inner_radius"] == 0.75
-        assert json.loads(atoms.to_json())["masses"] == [0.3, 0.4]
-
-
 def test_bubble_center_must_lie_inside_box(grid1d):
     pack = ExponentPack(dim=1, s=0.25)
     spec = BubbleSpec(amplitude=1.0, scale=0.5, center=(9.0,), pack=pack)

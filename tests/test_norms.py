@@ -58,11 +58,39 @@ class TestDomainMask:
         with pytest.raises(InvalidMask):
             DomainMask.from_shape(grid1d, {"kind": "interval", "bounds": [2.0, 2.0]})
 
-    def test_json_round_trip(self, grid1d):
-        import json
-        mask = DomainMask.from_shape(grid1d, {"kind": "interval", "bounds": [-1.0, 1.0]})
-        spec = json.loads(mask.to_json())["shape"]
-        assert spec["kind"] == "interval"
+    def test_per_axis_coordinates_keep_the_dense_bits(self):
+        # masks, centroids and snapped atoms read one coordinate array per
+        # axis, broadcast; each equals its form on the dense Grid.coords()
+        from fracsobolev.extremals import _snap_to_mask
+        from fracsobolev.norms import _points_in_polygon
+        verts = [[-1.0, -1.0], [1.0, -0.8], [0.2, 1.1]]
+        lower, upper = [-1.0, -0.6, -1.2], [1.0, 0.7, 0.3]
+        rng = np.random.default_rng(5)
+        for dim, M, kind in [(1, 512, "interval"), (1, 512, "box"), (2, 128, "box"),
+                             (2, 128, "polygon"), (2, 64, "ball"), (3, 32, "box")]:
+            g = make_grid(dim, M, 4.0)
+            coords = g.coords()
+            if kind == "interval":
+                spec = {"kind": kind, "bounds": [-0.3, 1.7]}
+                dense = (coords[0] > -0.3) & (coords[0] < 1.7)
+            elif kind == "box":
+                spec = {"kind": kind, "lower": lower[:dim], "upper": upper[:dim]}
+                dense = np.all([(c > lo) & (c < hi)
+                                for c, lo, hi in zip(coords, lower, upper)], axis=0)
+            elif kind == "polygon":
+                spec = {"kind": kind, "vertices": verts}
+                dense = _points_in_polygon(*coords, np.asarray(verts))
+            else:
+                spec = {"kind": kind, "center": [0.1, 0.0], "radius": 1.0}
+                dense = np.sqrt((coords[0] - 0.1) ** 2 + coords[1] ** 2) < 1.0
+            mask = DomainMask.from_shape(g, spec)
+            assert np.array_equal(mask.inside, dense)
+            assert np.array_equal(mask.centroid(), [c[dense].mean() for c in coords])
+            for p in rng.uniform(-4.0, 4.0, size=(10, dim)):
+                d2 = np.where(dense, sum((c - q) ** 2 for c, q in zip(coords, p)), np.inf)
+                j = np.unravel_index(int(np.argmin(d2)), g.shape)
+                if not dense[tuple(int(np.argmin(np.abs(g.axis - q))) for q in p)]:
+                    assert _snap_to_mask(p, mask) == tuple(float(g.axis[i]) for i in j)
 
 
 class TestLpIntegral:

@@ -1,13 +1,20 @@
 """Fixed-point solver, stationarity residual, and eps sweeps."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracsobolev
 from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
                          apply_multiplier, el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
-from fracsobolev.solver import CG_TOL, ETA_MAX, default_initial_field
+from fracsobolev.solver import _DOT_BLOCK, CG_TOL, ETA_MAX, _dot, default_initial_field
 
 from oracles import (el_residual_full, full_box_ops, gradient_ascent_oracle,
                      plain_inverse_iteration)
@@ -844,3 +851,42 @@ class TestConcurrentUse:
         for a, b in zip(serial, parallel):
             assert np.array_equal(a, b)
 
+
+class TestDot:
+    def test_blocks_sum_exactly(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 7, _DOT_BLOCK - 1, _DOT_BLOCK):
+            a, b = rng.standard_normal((2, n))
+            assert _dot(a, b) == float(np.dot(a, b))
+        for n in (_DOT_BLOCK + 1, 2 * _DOT_BLOCK, 3 * _DOT_BLOCK + 5):
+            a, b = rng.standard_normal((2, n))
+            blocks = [float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+                      for i in range(0, n, _DOT_BLOCK)]
+            assert _dot(a, b) == math.fsum(blocks)
+
+    def test_blas_thread_count_keeps_the_bits(self):
+        # a 16,383-cell 1-D window, whose CG products and sphere scalings
+        # exceed the length OpenBLAS threads, and el_residual's whole-box
+        # product of a 2-D M = 128 solve, in fresh interpreters, as OpenBLAS
+        # reads its thread count at start-up
+        code = (
+            "from fracsobolev import DomainMask, ExponentPack, SolverConfig, make_grid\n"
+            "from fracsobolev.solver import el_residual, solve\n"
+            "for dim, M, L, s, shape in [\n"
+            "        (1, 2 ** 15, 2.0, 0.25, {'kind': 'interval', 'bounds': [-1.0, 1.0]}),\n"
+            "        (2, 128, 4.0, 0.5, {'kind': 'ball', 'center': [0.0, 0.0], 'radius': 1.0})]:\n"
+            "    mask = DomainMask.from_shape(make_grid(dim, M, L), shape)\n"
+            "    pack = ExponentPack(dim=dim, s=s, eps=0.8)\n"
+            "    result = solve(pack, mask, SolverConfig())\n"
+            "    mult, res = el_residual(result.maximizer, pack, mask)\n"
+            "    print(result.value.hex(), result.multiplier.hex(), mult.hex(), res.hex())\n")
+        src = str(Path(fracsobolev.__file__).parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+                   "OPENBLAS_NUM_THREADS": threads}
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(outs[0].split()) == 8
+        assert outs[0] == outs[1]

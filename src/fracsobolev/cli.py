@@ -24,25 +24,22 @@ from .errors import (ConfigError, FracSobolevError, InvalidGrid, InvalidMask,
                      InvalidOrder)
 from .extremals import (AtomSpec, BubbleSpec, cutoff_profile,
                         recovery_sequence, talenti_bubble)
-from .norms import (DomainMask, ExponentPack, gagliardo_seminorm_sq,
-                    hoelder_envelope, hs_dot_norm_sq, lp_integral,
-                    sobolev_constant, sobolev_quotient, subcritical_value)
+from .norms import (DomainMask, ExponentPack, gagliardo_seminorm_sq, hoelder_envelope,
+                    hs_dot_norm_sq, sobolev_constant, sobolev_quotient, subcritical_value)
 from .solver import SolverConfig, el_residual, eps_sweep, solve
 from .spectral import Field, field_to_bytes, forward_transform, make_grid
 from . import diagnostics, extremals
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main", "COMMANDS"]
 
-COMMANDS = ("bubble-verify", "norms-check", "solve", "sweep", "recovery-demo", "gamma-check")
-
-# flag / config key -> (type, built-in default); lam, the bubble scale,
-# defaults to L/8 and omega, a JSON shape spec, to one per dimension
+# flag / config key -> (type, built-in default); the solver's are SolverConfig's,
+# lam, the bubble scale, defaults to L/8 and omega, a JSON shape spec, to one per dimension
 _FLAGS = {
     "N": (int, 1), "s": (float, 0.25), "M": (int, 512), "L": (float, 8.0),
-    "lam": (float, None), "eps-schedule": (str, "0.8,0.4,0.2,0.1"),
-    "omega": (str, None), "max-iters": (int, 5000), "tol": (float, 1e-8),
-    "seed": (int, 0), "out": (str, "out"), "emit-fields": (bool, False),
-    "reproducible": (bool, False),
+    "lam": (float, None), "eps-schedule": (str, ",".join(map(str, SolverConfig().eps_schedule))),
+    "omega": (str, None), "max-iters": (int, SolverConfig().max_iters),
+    "tol": (float, SolverConfig().tol), "seed": (int, SolverConfig().seed),
+    "out": (str, "out"), "emit-fields": (bool, False), "reproducible": (bool, False),
 }
 
 # constructor parameter named by an InvalidGrid/InvalidOrder -> config key
@@ -383,6 +380,13 @@ def _recovery_geometry(cfg):
     return (u,) + _recovery_atom(grid, mask)
 
 
+def _limit_value(cfg, u, atoms):
+    """``diagnostics.gamma_limit_value`` of u and the atoms, (point, mass) pairs."""
+    entries = tuple(diagnostics.AtomEntry(location=p, mu=mu, nu=0.0) for p, mu in atoms)
+    return diagnostics.gamma_limit_value(u, diagnostics.AtomList(entries=entries),
+                                         cfg.pack.with_eps(0.0), cfg.mask)
+
+
 def _recovery_steps(d_atom, schedule):
     """(sigma, eps) per demo step and the finest glued-bubble core."""
     steps = [(frac * d_atom, eps) for frac, eps in zip((0.4, 0.2, 0.1), schedule)]
@@ -402,10 +406,8 @@ def _cmd_recovery_demo(cfg):
         clearance = _recovery_atom(grid, DomainMask.from_shape(grid, cfg.mask.shape_spec))[1]
         core = _recovery_steps(clearance, cfg.solver.eps_schedule)[1]
     extremals.require_core_cells(finest, cfg.grid, start=grid.points_per_dim)
-    mu1 = 0.5
-    atoms = AtomSpec(points=(atom_pt,), masses=(mu1,))
-    Sstar = sobolev_constant(pack.dim, pack.s)
-    target = lp_integral(u, pack.two_star, cfg.mask) + Sstar * mu1 ** (pack.two_star / 2.0)
+    atoms = AtomSpec(points=(atom_pt,), masses=(0.5,))
+    target = _limit_value(cfg, u, zip(atoms.points, atoms.masses))
     rows = []
     for sigma, eps in steps:
         crit = pack.with_eps(eps)
@@ -431,16 +433,11 @@ def _cmd_gamma_check(cfg):
         rows.append(_echo(cfg, pack.eps) + [case, value, limit, value <= limit])
 
     zero = Field(grid=grid, values=np.zeros(grid.shape))
-    one_atom = diagnostics.AtomList(entries=(diagnostics.AtomEntry(
-        location=tuple(mask.centroid()), mu=1.0, nu=0.0),))
-    audit("single_unit_atom", diagnostics.gamma_limit_value(zero, one_atom, pack.with_eps(0.0), mask), bound)
-    audit("empty_pair", diagnostics.gamma_limit_value(zero, diagnostics.AtomList(entries=()),
-                                                      pack.with_eps(0.0), mask), bound)
+    audit("single_unit_atom", _limit_value(cfg, zero, [(tuple(mask.centroid()), 1.0)]), bound)
+    audit("empty_pair", _limit_value(cfg, zero, []), bound)
 
     u, atom_pt, d_atom = _recovery_geometry(cfg)
-    half_atoms = diagnostics.AtomList(entries=(diagnostics.AtomEntry(
-        location=atom_pt, mu=0.5, nu=0.0),))
-    audit("mixed_pair", diagnostics.gamma_limit_value(u, half_atoms, pack.with_eps(0.0), mask), bound)
+    audit("mixed_pair", _limit_value(cfg, u, [(atom_pt, 0.5)]), bound)
 
     centroid = mask.centroid()
     extent = 0.5 * mask.diameter
@@ -478,6 +475,7 @@ _DISPATCH = {
     "recovery-demo": _cmd_recovery_demo,
     "gamma-check": _cmd_gamma_check,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(config):

@@ -44,11 +44,11 @@ __all__ = [
 DEFAULT_ATOM_CAP = 16
 # slack on the unit energy-plus-mass budget of an admissible pair
 _BUDGET_TOL = 1e-8
-# ball sums within this share of the total mass of the best count as tied
+# values within this share of the total mass of the largest count as tied
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellMeasure:
     """Nonnegative mass per cell; total approximates the generating integral."""
 
@@ -108,10 +108,16 @@ def lp_density(u, p, mask=None):
     return CellMeasure(grid=u.grid, masses=vals)
 
 
+def _best_cell(values, total):
+    """Index of the first cell in C order whose value is within
+    ``_TIE_TOL * total`` of the largest, lest FFT rounding decide a tie."""
+    near = values >= float(values.max()) - _TIE_TOL * total
+    return np.unravel_index(int(np.argmax(near)), values.shape)
+
+
 def argmax_cell(m):
-    """Cell-center coordinates of the largest mass (first in C order on ties)."""
-    idx = np.unravel_index(int(np.argmax(m.masses)), m.grid.shape)
-    return tuple(float(m.grid.axis[i]) for i in idx)
+    """Cell-center coordinates of the largest mass; ``_best_cell`` breaks ties."""
+    return tuple(float(m.grid.axis[i]) for i in _best_cell(m.masses, m.total))
 
 
 def _ball_offsets(grid, radius):
@@ -146,14 +152,12 @@ def atom_detect(m, nu, radius, threshold):
     DEFAULT_ATOM_CAP were found.  The ball sums are one linear convolution of
     the whole box with the ball; zeroing a ball moves them only within
     2 reach of its center (the reach of ``_ball_sample``), so after each
-    atom that box is convolved again from the input within 3 reach.  Lest
-    FFT rounding decide a tie, the center is the first cell in C order whose
-    sum is within ``_TIE_TOL * total`` of the best, and the masses and the
-    threshold test use the exact sum over that ball's cells.  Neither
-    measure is copied: the zeroed cells are exactly those no longer
-    allowed as centers, so a ball mass, or the input of a local
-    convolution, reads the measure where allowed and zero elsewhere, on
-    its own box.  ``nu`` must lie on the grid of ``m`` (InvalidGrid
+    atom that box is convolved again from the input within 3 reach.  The
+    center is ``_best_cell`` of the sums, and the masses and the threshold
+    test use the exact sum over that ball's cells.  Neither measure is
+    copied: the zeroed cells are exactly those no longer allowed as
+    centers, so a ball mass, or the input of a local convolution, reads
+    the measure where allowed and zero elsewhere, on its own box.  ``nu`` must lie on the grid of ``m`` (InvalidGrid
     otherwise).
     """
     grid = m.grid
@@ -175,8 +179,7 @@ def atom_detect(m, nu, radius, threshold):
     sums = _convolve(sample, (m.masses,))[0]
     entries = []
     for _ in range(DEFAULT_ATOM_CAP):
-        best = float(sums.max())
-        idx = np.unravel_index(int(np.argmax(sums >= best - _TIE_TOL * total)), grid.shape)
+        idx = _best_cell(sums, total)
         point = tuple(slice(i, i + 1) for i in idx)
         box = _grow(point, reach, M)
         # the ball about idx on its box: the sample at |offset| per axis

@@ -155,12 +155,7 @@ def talenti_bubble(spec, grid, normalize=False):
     """
     vals = _sample_bubble(grid, spec.amplitude, spec.scale, spec.center, spec.decay_power)
     peak = float(np.max(np.abs(vals)))
-    boundary = 0.0
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        for idx in (0, -1):
-            sl[ax] = idx
-            boundary = max(boundary, float(np.max(np.abs(vals[tuple(sl)]))))
+    boundary = max(float(np.abs(np.take(vals, (0, -1), axis=ax)).max()) for ax in range(grid.dim))
     if boundary > DEFAULT_TAIL_THRESHOLD * peak:
         raise TailTooFat(f"boundary tail {boundary / peak:.3f} of peak exceeds threshold "
                          f"{DEFAULT_TAIL_THRESHOLD}")

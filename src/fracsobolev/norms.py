@@ -83,7 +83,7 @@ class ExponentPack:
         return ExponentPack(dim=self.dim, s=self.s, eps=eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainMask:
     """Boolean cell-membership mask for a bounded domain strictly inside the box."""
 

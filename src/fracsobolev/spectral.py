@@ -20,11 +20,12 @@ since the h^(N/2) factors of the unitary convention cancel.  The weight is
 built once per grid and order by ``Grid.multiplier`` and shared, read-only;
 its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
 (pseudo-inverse on mean-zero fields).  frac_power uses it.  A Field's
-values are a read-only view, and a field keeps the frac_power image of
-each order for as long as it lives (2 MB per order on a 2-D M = 512 box):
-a repeat call returns the same image Field and runs no transform.  Energy
-sums  sum weight |V|^2  run only the forward half (``_half_spectrum_energy``)
-and keep nothing.  ``forward_transform`` gives the full unitary spectrum.
+values are read-only for every holder, and a field keeps the frac_power
+image of each order for as long as it lives (2 MB per order on a 2-D
+M = 512 box): a repeat call returns the same image Field and runs no
+transform.  Energy sums  sum weight |V|^2  run only the forward half
+(``_half_spectrum_energy``) and keep nothing.  ``forward_transform``
+gives the full unitary spectrum.
 
 Linear convolutions with a kernel that is even in each axis run through
 the same pair on a zero-padded lattice, whose kernel spectrum
@@ -70,7 +71,8 @@ _MEAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic computational box; immutable and safe for concurrent reads."""
+    """Periodic computational box; immutable and safe for concurrent reads.
+    A bad parameter raises InvalidGrid naming it; fields become int, int, float."""
 
     dim: int
     points_per_dim: int
@@ -79,6 +81,23 @@ class Grid:
     cell_volume: float = field(init=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidGrid(f"dim must be >= 1, got {self.dim}", param="dim")
+        dim, M = int(self.dim), int(self.points_per_dim)
+        if M < 4 or (M & (M - 1)) != 0:
+            raise InvalidGrid(f"points_per_dim must be a power of two >= 4, got "
+                              f"{self.points_per_dim}", param="points_per_dim")
+        if M ** dim > DEFAULT_MAX_POINTS:
+            raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {DEFAULT_MAX_POINTS}",
+                              param="points_per_dim")
+        # after the cap, dim is small; a product, unlike **, overflows to inf
+        h = 2.0 * self.half_width / M
+        if not (0 < h and 0 < math.prod([h] * dim) < math.inf):
+            raise InvalidGrid(f"half_width {self.half_width} gives no positive spacing 2L/M "
+                              f"with a finite positive cell volume (2L/M)^N", param="half_width")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "points_per_dim", M)
+        object.__setattr__(self, "half_width", float(self.half_width))
         object.__setattr__(self, "spacing", 2.0 * self.half_width / self.points_per_dim)
         object.__setattr__(self, "cell_volume", self.spacing ** self.dim)
         object.__setattr__(self, "_axis", -self.half_width + self.spacing * np.arange(self.points_per_dim))
@@ -192,14 +211,13 @@ class Grid:
 class Field:
     """Real samples of a function at the cell centers of a grid.
 
-    ``values`` is a read-only view; the array passed in stays writable.
-    The field keeps its ``frac_power`` images, one per order, for as long
-    as it lives.  Complex samples raise InvalidGrid, as do non-finite ones.
-
-    A float64 array is shared, not copied: the field takes it over, and
-    its caller must not write to it afterwards.  Such a write would change
-    ``values`` but not the images already kept, which would then belong
-    to the old samples; wrap a copy to keep the array in use.
+    ``values`` is read-only for every holder: a float64 array it is handed
+    is flagged read-only, not copied, and a read-only array is shared, but
+    a view is copied unless it and its base are both read-only.  So the
+    ``frac_power`` images that the field keeps, one per order, for as long
+    as it lives, belong to ``values``; only a writable view taken of an
+    array before it was wrapped can still write to it.  Complex samples
+    raise InvalidGrid, as do non-finite ones.
     """
 
     grid: Grid
@@ -213,14 +231,16 @@ class Field:
             raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidGrid("field contains non-finite entries")
-        v = v.view()
+        if v.base is not None and (v.flags.writeable or not isinstance(v.base, np.ndarray)
+                                   or v.base.flags.writeable):
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         # frac_power images per order, which frac_power fills
         object.__setattr__(self, "_images", {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Complex Fourier coefficients of a Field (unitary, Plancherel-preserving)."""
 
@@ -238,24 +258,8 @@ def _same_grid(grid, other, name, ref):
 
 
 def make_grid(dim, points_per_dim, half_width):
-    """Build a Grid; raises InvalidGrid on bad parameters, a spacing 2L/M
-    that is not positive, a cell volume (2L/M)^N that is not positive and
-    finite, or more than DEFAULT_MAX_POINTS points."""
-    if dim < 1:
-        raise InvalidGrid(f"dim must be >= 1, got {dim}", param="dim")
-    M = int(points_per_dim)
-    if M < 4 or (M & (M - 1)) != 0:
-        raise InvalidGrid(f"points_per_dim must be a power of two >= 4, got {points_per_dim}",
-                          param="points_per_dim")
-    if M ** dim > DEFAULT_MAX_POINTS:
-        raise InvalidGrid(f"grid of {M}^{dim} points exceeds the cap of {DEFAULT_MAX_POINTS}",
-                          param="points_per_dim")
-    # after the cap, dim is small; a product, unlike **, overflows to inf
-    h = 2.0 * half_width / M
-    if not (0 < h and 0 < math.prod([h] * int(dim)) < math.inf):
-        raise InvalidGrid(f"half_width {half_width} gives no positive spacing 2L/M with a "
-                          f"finite positive cell volume (2L/M)^N", param="half_width")
-    return Grid(dim=int(dim), points_per_dim=M, half_width=float(half_width))
+    """``Grid(dim, points_per_dim, half_width)``, which checks its parameters."""
+    return Grid(dim=dim, points_per_dim=points_per_dim, half_width=half_width)
 
 
 def forward_transform(u):

@@ -66,7 +66,7 @@ def gradient_ascent_oracle(pack, mask, max_steps=4000, eta0=1.0, seed=None):
     if seed is not None:
         rng = np.random.default_rng(seed)
         u = u + 0.01 * mask.restrict(rng.standard_normal(grid.shape))
-    u /= np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=u), pack.s))
+    u = u / np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=u), pack.s))
 
     def value(vals):
         return lp_integral(Field(grid=grid, values=vals), pexp, mask)
@@ -81,7 +81,7 @@ def gradient_ascent_oracle(pack, mask, max_steps=4000, eta0=1.0, seed=None):
         accepted = False
         for _ in range(60):
             cand = u + eta * d
-            cand /= np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=cand), pack.s))
+            cand = cand / np.sqrt(hs_dot_norm_sq(Field(grid=grid, values=cand), pack.s))
             Fc = value(cand)
             if Fc > F:
                 accepted = True

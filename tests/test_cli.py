@@ -1,5 +1,6 @@
 """Configuration parsing, command dispatch, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fracsobolev
-from fracsobolev import ConfigError
+from fracsobolev import ConfigError, SolverConfig
 from fracsobolev.cli import COMMANDS, main, parse_config
 
 
@@ -22,6 +23,11 @@ class TestParseConfig:
         assert cfg.grid.half_width == 8.0
         assert cfg.pack.s == 0.25
         assert cfg.solver.eps_schedule == (0.8, 0.4, 0.2, 0.1)
+
+    def test_solver_defaults_are_solver_config(self):
+        cfg = parse_config(["solve"]).solver
+        for f in dataclasses.fields(SolverConfig):
+            assert getattr(cfg, f.name) == getattr(SolverConfig(), f.name), f.name
 
     def test_s_out_of_range_names_key(self):
         with pytest.raises(ConfigError) as err:

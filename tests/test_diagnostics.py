@@ -695,6 +695,17 @@ class TestGammaLimitValue:
         m = CellMeasure(grid=grid1d, masses=masses)
         assert argmax_cell(m) == (float(grid1d.axis[10]),)
 
+    @pytest.mark.parametrize("width", [0.1, 0.25, 0.4, 0.5])
+    def test_argmax_cell_mirror_cells_tie(self, width):
+        # two Gaussians at -+0.75 peak in the mirror cells 26 and 38, whose
+        # energy densities differ by FFT rounding only; the first one wins
+        g = make_grid(1, 64, 4.0)
+        x = g.axis
+        vals = np.exp(-((x - 0.75) / width) ** 2) + np.exp(-((x + 0.75) / width) ** 2)
+        m = energy_density(Field(grid=g, values=vals), 0.5)
+        assert abs(m.masses[26] - m.masses[38]) <= 1e-15 * m.total
+        assert argmax_cell(m) == (float(x[26]),) == (-0.75,)
+
 
 class TestAtomDetectDeterminism:
     def test_repeat_runs_identical(self, grid1d):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fracsobolev import (Field, InvalidGrid, InvalidOrder, NegativeOrderOnNonMeanZero,
-                         apply_multiplier, field_from_bytes, field_to_bytes,
-                         forward_transform, frac_power, hs_dot_norm_sq,
+from fracsobolev import (DomainMask, Field, Grid, InvalidGrid, InvalidOrder,
+                         NegativeOrderOnNonMeanZero, apply_multiplier, field_from_bytes,
+                         field_to_bytes, forward_transform, frac_power, hs_dot_norm_sq,
                          make_grid, offset_convolve)
+from fracsobolev.diagnostics import CellMeasure
 
 from conftest import random_field
 
@@ -59,6 +60,27 @@ class TestMakeGrid:
         with pytest.raises(InvalidGrid) as err:
             make_grid(3, 1024, 1.0)
         assert err.value.param == "points_per_dim"
+
+    @pytest.mark.parametrize("args,param", [
+        ((1, 6, 1.0), "points_per_dim"), ((1, 3, 1.0), "points_per_dim"),
+        ((1, 2, 1.0), "points_per_dim"), ((1, 0, 1.0), "points_per_dim"),
+        ((1, 12, 1.0), "points_per_dim"), ((1, 8, 0.0), "half_width"),
+        ((1, 8, -1.0), "half_width"), ((2, 8, -1.0), "half_width"),
+        ((3, 8, -1.0), "half_width"), ((1, 3, -1.0), "points_per_dim"),
+        ((0, 8, 1.0), "dim"), ((2, 512, 1e200), "half_width"),
+        ((2, 512, 1e-200), "half_width"), ((3, 1024, 1.0), "points_per_dim")])
+    def test_grid_rejects_what_make_grid_rejects(self, args, param, monkeypatch):
+        import fracsobolev.spectral as spectral_mod
+        monkeypatch.setattr(spectral_mod, "DEFAULT_MAX_POINTS", 2 ** 20)
+        for build in (make_grid, Grid):
+            with pytest.raises(InvalidGrid) as err:
+                build(*args)
+            assert err.value.param == param
+
+    def test_grid_coerces_its_fields(self):
+        g = Grid(dim=np.int64(2), points_per_dim=8.0, half_width=1)
+        assert (type(g.dim), type(g.points_per_dim), type(g.half_width)) == (int, int, float)
+        assert g == make_grid(2, 8, 1.0)
 
     @pytest.mark.parametrize("dim,M", [(1, 2 ** 13), (2, 128), (2, 512)])
     def test_radii_match_dense_coordinates(self, dim, M, rng):
@@ -426,9 +448,10 @@ class TestFieldValidation:
                 field.values[0] = 1.0
             with pytest.raises(ValueError):
                 field.values *= 2.0
-        # the caller's array is shared, not copied, and stays writable
-        vals[0] = 7.0
-        assert u.values[0] == 7.0
+        # the caller's array is shared, not copied, and is read-only too
+        assert np.shares_memory(u.values, vals)
+        with pytest.raises(ValueError):
+            vals[0] = 7.0
 
     def test_equality_is_identity(self, grid1d, rng):
         vals = rng.standard_normal(grid1d.shape)
@@ -439,15 +462,45 @@ class TestFieldValidation:
         assert u != twin
         assert not u == twin
 
-    def test_caller_write_leaves_kept_image(self, grid1d, rng):
-        # the ownership rule of Field: a write to the shared array after an
-        # image is kept changes the values but not the image
+    def test_caller_write_raises_and_image_stays_fresh(self, grid1d, rng):
+        # the ownership rule of Field: the wrapped array cannot change, so a
+        # kept image always belongs to the values
         vals = rng.standard_normal(grid1d.shape)
         u = Field(grid=grid1d, values=vals)
         image = frac_power(u, 0.5)
-        before = image.values.copy()
-        vals[0] += 1.0
+        with pytest.raises(ValueError):
+            vals[0] += 1.0
         assert frac_power(u, 0.5) is image
-        assert np.array_equal(image.values, before)
-        fresh = frac_power(Field(grid=grid1d, values=vals), 0.5)
-        assert not np.array_equal(fresh.values, before)
+        fresh = frac_power(Field(grid=grid1d, values=vals.copy()), 0.5)
+        assert np.array_equal(image.values, fresh.values)
+
+    def test_view_of_writable_base_is_copied(self, grid1d, rng):
+        base = rng.standard_normal((2,) + grid1d.shape)
+        read_only = base[0]
+        read_only.setflags(write=False)
+        for view in (base[1], read_only):
+            u = Field(grid=grid1d, values=view)
+            before = u.values.copy()
+            base += 1.0
+            assert np.array_equal(u.values, before)
+            assert not np.shares_memory(u.values, base)
+
+    def test_read_only_array_is_shared(self, grid1d, rng):
+        u = random_field(grid1d, rng)
+        v = Field(grid=grid1d, values=u.values)
+        assert np.shares_memory(v.values, u.values)
+        assert not v.values.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]}),
+    lambda g: CellMeasure(grid=g, masses=np.ones(g.shape)),
+    lambda g: forward_transform(Field(grid=g, values=np.ones(g.shape))),
+], ids=["DomainMask", "CellMeasure", "SpectralField"])
+def test_array_holders_compare_by_identity(build):
+    g = make_grid(1, 64, 4.0)
+    a, b = build(g), build(g)
+    assert a == a and a != b and not a == b
+    assert a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2
+    assert hash(a) == hash(a)

@@ -65,7 +65,10 @@ class ExperimentConfig:
 
 def _parse_file(path):
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,6 +98,26 @@ def _coerce(key, raw):
         return typ(raw)
     except (TypeError, ValueError):
         raise ConfigError(key, f"expected {typ.__name__}, got {raw!r}")
+
+
+def _domain_mask(grid, omega_raw):
+    """The mask of the JSON shape spec ``omega_raw``; [-1, 1] or the unit ball by default."""
+    if omega_raw is None:
+        if grid.dim == 1:
+            shape = {"kind": "interval", "bounds": [-1.0, 1.0]}
+        else:
+            shape = {"kind": "ball", "center": [0.0] * grid.dim, "radius": 1.0}
+    else:
+        try:
+            shape = json.loads(omega_raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("omega", f"not valid JSON: {exc}")
+        if not isinstance(shape, dict):
+            raise ConfigError("omega", f"expected a JSON object, got {omega_raw!r}")
+    try:
+        return DomainMask.from_shape(grid, shape)
+    except (InvalidMask, InvalidGrid, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("omega", str(exc))
 
 
 def parse_config(args):
@@ -142,47 +165,23 @@ def parse_config(args):
     for key, raw in merged.items():
         typed[key] = None if raw is None else _coerce(key, raw)
 
+    # a library check that names its parameter names the config key here
     try:
         grid = make_grid(typed["N"], typed["M"], typed["L"])
-    except InvalidGrid as exc:
-        raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
-
-    try:
-        schedule = tuple(float(tok) for tok in str(typed["eps-schedule"]).split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError("eps-schedule", f"not a comma-separated float list: {typed['eps-schedule']!r}")
-    if not schedule:
-        raise ConfigError("eps-schedule", "schedule is empty")
-
-    try:
-        pack = ExponentPack(dim=typed["N"], s=typed["s"], eps=schedule[0])
-        for eps in schedule:
-            ExponentPack(dim=typed["N"], s=typed["s"], eps=eps)
-    except InvalidOrder as exc:
-        raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
-
-    omega_raw = typed["omega"]
-    if omega_raw is None:
-        if typed["N"] == 1:
-            shape = {"kind": "interval", "bounds": [-1.0, 1.0]}
-        else:
-            shape = {"kind": "ball", "center": [0.0] * typed["N"], "radius": 1.0}
-    else:
         try:
-            shape = json.loads(omega_raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("omega", f"not valid JSON: {exc}")
-        if not isinstance(shape, dict):
-            raise ConfigError("omega", f"expected a JSON object, got {omega_raw!r}")
-    try:
-        mask = DomainMask.from_shape(grid, shape)
-    except (InvalidMask, InvalidGrid, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("omega", str(exc))
-
-    try:
+            schedule = tuple(float(tok) for tok in str(typed["eps-schedule"]).split(",")
+                             if tok.strip())
+        except ValueError:
+            raise ConfigError("eps-schedule",
+                              f"not a comma-separated float list: {typed['eps-schedule']!r}")
+        if not schedule:
+            raise ConfigError("eps-schedule", "schedule is empty")
+        # every eps of the schedule must give a valid pack; the first is the config's
+        pack = [ExponentPack(dim=typed["N"], s=typed["s"], eps=eps) for eps in schedule][0]
+        mask = _domain_mask(grid, typed["omega"])
         solver = SolverConfig(max_iters=typed["max-iters"], tol=typed["tol"],
                               seed=typed["seed"], eps_schedule=schedule)
-    except InvalidOrder as exc:
+    except (InvalidGrid, InvalidOrder) as exc:
         raise ConfigError(_PARAM_KEYS[exc.param], str(exc))
 
     lam = typed["lam"] if typed["lam"] is not None else typed["L"] / 8.0
@@ -411,7 +410,7 @@ def _cmd_recovery_demo(cfg):
     rows = []
     for sigma, eps in steps:
         crit = pack.with_eps(eps)
-        ubar = recovery_sequence(u, atoms, sigma, eps, cfg.grid, cfg.mask, crit)
+        ubar = recovery_sequence(u, atoms, sigma, eps, cfg.mask, crit)
         feps = subcritical_value(ubar, crit, cfg.mask)
         budget = hs_dot_norm_sq(ubar, pack.s)
         rows.append(_echo(cfg, eps) + [sigma, feps, target, (feps - target) / target, budget])

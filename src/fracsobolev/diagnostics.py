@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegenerateInput, InvalidGrid, InvalidOrder
+from .errors import BudgetExceeded, DegenerateInput, InvalidOrder
 from .extremals import cutoff_field
 from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
 from .spectral import (Field, _convolve, _half_spectrum_energy, _offset_distances, _same_grid,
@@ -299,22 +299,17 @@ def cutoff_convergence_probe(u, cut, lambdas, s, branch="shrink"):
 def commutator_residual(u, phi, s):
     """L2 norm of  phi * (-Lap)^(s/2) u - (-Lap)^(s/2)(phi u).
 
-    ``phi`` is a Field on the grid of u or an array of its shape
-    (InvalidGrid otherwise).  Both products are formed only on the box of
-    the cells where phi is nonzero (empty for phi == 0), as phi u is zero
-    elsewhere, and so is phi (-Lap)^(s/2) u; phi u is checked finite, as
-    a Field is.  (-Lap)^(s/2) u is the image that u keeps
-    (``frac_power``); the image of phi u is a fresh array, on which the
-    difference is taken and squared in place.
+    ``phi`` is a Field on the grid of u (InvalidGrid otherwise).  Both
+    products are formed only on the box of the cells where phi is nonzero
+    (empty for phi == 0), as phi u is zero elsewhere, and so is
+    phi (-Lap)^(s/2) u; phi u is checked finite, as a Field is.
+    (-Lap)^(s/2) u is the image that u keeps (``frac_power``); the image of
+    phi u is a fresh array, on which the difference is taken and squared
+    in place.
     """
     g = u.grid
-    if isinstance(phi, Field):
-        _same_grid(g, phi.grid, "phi", "u")
-        phi_vals = phi.values
-    else:
-        phi_vals = np.asarray(phi, dtype=float)
-        if phi_vals.shape != g.shape:
-            raise InvalidGrid(f"phi of shape {phi_vals.shape} does not match grid shape {g.shape}")
+    _same_grid(g, phi.grid, "phi", "u")
+    phi_vals = phi.values
     box = _narrow_support(phi_vals, g.points_per_dim) or (slice(0, 0),) * g.dim
     a = phi_vals[box] * frac_power(u, s).values[box]
     phi_u = np.zeros(g.shape)
@@ -330,9 +325,9 @@ def gamma_limit_value(u, atoms, pack, mask):
     admissible pair; raises BudgetExceeded when energy plus atom mass
     exceeds one beyond tolerance."""
     energy = hs_dot_norm_sq(u, pack.s)
-    mu_sum = sum(e.mu for e in atoms) if atoms is not None else 0.0
+    mu_sum = sum(e.mu for e in atoms)
     if energy + mu_sum > 1.0 + _BUDGET_TOL:
         raise BudgetExceeded(f"energy {energy:.6f} plus atom mass {mu_sum:.6f} exceeds 1")
     Sstar = sobolev_constant(pack.dim, pack.s)
-    atom_part = sum(e.mu ** (pack.two_star / 2.0) for e in atoms) if atoms is not None else 0.0
+    atom_part = sum(e.mu ** (pack.two_star / 2.0) for e in atoms)
     return lp_integral(u, pack.two_star, mask) + Sstar * atom_part

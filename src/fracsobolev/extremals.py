@@ -5,10 +5,10 @@ ExponentPack, and are re-exported here as ``critical_exponent`` and
 ``sobolev_constant``.  Localized bubbles are smooth-cutoff truncations of
 rescaled bubbles, renormalized on the grid; glued sums place disjointly
 supported localized bubbles at prescribed atoms; recovery fields join a
-fixed smooth function to a glued sum through an annular cutoff.  A cutoff,
-and the bubble it truncates, are sampled only on the window of the
-cutoff's double ball (``Grid.ball_window``); every other cell is zero, and
-a glued sum adds each bubble on its window only.
+fixed smooth function, on its grid, to a glued sum through an annular
+cutoff.  A cutoff, and the bubble it truncates, are sampled only on the
+window of the cutoff's double ball (``Grid.ball_window``); every other
+cell is zero, and a glued sum adds each bubble on its window only.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from .errors import (BudgetExceeded, InvalidGrid, InvalidMask, InvalidOrder,
                      OverlappingAtoms, TailTooFat, UnderResolved)
 from .norms import (ExponentPack, _window_norm_sq, critical_exponent,
                     hs_dot_norm_sq, sobolev_constant)
-from .spectral import Field
+from .spectral import Field, _same_grid
 
 __all__ = [
     "BubbleSpec",
@@ -244,10 +244,12 @@ def atom_localizations(atoms, grid, mask=None, radii=None):
 
     Default radii are ``ATOM_BALL_FRACTION`` of the smallest distance to the
     other atoms and to the box boundary.  Explicit radii are validated; double
-    balls that intersect or leave the box raise OverlappingAtoms.
+    balls that intersect or leave the box raise OverlappingAtoms, and a
+    mask on another grid raises InvalidGrid.
     """
     pts = [np.asarray(p, dtype=float) for p in atoms.points]
     if mask is not None:
+        _same_grid(grid, mask.grid, "mask", "grid")
         pts = [np.asarray(_snap_to_mask(p, mask)) for p in pts]
     L = grid.half_width
     out = []
@@ -305,19 +307,22 @@ def recovery_core_width(sigma, eps):
     return eps * (GLUED_SCALE_FRACTION * (RECOVERY_RADIUS_FRACTION * sigma))
 
 
-def recovery_sequence(u, atoms, sigma, eps, grid, mask, pack):
-    """Joined field  u * phi_sigma + glued bubbles, with disjoint supports.
+def recovery_sequence(u, atoms, sigma, eps, mask, pack):
+    """Joined field  u * phi_sigma + glued bubbles on the grid of u, disjointly supported.
 
     ``sigma`` is the hole radius rho_sigma: phi_sigma vanishes on
     B_sigma(x_j) and equals one outside B_2sigma(x_j).  The glued bubbles
-    are localized inside the holes.  Raises InvalidMask when u is nonzero
-    outside the mask and BudgetExceeded when ||u||^2 + sum mu_j reaches one.
+    are localized inside the holes.  Raises InvalidGrid when the mask lies
+    on another grid than u, InvalidMask when u is nonzero outside the mask
+    and BudgetExceeded when ||u||^2 + sum mu_j reaches one.
     """
-    if mask is not None and np.any(u.values[~mask.inside] != 0.0):
-        raise InvalidMask("recovery base field must vanish outside the domain mask")
+    grid = u.grid
+    if mask is not None:
+        _same_grid(grid, mask.grid, "mask", "u")
+        if np.any(u.values[~mask.inside] != 0.0):
+            raise InvalidMask("recovery base field must vanish outside the domain mask")
     energy = hs_dot_norm_sq(u, pack.s)
-    budget = energy + sum(atoms.masses) if len(atoms.masses) else energy
-    if budget >= 1.0:
+    if energy + sum(atoms.masses) >= 1.0:
         raise BudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")
     phi = np.ones(grid.shape)
     snapped = [_snap_to_mask(p, mask) if mask is not None else p for p in atoms.points]

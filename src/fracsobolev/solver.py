@@ -64,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidGrid, InvalidOrder
+from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
 from .norms import hoelder_envelope, subcritical_value
-from .spectral import (Field, _kernel_sample, _kernel_spectrum, _transform_pair,
+from .spectral import (Field, _kernel_sample, _kernel_spectrum, _same_grid, _transform_pair,
                        apply_multiplier)
 from . import diagnostics
 
@@ -387,8 +387,8 @@ def solve(pack, mask, config, init=None):
     CG_MAX_ITERS.
     """
     grid = mask.grid
-    if init is not None and init.grid != grid:
-        raise InvalidGrid(f"initial field on {init.grid!r} does not match the domain's {grid!r}")
+    if init is not None:
+        _same_grid(grid, init.grid, "init", "mask")
     window = mask.window
     inside = mask.inside[window]
     q = pack.subcritical_exponent - 2.0

@@ -211,12 +211,11 @@ class Grid:
 class Field:
     """Real samples of a function at the cell centers of a grid.
 
-    ``values`` is read-only for every holder: a float64 array it is handed
-    is flagged read-only, not copied, and a read-only array is shared, but
-    a view is copied unless it and its base are both read-only.  So the
-    ``frac_power`` images that the field keeps, one per order, for as long
-    as it lives, belong to ``values``; only a writable view taken of an
-    array before it was wrapped can still write to it.  Complex samples
+    ``values`` is read-only for every holder: a float64 array that owns
+    its data is flagged read-only, not copied, and any view is copied.  So
+    the ``frac_power`` images that the field keeps, one per order, for as
+    long as it lives, belong to ``values``; only a writable view taken of
+    an array before it was wrapped can still write to it.  Complex samples
     raise InvalidGrid, as do non-finite ones.
     """
 
@@ -231,8 +230,7 @@ class Field:
             raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidGrid("field contains non-finite entries")
-        if v.base is not None and (v.flags.writeable or not isinstance(v.base, np.ndarray)
-                                   or v.base.flags.writeable):
+        if v.base is not None:
             v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

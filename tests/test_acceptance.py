@@ -215,7 +215,7 @@ def test_criterion_6_recovery_sequence():
     feps = budget = None
     for sigma, eps in schedule:
         crit = pack.with_eps(eps)
-        ubar = recovery_sequence(u, atoms, sigma, eps, grid, mask, crit)
+        ubar = recovery_sequence(u, atoms, sigma, eps, mask, crit)
         feps = subcritical_value(ubar, crit, mask)
         budget = hs_dot_norm_sq(ubar, s)
     rel = abs(feps - target) / target

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert "damping" in capsys.readouterr().err
         assert not (tmp_path / "solve.csv").exists()
 
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        undecodable = tmp_path / "bad.conf"
+        undecodable.write_bytes(b"\xff\xfe")
+        for conf in (tmp_path / "missing.conf", undecodable):
+            assert main(["solve", "--config", str(conf), "--out", str(tmp_path)]) == 2
+            assert "config error: config: " in capsys.readouterr().err
+        assert not (tmp_path / "solve.csv").exists()
+
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",
                      "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ import pytest
 
 from fracsobolev import extremals
 from fracsobolev import (AtomSpec, BubbleSpec, CutoffSpec, DomainMask,
-                         BudgetExceeded, ExponentPack, Field, InvalidMask,
+                         BudgetExceeded, ExponentPack, Field, InvalidGrid, InvalidMask,
                          InvalidOrder, OverlappingAtoms, TailTooFat,
                          UnderResolved, critical_exponent, cutoff_field,
                          glued_bubble_parts, glued_bubbles, hs_dot_norm_sq,
@@ -252,6 +252,15 @@ class TestGluedBubbles:
         parts = glued_bubble_parts(ATOMS_2, 1 / 64, g, mask, pack)
         assert not np.any((parts[0].values != 0.0) & (parts[1].values != 0.0))
 
+    def test_mask_on_another_grid_raises(self, glued_ctx):
+        g, pack, _ = glued_ctx
+        atoms = AtomSpec(points=((0.0,),), masses=(0.5,))
+        for other in (make_grid(1, 2 ** 17, 4.0), make_grid(1, 2 ** 16, 8.0)):
+            mask = DomainMask.from_shape(other, {"kind": "interval", "bounds": [-1.0, 1.0]})
+            for build in (glued_bubbles, glued_bubble_parts):
+                with pytest.raises(InvalidGrid, match="half-width"):
+                    build(atoms, 0.25, g, mask, pack, radii=[0.3])
+
     def test_boundary_atom_snaps_inside(self, glued_ctx):
         g, pack, mask = glued_ctx
         atoms = AtomSpec(points=((1.0,),), masses=(0.5,))
@@ -289,21 +298,21 @@ class TestRecoverySequence:
     def test_no_atoms_returns_base_field(self, rec_ctx):
         g, pack, mask, u, _ = rec_ctx
         empty = AtomSpec(points=(), masses=())
-        ubar = recovery_sequence(u, empty, 0.05, 0.25, g, mask, pack)
+        ubar = recovery_sequence(u, empty, 0.05, 0.25, mask, pack)
         assert np.array_equal(ubar.values, u.values)
 
     def test_zero_base_reduces_to_glued(self, rec_ctx):
         g, pack, mask, _, atoms = rec_ctx
         zero = Field(grid=g, values=np.zeros(g.shape))
         sigma = 0.05
-        ubar = recovery_sequence(zero, atoms, sigma, 0.25, g, mask, pack)
+        ubar = recovery_sequence(zero, atoms, sigma, 0.25, mask, pack)
         glued = glued_bubbles(atoms, 0.25, g, mask, pack, radii=[sigma / 2.0])
         assert np.array_equal(ubar.values, glued.values)
 
     def test_disjoint_supports(self, rec_ctx):
         g, pack, mask, u, atoms = rec_ctx
         sigma = 0.05
-        ubar = recovery_sequence(u, atoms, sigma, 0.25, g, mask, pack)
+        ubar = recovery_sequence(u, atoms, sigma, 0.25, mask, pack)
         glued = glued_bubbles(atoms, 0.25, g, mask, pack, radii=[sigma / 2.0])
         overlap = (np.abs(ubar.values - glued.values) > 0) & (np.abs(glued.values) > 0)
         assert not np.any(np.abs(u.values[overlap]) > 0)
@@ -312,21 +321,31 @@ class TestRecoverySequence:
         g, pack, mask, u, _ = rec_ctx
         fat = AtomSpec(points=((0.5,),), masses=(0.8,))  # 0.25 + 0.8 > 1
         with pytest.raises(BudgetExceeded):
-            recovery_sequence(u, fat, 0.05, 0.25, g, mask, pack)
+            recovery_sequence(u, fat, 0.05, 0.25, mask, pack)
 
     def test_base_field_outside_mask_raises(self, rec_ctx):
         g, pack, mask, u, atoms = rec_ctx
         vals = u.values.copy()
         vals[0] = 1e-3
         with pytest.raises(InvalidMask):
-            recovery_sequence(Field(grid=g, values=vals), atoms, 0.05, 0.25, g, mask, pack)
+            recovery_sequence(Field(grid=g, values=vals), atoms, 0.05, 0.25, mask, pack)
+
+    def test_mask_on_another_grid_raises(self, rec_ctx):
+        # equal M, twice L: the mask holds the cells of [-1, 1] on the grid of
+        # u, so u vanishes outside it, but the two sample different points
+        g, pack, _, u, atoms = rec_ctx
+        other = make_grid(1, g.points_per_dim, 2.0 * g.half_width)
+        mask = DomainMask.from_shape(other, {"kind": "interval", "bounds": [-2.0, 2.0]})
+        with pytest.raises(InvalidGrid) as err:
+            recovery_sequence(u, atoms, 0.05, 0.25, mask, pack)
+        assert "half-width 8" in str(err.value) and "half-width 16" in str(err.value)
 
     def test_budget_stays_below_one_and_stable(self, rec_ctx):
         g, pack, mask, u, atoms = rec_ctx
         sigma = 0.05
         budgets = []
         for eps in (0.5, 0.25, 0.125, 1 / 16):
-            ubar = recovery_sequence(u, atoms, sigma, eps, g, mask, pack)
+            ubar = recovery_sequence(u, atoms, sigma, eps, mask, pack)
             budgets.append(hs_dot_norm_sq(ubar, pack.s))
         assert all(b <= 1.0 for b in budgets)
         # non-increasing within 1% noise per step along the schedule

@@ -129,7 +129,8 @@ class TestSolve:
         init = Field(grid=other, values=bump)
         with pytest.raises(InvalidGrid) as err:
             solve(pack, mask, cfg, init=init)
-        assert repr(g) in str(err.value) and repr(other) in str(err.value)
+        assert str(err.value) == (f"init lies on the grid ({M},) of half-width {L:g}, "
+                                  f"mask on {g.shape} of half-width {g.half_width:g}")
         entry, = eps_sweep(pack, mask, cfg, init=init)
         assert entry.result is None and entry.error == str(err.value)
 

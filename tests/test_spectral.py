@@ -485,6 +485,13 @@ class TestFieldValidation:
             assert np.array_equal(u.values, before)
             assert not np.shares_memory(u.values, base)
 
+    def test_view_of_read_only_base_is_copied(self, grid1d, rng):
+        # one rule: an array that owns its data is shared, any view is copied
+        base = rng.standard_normal((2,) + grid1d.shape)
+        base.setflags(write=False)
+        u = Field(grid=grid1d, values=base[1])
+        assert not np.shares_memory(u.values, base)
+
     def test_read_only_array_is_shared(self, grid1d, rng):
         u = random_field(grid1d, rng)
         v = Field(grid=grid1d, values=u.values)

@@ -40,9 +40,9 @@ class NegativeOrderOnNonMeanZero(FracSobolevError):
 
 
 class InvalidMask(FracSobolevError):
-    """Domain mask is empty or touches the outermost cell layer, or a field
-    is nonzero where a mask or the box edge requires it to vanish (outside
-    the domain mask, or on the outermost cell layer for the Gagliardo form)."""
+    """Domain mask is empty, touches the outermost cell layer or has a
+    malformed shape spec, or a field is nonzero where a mask or the box edge
+    requires it to vanish (off the domain, or on the outermost cell layer)."""
 
 
 class InvalidOrder(FracSobolevError):

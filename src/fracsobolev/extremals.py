@@ -1,23 +1,22 @@
 """Extremal bubble profiles and the localized constructions.
 
-The critical exponent 2* and the sharp constant S* live in ``norms``, beside
-ExponentPack, and are re-exported here as ``critical_exponent`` and
-``sobolev_constant``.  Localized bubbles are smooth-cutoff truncations of
-rescaled bubbles, renormalized on the grid; glued sums place disjointly
-supported localized bubbles at prescribed atoms; recovery fields join a
-fixed smooth function, on its grid, to a glued sum through an annular
-cutoff.  A cutoff, and the bubble it truncates, are sampled only on the
-window of the cutoff's double ball (``Grid.ball_window``); every other
-cell is zero, and a glued sum adds each bubble on its window only.
+``critical_exponent`` and ``sobolev_constant`` are re-exported from ``norms``.
+Localized bubbles are smooth-cutoff truncations of rescaled bubbles,
+renormalized on the grid; glued sums place disjointly supported localized
+bubbles at prescribed atoms; recovery fields join a fixed smooth function,
+on its grid, to a glued sum through an annular cutoff.  A cutoff, and the
+bubble it truncates, are sampled only on the window of the cutoff's double
+ball (``Grid.ball_window``); every other cell is zero, and a glued sum adds
+each bubble on its window only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceeded, InvalidGrid, InvalidMask, InvalidOrder,
-                     OverlappingAtoms, TailTooFat, UnderResolved)
-from .norms import (ExponentPack, _window_norm_sq, critical_exponent,
+from .errors import (BudgetExceeded, InvalidGrid, InvalidOrder, OverlappingAtoms, TailTooFat,
+                     UnderResolved)
+from .norms import (ExponentPack, _vanishes_off, _window_norm_sq, critical_exponent,
                     hs_dot_norm_sq, sobolev_constant)
 from .spectral import Field, _same_grid
 
@@ -318,9 +317,7 @@ def recovery_sequence(u, atoms, sigma, eps, mask, pack):
     """
     grid = u.grid
     if mask is not None:
-        _same_grid(grid, mask.grid, "mask", "u")
-        if np.any(u.values[~mask.inside] != 0.0):
-            raise InvalidMask("recovery base field must vanish outside the domain mask")
+        _vanishes_off(u, mask, "recovery base field")
     energy = hs_dot_norm_sq(u, pack.s)
     if energy + sum(atoms.masses) >= 1.0:
         raise BudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")

@@ -1,14 +1,13 @@
 """Norms, seminorms and the variational functionals on a bounded domain.
 
 The critical exponent 2* (``critical_exponent``) and the sharp constant S*
-(``sobolev_constant``) live here, beside ExponentPack, which takes its 2*
-from ``critical_exponent``; ``extremals`` and the package re-export both.
-Domain masks sample a user-supplied shape at cell centers.  The homogeneous
-norm is the plain spectral sum of |xi|^(2s)|u_hat|^2, one forward transform
-of the whole box, or of the box of a support at most M/4 cells wide; the
-Gagliardo double integral is an off-diagonal pair sum, evaluated as
-zero-padded FFT convolutions with the kernel (``spectral.offset_convolve``),
-with a diagonal correction and (in 1-D) an exact exterior-tail term, so the
+(``sobolev_constant``) live here, beside ExponentPack; ``extremals`` and the
+package re-export both.  Domain masks sample a user-supplied shape at cell
+centers.  The homogeneous norm is the spectral sum of |xi|^(2s)|u_hat|^2,
+one forward transform of the whole box or of a support at most M/4 cells
+wide.  The Gagliardo double integral is an off-diagonal pair sum of
+zero-padded FFT convolutions (``spectral.offset_convolve``), plus a diagonal
+correction and, in 1-D, an exact exterior-tail term, so the
 Fourier/Gagliardo ratio is stable under refinement.
 """
 
@@ -133,9 +132,15 @@ class DomainMask:
         """Cell-center membership mask from a shape spec dict.
 
         Kinds: interval {bounds:[a,b]} (N=1), box {lower:[...], upper:[...]},
-        ball {center:[...], radius: r}, polygon {vertices:[[x,y],...]} (N=2).
+        ball {center:[...], radius: r}, polygon {vertices:[[x,y],...]} (N=2);
+        other keys, or a box corner of other than N components, raise InvalidMask.
         """
         kind = spec.get("kind")
+        keys = {"interval": "bounds", "box": "lower upper", "ball": "center radius",
+                "polygon": "vertices"}
+        if kind not in keys or set(spec) != {"kind", *keys[kind].split()}:
+            raise InvalidMask(f"shape {kind!r} with keys {list(spec)}; the kinds and their "
+                              "keys: " + ", ".join(f"{k} ({v})" for k, v in keys.items()))
         if kind == "interval":
             if grid.dim != 1:
                 raise InvalidMask("interval shape requires a 1-D grid")
@@ -143,18 +148,18 @@ class DomainMask:
             inside = (grid.axis > a) & (grid.axis < b)
         elif kind == "box":
             lower, upper = spec["lower"], spec["upper"]
+            if not len(lower) == len(upper) == grid.dim:
+                raise InvalidMask(f"box lower and upper need {grid.dim} components each")
             inside = np.ones(grid.shape, dtype=bool)
             for c, lo, hi in zip(np.ix_(*[grid.axis] * grid.dim), lower, upper):
                 inside &= (c > lo) & (c < hi)
         elif kind == "ball":
             inside = grid.radii(spec["center"]) < spec["radius"]
-        elif kind == "polygon":
+        else:
             if grid.dim != 2:
                 raise InvalidMask("polygon shape requires a 2-D grid")
             inside = _points_in_polygon(*np.ix_(grid.axis, grid.axis),
                                         np.asarray(spec["vertices"], float))
-        else:
-            raise InvalidMask(f"unknown shape kind {kind!r}")
         return DomainMask(grid=grid, inside=inside, shape_spec=dict(spec))
 
 
@@ -175,6 +180,14 @@ def _points_in_polygon(X, Y, verts):
             xint = x1 + (Y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (X < xint)
     return inside
+
+
+def _vanishes_off(u, mask, name):
+    """Raise InvalidGrid unless ``mask`` lies on the grid of ``u``, the field
+    ``name``, and InvalidMask unless ``u`` vanishes off the domain."""
+    _same_grid(u.grid, mask.grid, "mask", name)
+    if np.any(u.values[~mask.inside]):
+        raise InvalidMask(f"{name} is nonzero outside the domain mask")
 
 
 def lp_integral(u, p, mask=None):
@@ -213,16 +226,13 @@ def _narrow_support(values, width):
 
 
 def hs_dot_norm_sq(u, s):
-    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2.
-
-    A field whose support fits in a box of at most M/4 cells along every
-    axis takes <u, K * u> h^N on that box, with K the periodic kernel of
-    |xi|^(2s) (``Grid.kernel``) at the box's offsets, all below M/4, so the
-    linear convolution on the box is the periodic one.  By Parseval that is
-    the sum of K_hat |U|^2 / P^N over the box's padded lattice, at most
-    about M/2 per axis, as the solver's operator uses.  Any other field
-    takes the sum of |xi|^(2s) |U|^2 / M^N over the whole box.  Either is
-    one forward transform.  A field with no nonzero cell gives 0.
+    """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2, one
+    forward transform.  A field whose support fits in a box of at most M/4
+    cells along every axis takes <u, K * u> h^N on that box, with K the
+    periodic kernel of |xi|^(2s) (``Grid.kernel``), whose offsets there are
+    all below M/4, so the linear convolution is the periodic one: by
+    Parseval the sum of K_hat |U|^2 / P^N over the box's padded lattice.
+    Any other field takes the whole box's sum.  No nonzero cell gives 0.
     """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
@@ -230,10 +240,8 @@ def hs_dot_norm_sq(u, s):
 
 
 def _window_norm_sq(values, grid, s):
-    """``hs_dot_norm_sq`` of the field equal to ``values``, the whole box or
-    a window of it (|u_hat| does not depend on where it lies), and zero
-    elsewhere: a sum of ``_half_spectrum_energy`` on the whole box, or on
-    the padded lattice (P >= 2n per axis) of a narrow support's box."""
+    """``hs_dot_norm_sq`` of the field equal to ``values`` (the whole box or a
+    window of it, as |u_hat| does not depend on where it lies), zero elsewhere."""
     box = _narrow_support(values, grid.points_per_dim // 4)
     if box is None:
         dens = _half_spectrum_energy(values, grid.multiplier(2.0 * s), grid.shape)
@@ -302,12 +310,17 @@ def sobolev_quotient(u, pack, mask):
     return lp_integral(u, pack.two_star, mask) / denom ** (pack.two_star / 2.0)
 
 
-def subcritical_value(u, pack, mask):
-    """F_eps(u) = int_Omega |u|^(2*-eps), on the unit homogeneous ball."""
-    nrm = hs_dot_norm_sq(u, pack.s)
+def _ball_value(u, pack, mask, nrm):
+    """``subcritical_value`` of ``u`` whose squared homogeneous norm is ``nrm``,
+    the one home of the unit-ball check."""
     if nrm > 1.0 + _UNIT_BALL_TOL:
         raise ConstraintViolated(f"||u||^2 = {nrm:.12f} exceeds the unit ball tolerance")
     return lp_integral(u, pack.subcritical_exponent, mask)
+
+
+def subcritical_value(u, pack, mask):
+    """F_eps(u) = int_Omega |u|^(2*-eps), on the unit homogeneous ball."""
+    return _ball_value(u, pack, mask, hs_dot_norm_sq(u, pack.s))
 
 
 def hoelder_envelope(pack, mask):

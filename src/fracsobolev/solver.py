@@ -40,20 +40,17 @@ Manifolds, 2008), is taken while F_eps(x) strictly rises; A d = A g_k - A u_k
 costs no transform.
 
 Every array of a solve covers only the domain's window, the bounding box of
-its cells, W per axis.  There each operator, the periodic kernel of
-|xi|^(+-2s) at the offsets (-W, W), is Toeplitz: one real FFT pair on its
-circulant embedding, P = smooth(2W) per axis, in work arrays that the solve
-call allocates once and shares with nothing.  The kernels are the grid's
-cached ones (``Grid.kernel``), built the first time a grid meets an order
-and read by every later solve on it, as each eps of a sweep.  CG starts
-from ||w|| u with the image ||w|| A u, which on an unextended plain step are
-the previous w and A w, and keeps A w with w, which gives
-||w||^2 = <w, A w>; so a CG that takes k > 0 steps runs 2k+1 pairs: the
-first preconditioning, k operator and k-1 preconditioner applies, and one
-apply to its result.  An outer iteration runs 2k+1 pairs, extended or not,
-and one more when a resumed CG follows one that took steps.
-
-Every inner product, ``el_residual``'s too, is ``_dot``: ``np.dot`` on blocks
+its cells, W per axis.  There P |xi|^sigma P is the periodic kernel of
+|xi|^sigma at the offsets (-W, W), a Toeplitz operator: one real FFT pair
+on its circulant embedding, smooth(2W) long per axis.  Only ``_domain_op``
+makes it, from the grid's cached kernel (``Grid.kernel``), for a solve at
++-2s and for ``el_residual`` at 2s.  CG starts from ||w|| u with the image
+||w|| A u, which on an unextended plain step are the previous w and A w,
+and keeps A w with w, which gives ||w||^2 = <w, A w>; so a CG that takes
+k > 0 steps runs 2k+1 pairs: the first preconditioning, k operator and
+k-1 preconditioner applies, and one apply to its result.  An outer
+iteration runs 2k+1 pairs, and one more when a resumed CG follows one
+that took steps.  Every inner product is ``_dot``: ``np.dot`` on blocks
 that OpenBLAS sums on one thread, added exactly, so no result depends on
 the BLAS thread settings.
 """
@@ -65,9 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
-from .norms import hoelder_envelope, subcritical_value
-from .spectral import (Field, _kernel_sample, _kernel_spectrum, _same_grid, _transform_pair,
-                       apply_multiplier)
+from .norms import _ball_value, _vanishes_off, hoelder_envelope, hs_dot_norm_sq
+from .spectral import Field, _kernel_sample, _kernel_spectrum, _same_grid, _transform_pair
 from . import diagnostics
 
 __all__ = [
@@ -181,23 +177,25 @@ def _dot(a, b):
 def el_residual(u, pack, mask):
     """Rayleigh multiplier and relative L2 residual of the Euler-Lagrange
     equation (-Lap)^s u = lambda |u|^(2*-2-eps) u tested on the domain cells.
-    The right-hand side and the residual are formed on the domain's cells
-    only, into a box of zeros."""
-    feps = subcritical_value(u, pack, mask)
+
+    ``u`` must lie on the mask's grid and vanish off the domain, as a solve's
+    maximizer does (InvalidGrid, InvalidMask).  One apply of ``_domain_op``
+    gives (-Lap)^s u on the domain and <u, (-Lap)^s u> h^N, the unit-ball
+    norm and the multiplier's numerator; the residual's scale, the whole
+    box's ||(-Lap)^s u||, is by Parseval sqrt(hs_dot_norm_sq(u, 2s))."""
+    _vanishes_off(u, mask, "u")
+    window = mask.window
+    vals, inside = u.values[window], mask.inside[window]
+    Au = _domain_op(mask, 2.0 * pack.s)[0](vals, np.empty(vals.shape))
+    h_vol = u.grid.cell_volume
+    nrm = _dot(vals, Au) * h_vol
+    feps = _ball_value(u, pack, mask, nrm)
     if feps < 1e-14:
         raise DegenerateInput(f"subcritical value {feps:.3e} below 1e-14")
-    q = pack.subcritical_exponent - 2.0
-    Au = apply_multiplier(u.values, u.grid, 2.0 * pack.s)
-    h_vol = u.grid.cell_volume
-    multiplier = _dot(u.values, Au) * h_vol / feps
-    inside = mask.inside
-    vals = u.values[inside]
-    res = np.zeros(u.grid.shape)
-    res[inside] = Au[inside] - multiplier * np.abs(vals) ** q * vals
-    res *= res
-    res_norm = math.sqrt(float(np.sum(res)) * h_vol)
-    Au_norm = math.sqrt(float(np.sum(Au ** 2)) * h_vol)
-    return multiplier, res_norm / Au_norm
+    multiplier = nrm / feps
+    u_in = vals[inside]
+    res = Au[inside] - multiplier * np.abs(u_in) ** (pack.subcritical_exponent - 2.0) * u_in
+    return multiplier, math.sqrt(_dot(res, res) * h_vol / hs_dot_norm_sq(u, 2.0 * pack.s))
 
 
 def default_initial_field(mask, seed=0):
@@ -212,25 +210,22 @@ def default_initial_field(mask, seed=0):
     return Field(grid=grid, values=mask.restrict(bump))
 
 
-def _inner_ops(grid, inside, s):
-    """P (-Lap)^s P and its preconditioner P (-Lap)^(-s) P as ``apply(src, out)``.
-
-    ``inside`` is the domain on its window (``DomainMask.window``), and
-    every array an apply takes or writes has its shape.  ``src`` must vanish
-    off the inside cells, as every CG vector does, so the right-hand P is
-    the identity on it.  Each kernel is the grid's cached one
-    (``Grid.kernel``) at the window's offsets.  Both applies write ``out``
-    and return it, and share one half spectrum and one row buffer of the
-    padded lattice, allocated here, so an apply allocates nothing.
-    """
+def _domain_op(mask, *sigmas):
+    """P |xi|^sigma P on the domain's window (``DomainMask.window``), one
+    ``apply(src, out)`` per order, on the grid's cached kernel (``Grid.kernel``)
+    at the window's offsets.  Arrays have the window's shape, and ``src`` must
+    vanish off the domain, so the right-hand P is the identity on it.  An apply
+    writes ``out`` and returns it; the applies share one half spectrum and one
+    row buffer of the padded lattice, allocated here, so none allocates."""
+    inside = mask.inside[mask.window]
     outside = ~inside
     # SPD on domain-supported fields, which are never constant, so
     # annihilating the zero mode loses nothing and needs no mean check
-    (P, op_spec), (_, pre_spec) = (
-        _kernel_spectrum(_kernel_sample(grid, sigma, inside.shape), inside.shape)
-        for sigma in (2.0 * s, -2.0 * s))
+    spectra = [_kernel_spectrum(_kernel_sample(mask.grid, sigma, inside.shape), inside.shape)
+               for sigma in sigmas]
+    P = spectra[0][0]
     rows = np.empty(inside.shape[:-1] + (P[-1],))
-    spec = np.empty(op_spec.shape, dtype=complex)
+    spec = np.empty(spectra[0][1].shape, dtype=complex)
 
     def restricted(kernel_spec):
         def apply(src, out):
@@ -240,7 +235,7 @@ def _inner_ops(grid, inside, s):
             return out
         return apply
 
-    return restricted(op_spec), restricted(pre_spec)
+    return tuple(restricted(kernel_spec) for _, kernel_spec in spectra)
 
 
 def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
@@ -399,7 +394,7 @@ def solve(pack, mask, config, init=None):
     if not np.any(u):
         raise DegenerateInput("initial field vanishes on the domain")
 
-    apply_op, precond = _inner_ops(grid, inside, pack.s)
+    apply_op, precond = _domain_op(mask, 2.0 * pack.s, -2.0 * pack.s)
     work = np.empty((4,) + inside.shape)
 
     def f_eps(v):

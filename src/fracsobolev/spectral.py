@@ -12,34 +12,28 @@ With this scaling the discrete Plancherel identity
 holds with no extra weights, and the homogeneous Sobolev norm is the plain
 spectral sum  sum |xi|^(2s) |coeffs|^2.
 
-Every |xi|^sigma image of a whole-box field comes from one transform
-pair, ``apply_multiplier``: ``rfftn`` of the real samples, times the weight
-on the half-spectrum lattice (``Grid.half_shape``), then the inverse, run
-in place on that one spectrum.  The unnormalized pair needs no scaling,
-since the h^(N/2) factors of the unitary convention cancel.  The weight is
-built once per grid and order by ``Grid.multiplier`` and shared, read-only;
-its zero mode is 0 for sigma > 0, 1 for sigma == 0 and 0 for sigma < 0
-(pseudo-inverse on mean-zero fields).  frac_power uses it.  A Field's
-values are read-only for every holder, and a field keeps the frac_power
-image of each order for as long as it lives (2 MB per order on a 2-D
-M = 512 box): a repeat call returns the same image Field and runs no
-transform.  Energy sums  sum weight |V|^2  run only the forward half
-(``_half_spectrum_energy``) and keep nothing.  ``forward_transform``
-gives the full unitary spectrum.
+Every |xi|^sigma image of a whole-box field comes from one transform pair,
+``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
+half-spectrum lattice (``Grid.half_shape``), then the inverse, in place on
+that one spectrum; the h^(N/2) factors of the unitary convention cancel.
+``Grid.multiplier`` builds the weight once per grid and order, read-only;
+its zero mode is 1 for sigma == 0 and 0 otherwise (for sigma < 0 the
+pseudo-inverse on mean-zero fields).  A Field's values are read-only for
+every holder, and a field keeps the ``frac_power`` image of each order for
+as long as it lives (2 MB per order on a 2-D M = 512 box), so a repeat call
+runs no transform.  Energy sums  sum weight |V|^2  run only the forward
+half (``_half_spectrum_energy``).  ``forward_transform`` gives the full
+unitary spectrum.
 
-Linear convolutions with a kernel that is even in each axis run through
-the same pair on a zero-padded lattice, whose kernel spectrum
-``_kernel_spectrum`` builds from the kernel's samples at offsets 0..r.
-``_convolve`` is the two together, for arrays of any shape: the whole box
-for ``offset_convolve`` (kernels of the offset distance |x_i - x_j|, as in
-the Gagliardo pair sum), the box or a window for the ball sums of
-``diagnostics``.  The periodic kernel of |xi|^sigma at the offsets 0..M/2
-per axis, the inverse transform of the weight, is built once per grid and
-order by ``Grid.kernel`` and shared, read-only, as the weight is.  Cropped
-to a window's offsets (``_kernel_sample``) it is a Toeplitz operator there,
-and the padded lattice is its circulant embedding: the solver's operators
-on a domain's window run so, and the homogeneous norm of a field of
-narrow support weights its padded half spectrum with the kernel's.
+Linear convolutions with a kernel even in each axis run through the same
+pair on a zero-padded lattice, whose kernel spectrum ``_kernel_spectrum``
+builds from the kernel's samples at offsets 0..r; ``_convolve`` is the two
+together, for arrays of any shape.  ``Grid.kernel`` is the periodic kernel
+of |xi|^sigma at the offsets 0..M/2 per axis, the inverse transform of the
+weight, built once per grid and order, read-only.  Cropped to a window's
+offsets (``_kernel_sample``) it is a Toeplitz operator there, and the
+padded lattice is its circulant embedding: the solver's operator on a
+domain's window and the homogeneous norm of a narrow support run so.
 """
 
 import json
@@ -211,13 +205,11 @@ class Grid:
 class Field:
     """Real samples of a function at the cell centers of a grid.
 
-    ``values`` is read-only for every holder: a float64 array that owns
-    its data is flagged read-only, not copied, and any view is copied.  So
-    the ``frac_power`` images that the field keeps, one per order, for as
-    long as it lives, belong to ``values``; only a writable view taken of
-    an array before it was wrapped can still write to it.  Complex samples
-    raise InvalidGrid, as do non-finite ones.
-    """
+    ``values`` is read-only for every holder, so the ``frac_power`` images
+    the field keeps belong to it: a float64 array that owns its data is
+    flagged read-only, not copied, and any view is copied; only a writable
+    view taken of an array before it was wrapped can still write to it.
+    Complex or non-finite samples raise InvalidGrid."""
 
     grid: Grid
     values: np.ndarray

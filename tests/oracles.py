@@ -244,11 +244,12 @@ def near_domain_edt(mask, margin):
     return ndimage.distance_transform_edt(~mask.inside) * mask.grid.spacing <= margin
 
 
-def full_box_ops(grid, inside, s):
-    """P (-Lap)^s P and P (-Lap)^(-s) P on whole-box arrays (``inside`` of
-    ``grid.shape``), as ``apply(src, out)``: each masks a copy of ``src``,
-    transforms all M^N cells and zeroes the result off the domain."""
-    outside = ~inside
+def full_box_ops(mask, *sigmas):
+    """P |xi|^sigma P on whole-box arrays, one ``apply(src, out)`` per order,
+    as ``solver._domain_op`` on a window that is the whole box: each masks a
+    copy of ``src``, transforms all M^N cells and zeroes the result off the
+    domain."""
+    grid, outside = mask.grid, ~mask.inside
 
     def restricted(sigma):
         def apply(src, out):
@@ -257,7 +258,7 @@ def full_box_ops(grid, inside, s):
             return out
         return apply
 
-    return restricted(2.0 * s), restricted(-2.0 * s)
+    return tuple(restricted(sigma) for sigma in sigmas)
 
 
 def plain_inverse_iteration(pack, mask, tol, init=None, seed=0, cg_tol=1e-9,
@@ -269,7 +270,7 @@ def plain_inverse_iteration(pack, mask, tol, init=None, seed=0, cg_tol=1e-9,
     maximizer, F_eps and the outer iteration count."""
     from fracsobolev.solver import _cg, default_initial_field
     grid, inside = mask.grid, mask.inside
-    apply_op, precond = full_box_ops(grid, inside, pack.s)
+    apply_op, precond = full_box_ops(mask, 2.0 * pack.s, -2.0 * pack.s)
     h_vol = grid.cell_volume
     q = pack.subcritical_exponent - 2.0
 

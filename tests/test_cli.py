@@ -101,6 +101,8 @@ class TestParseConfig:
         {"kind": "interval", "bounds": 3},
         {"kind": "interval", "bounds": [1.0]},
         {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"kind": "box", "lower": [-1, -5], "upper": [1, 5]},
+        {"kind": "interval", "bounds": [-1, 1], "extra": 1},
     ])
     def test_malformed_omega_names_key(self, omega):
         with pytest.raises(ConfigError) as err:
@@ -202,7 +204,8 @@ DEFAULT_CSVS = {
         "plancherel_max_rel_err,1,512,8.0,0.25,2.143242379283949e-16\n"
         "gagliardo_ratio_mean,1,512,8.0,0.25,0.0996570409641766\n"
         "gagliardo_ratio_cv,1,512,8.0,0.25,0.0009131029602326461\n"
-        "gagliardo_fitted_constant,1,512,8.0,0.25,0.0996570409641766\n"),
+        "gagliardo_ratio_closed_form,1,512,8.0,0.25,0.09973557010035819\n"
+        "gagliardo_ratio_rel_gap,1,512,8.0,0.25,-0.0007873734125404633\n"),
     "solve": ("solve.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,residual\n"
         "1,0.25,512,8.0,0.8,0.8869810383765334,1.4929658260103178,1.1274198170350163,16,true,7.965145770871688e-06\n"),
@@ -271,6 +274,8 @@ class TestCommands:
         assert float(plancherel["value"]) < 1e-12
         cv = [r for r in rows if r["quantity"] == "gagliardo_ratio_cv"][0]
         assert float(cv["value"]) < 0.01
+        closed = [r for r in rows if r["quantity"] == "gagliardo_ratio_closed_form"][0]
+        assert float(closed["value"]) == pytest.approx(0.11504819084081601, rel=1e-14)
         capsys.readouterr()
 
     def test_norms_check_gagliardo_rows_on_large_grid(self, tmp_path, capsys):
@@ -278,8 +283,8 @@ class TestCommands:
         assert code == 0
         _, rows = _read_rows(tmp_path / "norms_check.csv")
         values = {r["quantity"]: float(r["value"]) for r in rows}
-        assert {"gagliardo_ratio_mean", "gagliardo_ratio_cv",
-                "gagliardo_fitted_constant"} <= set(values)
+        assert {"gagliardo_ratio_mean", "gagliardo_ratio_cv", "gagliardo_ratio_closed_form",
+                "gagliardo_ratio_rel_gap"} <= set(values)
         assert values["gagliardo_ratio_cv"] < 0.01
         capsys.readouterr()
 

@@ -58,6 +58,18 @@ class TestDomainMask:
         with pytest.raises(InvalidMask):
             DomainMask.from_shape(grid1d, {"kind": "interval", "bounds": [2.0, 2.0]})
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "box", "lower": [-1.0, -1.0, -5.0], "upper": [1.0, 1.0, 5.0]},
+        {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0, 5.0]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "extra": 1},
+        {"kind": "polygon", "vertices": [[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]],
+         "bounds": [-1.0, 1.0]},
+    ])
+    def test_rejects_components_and_keys_of_no_use(self, grid2d, spec):
+        # extra box components were zipped away and unknown keys ignored
+        with pytest.raises(InvalidMask):
+            DomainMask.from_shape(grid2d, spec)
+
     def test_per_axis_coordinates_keep_the_dense_bits(self):
         # masks, centroids and snapped atoms read one coordinate array per
         # axis, broadcast; each equals its form on the dense Grid.coords()

@@ -11,7 +11,7 @@ import pytest
 
 import fracsobolev
 from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
-                         InnerSolveFailed, InvalidGrid, InvalidOrder, SolverConfig,
+                         InnerSolveFailed, InvalidGrid, InvalidMask, InvalidOrder, SolverConfig,
                          apply_multiplier, el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
 from fracsobolev.solver import _DOT_BLOCK, CG_TOL, ETA_MAX, _dot, default_initial_field
@@ -372,13 +372,13 @@ class TestPreconditionedCG:
 
     @staticmethod
     def _cold_iters(grid, shape, s):
-        from fracsobolev.solver import _cg, _inner_ops
+        from fracsobolev.solver import _cg, _domain_op
         mask = DomainMask.from_shape(grid, shape)
         pack = ExponentPack(dim=grid.dim, s=s, eps=0.8)
         window = mask.window
         u = default_initial_field(mask).values[window]
         rhs = np.abs(u) ** (pack.subcritical_exponent - 2.0) * u
-        op, pre = _inner_ops(grid, mask.inside[window], s)
+        op, pre = _domain_op(mask, 2.0 * s, -2.0 * s)
         tol = CG_TOL
         x, Ax = np.zeros(u.shape), np.zeros(u.shape)
         iters, rel = _cg(op, pre, rhs, x, Ax, tol, 2000, np.empty((4,) + u.shape))
@@ -465,7 +465,7 @@ class TestWindow:
         with monkeypatch.context() as mp:
             mp.setattr(DomainMask, "window",
                        property(lambda self: (slice(None),) * self.grid.dim))
-            mp.setattr(solver_mod, "_inner_ops", full_box_ops)
+            mp.setattr(solver_mod, "_domain_op", full_box_ops)
             full = solve(pack, mask, cfg)
         assert windowed.converged and full.converged
         assert windowed.iters == full.iters
@@ -495,7 +495,7 @@ class TestWindow:
                                               ("box", True)])
     def test_single_applies_match_full_box(self, rng, kind, at_edge):
         # the box window is not square, so its lattice differs per axis
-        from fracsobolev.solver import _inner_ops
+        from fracsobolev.solver import _domain_op
         pack, mask = _domain_case(kind)
         if at_edge:
             mask, _ = _moved_to_edge(mask)
@@ -504,15 +504,15 @@ class TestWindow:
         src = np.where(inside, rng.standard_normal(inside.shape), 0.0)
         box = np.zeros(g.shape)
         box[window] = src
-        for apply, full in zip(_inner_ops(g, inside, pack.s),
-                               full_box_ops(g, mask.inside, pack.s)):
+        orders = (2.0 * pack.s, -2.0 * pack.s)
+        for apply, full in zip(_domain_op(mask, *orders), full_box_ops(mask, *orders)):
             got = apply(src, np.empty(inside.shape))
             ref = full(box, np.empty(g.shape))[window]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_window_wider_than_half_the_box(self, rng):
         # W = 57 cells of M = 64: offsets past M/2 read the kernel at M - d
-        from fracsobolev.solver import _inner_ops
+        from fracsobolev.solver import _domain_op
         from fracsobolev.spectral import _convolve
         g = make_grid(1, 64, 1.0)
         mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-0.9, 0.9]})
@@ -522,7 +522,7 @@ class TestWindow:
         src = np.where(inside, rng.standard_normal(inside.shape), 0.0)
         delta = np.zeros(g.shape)
         delta[0] = 1.0
-        for apply, sigma in zip(_inner_ops(g, inside, 0.25), (0.5, -0.5)):
+        for apply, sigma in zip(_domain_op(mask, 0.5, -0.5), (0.5, -0.5)):
             got = apply(src, np.empty(inside.shape))
             kernel = apply_multiplier(delta, g, sigma)[:W]
             ref = np.where(inside, _convolve(kernel, (src,))[0], 0.0)
@@ -594,9 +594,10 @@ class TestElResidual:
             el_residual(Field(grid=g, values=np.zeros(g.shape)), pack, mask)
 
     def test_one_transform_pair(self, ctx, solved, monkeypatch):
-        # (-Lap)^s u for both the residual and the multiplier, which on the
-        # unit sphere is the solver's 1 / F_eps; the unit-ball check runs
-        # forward-only
+        # (-Lap)^s u on the window for the residual, the multiplier, which on
+        # the unit sphere is the solver's 1 / F_eps, and the unit-ball norm;
+        # the residual's scale runs forward-only
+        import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         g, mask = ctx
         pack, result = solved
@@ -607,11 +608,35 @@ class TestElResidual:
             pairs.append(1)
             return real_pair(*args)
 
-        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        for mod in (spectral_mod, solver_mod):
+            monkeypatch.setattr(mod, "_transform_pair", counting)
         mult, _ = el_residual(result.maximizer, pack, mask)
         assert len(pairs) == 1
         assert mult == pytest.approx(result.multiplier, rel=1e-12)
         assert not result.maximizer._images
+
+    def test_mask_on_another_grid_raises_before_any_transform(self, ctx, solved, monkeypatch):
+        g, mask = ctx
+        pack, result = solved
+        other = DomainMask.from_shape(make_grid(1, 512, 4.0),
+                                      {"kind": "interval", "bounds": [-1.0, 1.0]})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        for name in ("fft", "rfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        with pytest.raises(InvalidGrid, match="half-width"):
+            el_residual(result.maximizer, pack, other)
+
+    def test_field_nonzero_off_the_domain_raises(self, ctx, solved):
+        # the whole-box form took such a field and tested it on the domain
+        g, mask = ctx
+        pack, result = solved
+        vals = result.maximizer.values.copy()
+        vals[np.flatnonzero(~mask.inside)[-2]] = 1e-3
+        with pytest.raises(InvalidMask):
+            el_residual(Field(grid=g, values=vals), pack, mask)
 
     @pytest.mark.parametrize("dim,M,shape", [
         (1, 512, {"kind": "interval", "bounds": [-1.0, 1.0]}),
@@ -626,7 +651,10 @@ class TestElResidual:
         pack = ExponentPack(dim=dim, s=0.25 if dim == 1 else 0.5, eps=0.5)
         u = default_initial_field(mask, seed=dim)
         u = Field(grid=g, values=u.values / np.sqrt(hs_dot_norm_sq(u, pack.s)))
-        assert el_residual(u, pack, mask) == el_residual_full(u, pack, mask)
+        mult, res = el_residual(u, pack, mask)
+        ref_mult, ref_res = el_residual_full(u, pack, mask)
+        assert mult == pytest.approx(ref_mult, rel=1e-14, abs=0)
+        assert res == pytest.approx(ref_res, rel=0, abs=1e-14)
 
     def test_generic_field_positive_multiplier(self, ctx):
         g, mask = ctx
@@ -866,10 +894,10 @@ class TestDot:
             assert _dot(a, b) == math.fsum(blocks)
 
     def test_blas_thread_count_keeps_the_bits(self):
-        # a 16,383-cell 1-D window, whose CG products and sphere scalings
-        # exceed the length OpenBLAS threads, and el_residual's whole-box
-        # product of a 2-D M = 128 solve, in fresh interpreters, as OpenBLAS
-        # reads its thread count at start-up
+        # a 16,383-cell 1-D window, whose CG products, sphere scalings and
+        # el_residual products exceed the length OpenBLAS threads, and a 2-D
+        # M = 128 solve, in fresh interpreters, as OpenBLAS reads its thread
+        # count at start-up
         code = (
             "from fracsobolev import DomainMask, ExponentPack, SolverConfig, make_grid\n"
             "from fracsobolev.solver import el_residual, solve\n"

@@ -100,6 +100,8 @@ class DomainMask:
             raise InvalidMask("domain touches the outermost cell layer of the box")
         ins.setflags(write=False)
         object.__setattr__(self, "inside", ins)
+        # no span reaches M cells, so this is never None
+        object.__setattr__(self, "_window", _narrow_support(ins, self.grid.points_per_dim))
         # near-domain sets per margin, read-only, which diagnostics._near_domain fills
         object.__setattr__(self, "_near", {})
 
@@ -109,9 +111,9 @@ class DomainMask:
 
     @property
     def window(self):
-        """Index slices, one per axis, of the bounding box of the inside cells."""
-        # no span reaches M cells, so this is never None
-        return _narrow_support(self.inside, self.grid.points_per_dim)
+        """Index slices, one per axis, of the bounding box of the inside
+        cells, found once at construction."""
+        return self._window
 
     @property
     def diameter(self):

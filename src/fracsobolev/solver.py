@@ -14,13 +14,17 @@ stationarity condition with multiplier 1 / F_eps, so the Euler-Lagrange
 residual of a converged solve is tolerance-limited.
 
 The inner solves are inexact (Golub & Ye, BIT 2000): a step's CG stops at
-relative residual ETA_FACTOR |dF| / F of the step before, clipped to
+relative residual ETA_FACTOR sqrt(|dF| / F) of the step before, clipped to
 [CG_TOL, ETA_MAX], and the first step's at ETA_MAX, forcing terms as in
-Eisenstat & Walker (SIAM J. Sci. Comput. 1996).  The ascent argument holds
-for exact solves only, so a plain step from a CG that stopped above CG_TOL
-and would lower F_eps resumes the same CG from its w and A w down to CG_TOL
-and is retaken.  A solve ends only on a step solved to CG_TOL: a looser
-step that meets the stop test makes the next step exact.
+Eisenstat & Walker (SIAM J. Sci. Comput. 1996).  Near the fixed point
+|dF| / F is quadratic in the iterate's error and the eigen-residual, to
+which Golub & Ye tie the inner tolerance, is linear in it: the square root
+sizes the inner solve to the outer error, not to its square.  The ascent
+argument holds for exact solves only, so a plain step from a CG that
+stopped above CG_TOL and would lower F_eps resumes the same CG from its w
+and A w down to CG_TOL and is retaken.  A solve ends only on a step
+solved to CG_TOL: a looser step that meets the stop test makes the next
+step exact.
 
 The accelerated step is Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
 SIAM J. Numer. Anal. 2011) on the last plain images g_i and residuals
@@ -46,13 +50,13 @@ on its circulant embedding, smooth(2W) long per axis.  Only ``_domain_op``
 makes it, from the grid's cached kernel (``Grid.kernel``), for a solve at
 +-2s and for ``el_residual`` at 2s.  CG starts from ||w|| u with the image
 ||w|| A u, which on an unextended plain step are the previous w and A w,
-and keeps A w with w, which gives ||w||^2 = <w, A w>; so a CG that takes
-k > 0 steps runs 2k+1 pairs: the first preconditioning, k operator and
-k-1 preconditioner applies, and one apply to its result.  An outer
-iteration runs 2k+1 pairs, and one more when a resumed CG follows one
-that took steps.  Every inner product is ``_dot``: ``np.dot`` on blocks
-that OpenBLAS sums on one thread, added exactly, so no result depends on
-the BLAS thread settings.
+and keeps A w = rhs - r from its recurrence with w, which gives
+||w||^2 = <w, A w>; so a CG that takes k steps runs 2k pairs: the first
+preconditioning, k operator and k-1 preconditioner applies.  A solve runs
+1 + sum 2k_i pairs: one for its start's image and 2k_i for each CG it
+runs, resumed ones included.  Every inner product is ``_dot``: ``np.dot``
+on blocks that OpenBLAS sums on one thread, added exactly, so no result
+depends on the BLAS thread settings.
 """
 
 import math
@@ -95,8 +99,9 @@ ANDERSON_DEPTH = 3
 CG_TOL = 1e-9
 CG_MAX_ITERS = 2000
 # forcing terms of the inexact inner solves: an outer step's CG stops at
-# relative residual ETA_FACTOR |dF| / F of the step before, clipped to
-# [CG_TOL, ETA_MAX]; the first step stops at ETA_MAX
+# relative residual ETA_FACTOR sqrt(|dF| / F) of the step before, clipped
+# to [CG_TOL, ETA_MAX], so it follows the outer error, to which |dF| / F
+# is quadratic near the fixed point; the first step stops at ETA_MAX
 ETA_MAX = 1e-3
 ETA_FACTOR = 1e-2
 # a difference whose Gram-Schmidt remainder keeps less than this share of its
@@ -199,15 +204,19 @@ def el_residual(u, pack, mask):
 
 
 def default_initial_field(mask, seed=0):
-    """Centered smooth bump over the domain plus a small seeded perturbation."""
-    grid = mask.grid
-    center = mask.centroid()
-    r = grid.radii(center)
-    extent = float(np.max(r[mask.inside]))
+    """Centered smooth bump over the domain plus a small seeded perturbation,
+    built on the mask's window: the bump's peak, at the cell nearest the
+    centroid, lies in it, and the noise is the whole box's draw cut to it."""
+    grid, window = mask.grid, mask.window
+    inside = mask.inside[window]
+    r = grid.radii(mask.centroid(), window)
+    extent = float(np.max(r[inside]))
     bump = np.clip(1.0 - (r / max(extent, grid.spacing)) ** 2, 0.0, None) ** 2
-    rng = np.random.default_rng(seed)
-    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * rng.standard_normal(grid.shape)
-    return Field(grid=grid, values=mask.restrict(bump))
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)[window]
+    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * noise
+    values = np.zeros(grid.shape)
+    values[window] = np.where(inside, bump, 0.0)
+    return Field(grid=grid, values=values)
 
 
 def _domain_op(mask, *sigmas):
@@ -242,12 +251,13 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
     """Preconditioned CG, in place on the start ``x``; returns the iterations
     and the final relative residual ||r|| / ||rhs||.
 
-    ``Ax`` holds ``apply_op(x)`` on entry and again on return: one fresh
-    apply when ``x`` moved, none when it did not.  ``work`` holds four
-    arrays of rhs's shape (residual, preconditioned residual, direction,
-    operator image).  Stops when the unpreconditioned residual satisfies
-    ||r|| <= tol ||rhs|| and raises InnerSolveFailed when the loop ends
-    before that.
+    ``Ax`` holds ``apply_op(x)`` on entry.  When ``x`` moved it holds
+    rhs - r on return, the image the recurrence gives, equal to
+    ``apply_op(x)`` up to rounding, so no apply runs on the result.
+    ``work`` holds four arrays of rhs's shape (residual, preconditioned
+    residual, direction, operator image).  Stops when the unpreconditioned
+    residual satisfies ||r|| <= tol ||rhs|| and raises InnerSolveFailed
+    when the loop ends before that.
     """
     r, z, p, Ap = work
     b_norm = math.sqrt(_dot(rhs, rhs))
@@ -274,7 +284,7 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
         r -= np.multiply(Ap, alpha, out=Ap)
         r_norm = math.sqrt(_dot(r, r))
         if r_norm <= tol * b_norm:
-            apply_op(x, Ax)
+            np.subtract(rhs, r, out=Ax)
             return iters, r_norm / b_norm
         precond(r, z)
         rz_new = _dot(r, z)
@@ -466,7 +476,7 @@ def solve(pack, mask, config, init=None):
             # a solve ends only on an exact step
             eta = CG_TOL
         else:
-            eta = min(ETA_MAX, ETA_FACTOR * abs(F_new - F_old) / abs(F_old))
+            eta = min(ETA_MAX, ETA_FACTOR * math.sqrt(abs(F_new - F_old) / abs(F_old)))
         F_old = F_new
 
     values = np.zeros(grid.shape)

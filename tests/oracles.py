@@ -13,8 +13,8 @@ whole-box forms here: the cutoff and the localized bubble sampled on every
 cell, ball masses over every cell's radius, the dilation and the ball sums
 as convolutions of the whole box, the latter repeated every round on a
 zeroed copy of the measure, the commutator's products and the glued sum's
-terms on every cell, and the Euler-Lagrange residual formed on every cell
-and then masked.
+terms on every cell, the Euler-Lagrange residual formed on every cell
+and then masked, and the solver's initial bump built on every cell.
 """
 
 import math
@@ -222,6 +222,19 @@ def glued_bubbles_full(atoms, eps, grid, mask, pack, radii=None):
     for mu, v in zip(atoms.masses, glued_bubble_parts(atoms, eps, grid, mask, pack, radii)):
         total += np.sqrt(mu) * v.values
     return Field(grid=grid, values=total)
+
+
+def initial_field_full(mask, seed):
+    """``solver.default_initial_field``'s values, with the radii and the bump
+    taken on every cell of the box and then masked."""
+    from fracsobolev.solver import INITIAL_PERTURBATION
+    grid = mask.grid
+    r = grid.radii(mask.centroid())
+    extent = float(np.max(r[mask.inside]))
+    bump = np.clip(1.0 - (r / max(extent, grid.spacing)) ** 2, 0.0, None) ** 2
+    rng = np.random.default_rng(seed)
+    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * rng.standard_normal(grid.shape)
+    return mask.restrict(bump)
 
 
 def el_residual_full(u, pack, mask):

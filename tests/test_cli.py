@@ -203,18 +203,18 @@ DEFAULT_CSVS = {
         "quantity,N,M,L,s,value\n"
         "plancherel_max_rel_err,1,512,8.0,0.25,2.143242379283949e-16\n"
         "gagliardo_ratio_mean,1,512,8.0,0.25,0.0996570409641766\n"
-        "gagliardo_ratio_cv,1,512,8.0,0.25,0.0009131029602326461\n"
+        "gagliardo_ratio_cv,1,512,8.0,0.25,0.0009131029602325802\n"
         "gagliardo_ratio_closed_form,1,512,8.0,0.25,0.09973557010035819\n"
         "gagliardo_ratio_rel_gap,1,512,8.0,0.25,-0.0007873734125404633\n"),
     "solve": ("solve.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,residual\n"
-        "1,0.25,512,8.0,0.8,0.8869810383765334,1.4929658260103178,1.1274198170350163,16,true,7.965145770871688e-06\n"),
+        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974066,18,true,3.169758692956788e-06\n"),
     "sweep": ("sweep.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,argmax_coords,mass_r1,mass_r2,tail_energy\n"
-        "1,0.25,512,8.0,0.8,0.8869810383765334,1.4929658260103178,1.1274198170350163,16,true,0.0,0.85369853658692,0.9111736494545031,0.04409826605848018\n"
-        "1,0.25,512,8.0,0.4,0.9604337095802477,1.4422225402773308,1.0411962741676826,14,true,0.0,0.9439943484391281,0.955820889586459,0.022818042955677263\n"
-        "1,0.25,512,8.0,0.2,1.0882295930743529,1.4175013617614753,0.9189237329733924,10,true,0.0,0.9710186242594832,0.975918692887105,0.012537007222610124\n"
-        "1,0.25,512,8.0,0.1,1.1738118774238322,1.4053001343274985,0.8519252694858587,7,true,0.0,0.9744602241364926,0.9786058617368646,0.011152259770053076\n"),
+        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,0.0,0.8536967645395764,0.9111729857541402,0.04409855759887518\n"
+        "1,0.25,512,8.0,0.4,0.9604337104122096,1.4422225402773308,1.0411962732657614,18,true,0.0,0.9439987612670213,0.9558241063998312,0.022816399427594294\n"
+        "1,0.25,512,8.0,0.2,1.0882295930923926,1.4175013617614753,0.9189237329581591,11,true,0.0,0.9710183134862167,0.9759184505763894,0.012537131486652375\n"
+        "1,0.25,512,8.0,0.1,1.1738118774242252,1.4053001343274985,0.8519252694855735,8,true,0.0,0.9744602317101341,0.9786058608426677,0.011152262524637423\n"),
 }
 
 

@@ -50,6 +50,23 @@ class TestDomainMask:
         mask = DomainMask.from_shape(grid2d, {"kind": "polygon", "vertices": verts})
         assert mask.measure == pytest.approx(2.0, rel=0.1)
 
+    @pytest.mark.parametrize("dim,M,shape", [
+        (1, 512, {"kind": "interval", "bounds": [-1.0, 1.3]}),
+        (2, 64, {"kind": "ball", "center": [0.3, -0.2], "radius": 1.2}),
+        (2, 64, {"kind": "polygon", "vertices": [[-1.0, -1.0], [1.0, -0.8], [0.2, 1.1]]}),
+        (3, 16, {"kind": "box", "lower": [-1.0, -0.5, -1.5], "upper": [1.2, 1.0, 0.5]}),
+    ])
+    def test_window_is_kept_once(self, monkeypatch, dim, M, shape):
+        import fracsobolev.norms as norms_mod
+        mask = DomainMask.from_shape(make_grid(dim, M, 4.0), shape)
+        assert mask.window == _narrow_support(mask.inside, M)
+
+        def refuse(*args):
+            raise AssertionError("the window was recomputed")
+
+        monkeypatch.setattr(norms_mod, "_narrow_support", refuse)
+        assert mask.window is mask.window
+
     def test_rejects_boundary_touching(self, grid1d):
         with pytest.raises(InvalidMask):
             DomainMask.from_shape(grid1d, {"kind": "interval", "bounds": [-9.0, 9.0]})

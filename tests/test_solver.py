@@ -17,7 +17,7 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
 from fracsobolev.solver import _DOT_BLOCK, CG_TOL, ETA_MAX, _dot, default_initial_field
 
 from oracles import (el_residual_full, full_box_ops, gradient_ascent_oracle,
-                     plain_inverse_iteration)
+                     initial_field_full, plain_inverse_iteration)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,27 @@ class TestSolve:
         assert "relative residual" in str(err.value)
 
 
+class TestInitialField:
+    @pytest.mark.parametrize("dim,M,shape", [
+        (1, 64, {"kind": "interval", "bounds": [-1.0, 1.3]}),
+        (1, 64, {"kind": "box", "lower": [-2.5], "upper": [0.4]}),
+        (1, 64, {"kind": "ball", "center": [0.7], "radius": 1.1}),
+        (2, 32, {"kind": "box", "lower": [-1.0, -0.6], "upper": [1.6, 0.7]}),
+        (2, 32, {"kind": "ball", "center": [0.3, -0.2], "radius": 1.2}),
+        (2, 32, {"kind": "polygon", "vertices": [[-1.0, -1.0], [1.0, -0.8], [0.2, 1.1]]}),
+        # an L whose centroid lies off the domain, inside its window
+        (2, 32, {"kind": "polygon", "vertices": [[-1.5, -1.5], [1.5, -1.5], [1.5, -0.9],
+                                                 [-0.9, -0.9], [-0.9, 1.5], [-1.5, 1.5]]}),
+        (3, 16, {"kind": "box", "lower": [-1.0, -0.5, -1.5], "upper": [1.2, 1.0, 0.5]}),
+        (3, 16, {"kind": "ball", "center": [0.0, 0.2, -0.3], "radius": 1.5}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_whole_box_formula(self, dim, M, shape, seed):
+        mask = DomainMask.from_shape(make_grid(dim, M, 4.0), shape)
+        got = default_initial_field(mask, seed=seed).values
+        assert got.tobytes() == initial_field_full(mask, seed).tobytes()
+
+
 class TestAnderson:
     """The safeguarded Anderson outer step against plain inverse iteration."""
 
@@ -276,7 +297,9 @@ class TestInexactInnerSolves:
             resumes.append(len(calls) - result.iters)
         assert any(resumes)
 
-    def test_runs_a_quarter_fewer_pairs(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def disc_runs(self):
+        """The disc's solve and its pair count, inexact then exact."""
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask = self._disc()
@@ -288,17 +311,30 @@ class TestInexactInnerSolves:
             pairs.append(1)
             return real_pair(*args)
 
-        for mod in (spectral_mod, solver_mod):
-            monkeypatch.setattr(mod, "_transform_pair", counting)
-        inexact = solve(pack, mask, cfg)
-        inexact_pairs = len(pairs)
-        pairs.clear()
-        monkeypatch.setattr(solver_mod, "ETA_MAX", CG_TOL)
-        exact = solve(pack, mask, cfg)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in (spectral_mod, solver_mod):
+                mp.setattr(mod, "_transform_pair", counting)
+            for eta_max in (ETA_MAX, CG_TOL):
+                mp.setattr(solver_mod, "ETA_MAX", eta_max)
+                pairs.clear()
+                runs.append((solve(pack, mask, cfg), len(pairs)))
+        return cfg, runs
+
+    def test_runs_a_quarter_fewer_pairs(self, disc_runs):
+        cfg, ((inexact, inexact_pairs), (exact, exact_pairs)) = disc_runs
         assert inexact.converged and exact.converged
         assert inexact_pairs == _transform_pairs(inexact)
-        assert len(pairs) == _transform_pairs(exact)
-        assert inexact_pairs <= 0.75 * len(pairs)
+        assert exact_pairs == _transform_pairs(exact)
+        assert inexact_pairs <= 0.75 * exact_pairs
+        assert abs(inexact.value - exact.value) <= 2 * cfg.tol * exact.value
+
+    def test_forcing_on_the_root_runs_under_half_the_pairs(self, disc_runs):
+        # late steps stop their CG at ETA_FACTOR sqrt(|dF| / F), which
+        # tracks the outer error, not its square
+        cfg, ((inexact, inexact_pairs), (exact, exact_pairs)) = disc_runs
+        assert inexact.converged and exact.converged
+        assert inexact_pairs <= 0.45 * exact_pairs
         assert abs(inexact.value - exact.value) <= 2 * cfg.tol * exact.value
 
 
@@ -343,7 +379,7 @@ class TestExtendedStep:
 
     def test_runs_no_transform(self, drift, monkeypatch):
         # the pair count of a solve where the extension fires is still the
-        # start's image and 2k+1 per outer iteration; the drift sweep has
+        # start's image and 2k per outer iteration; the drift sweep has
         # already built the grid's kernels
         import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
@@ -360,7 +396,7 @@ class TestExtendedStep:
         result = solve(pack.with_eps(0.1), mask, SolverConfig(eps_schedule=(0.1,)),
                        init=entries[2].result.maximizer)
         assert any(result.extended)
-        loop = 1 + sum(2 * k + 1 for k in result.cg_iters if k > 0)
+        loop = _transform_pairs(result)
         W = mask.window[-1].stop - mask.window[-1].start
         P = spectral_mod._smooth_length(2 * W)
         assert lengths == [P] * loop
@@ -387,7 +423,9 @@ class TestPreconditionedCG:
         # the reported residual is the recursive one, which tracks the true one
         assert rel <= tol
         assert rel == pytest.approx(np.linalg.norm(res) / np.linalg.norm(rhs), rel=1e-3)
-        assert np.array_equal(Ax, op(x, np.empty(u.shape)))
+        # Ax is rhs - r, the recursive residual's image, not a fresh apply
+        Ax_true = op(x, np.empty(u.shape))
+        assert np.linalg.norm(Ax - Ax_true) <= 1e-12 * np.linalg.norm(Ax_true)
         return iters
 
     @pytest.mark.parametrize("M", [2 ** 14, 2 ** 17])
@@ -436,10 +474,9 @@ def _domain_case(kind):
 
 
 def _transform_pairs(result):
-    """Transform pairs a solve runs: one for the start's image, then 2k+1
-    for each inner CG that takes k > 0 steps, a resumed one included."""
-    return 1 + sum(2 * k + 1 for total, more in zip(result.cg_iters, result.resumed)
-                   for k in (total - more, more) if k > 0)
+    """Transform pairs a solve runs: one for the start's image, then 2k
+    for each inner CG that takes k steps, a resumed one included."""
+    return 1 + sum(2 * k for k in result.cg_iters)
 
 
 def _moved_to_edge(mask):
@@ -548,8 +585,8 @@ class TestWindow:
         pytest.param("box", 1e-9, 0.5, id="box-resumed"),
     ])
     def test_transform_pairs_per_outer_iteration(self, monkeypatch, kind, cg_tol, eta_max):
-        # one pair for the start's image and 2k+1 per inner CG that takes
-        # k > 0 steps and none when the carried image already meets the
+        # one pair for the start's image and 2k per inner CG that takes
+        # k steps, so none when the carried image already meets the
         # tolerance, all on the padded lattice of the window, smooth(2W)
         # long on the last axis; the kernels of both orders are built the
         # first time the grid meets them, with no pair

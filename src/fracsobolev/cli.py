@@ -331,12 +331,12 @@ def _cmd_solve(cfg):
     eps = cfg.solver.eps_schedule[0]
     pack = cfg.pack.with_eps(eps)
     result = solve(pack, cfg.mask, cfg.solver)
-    mult, res = el_residual(result.maximizer, pack, cfg.mask)
+    _, res = el_residual(result.maximizer, pack, cfg.mask)
     env = hoelder_envelope(pack, cfg.mask)
     _write_csv(cfg, "solve.csv",
                _ECHO_HEADER + ["value", "envelope", "multiplier", "iters", "converged",
                                "residual"],
-               [_echo(cfg, eps) + [result.value, env, mult, result.iters,
+               [_echo(cfg, eps) + [result.value, env, result.multiplier, result.iters,
                                    result.converged, res]])
     if cfg.emit_fields:
         _dump_field(cfg, f"maximizer_eps{eps:g}.field", result.maximizer)

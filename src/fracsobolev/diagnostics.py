@@ -4,13 +4,15 @@ tails, cutoff and commutator decay, and the limit functional bound.
 The localized probes work on the index box of their support and leave the
 rest of the box alone: ball masses on the ball's window
 (``Grid.ball_window``), the near-domain set on the domain's window grown by
-the margin, which the mask keeps per margin, atom detection's ball sums,
-after one whole-box convolution, on the box that each zeroed ball changes,
-and the commutator's products on the box where the cutoff is nonzero.  No
-probe copies its input measure or field.  Each gives what its whole-box
-form gives, to the bit.  The energy measure, the tail and the commutator
-read the image (-Lap)^(s/2) u that u keeps (``spectral.frac_power``), so
-on one field they run its transform pair once.
+the margin, which the mask keeps per margin, atom detection's ball sums on
+the box of the blocks whose mass bound can reach the threshold, then on
+the part of it that each zeroed ball changes, and the commutator's
+products on the box where the cutoff is nonzero, with the image of phi u
+transformed from that box's rows.  No probe copies its input measure or
+field.  Each gives what its whole-box form gives, to the bit.  The energy
+measure, the tail and the commutator read the image (-Lap)^(s/2) u that u
+keeps (``spectral.frac_power``), so on one field they run its transform
+pair once, and the tail squares only the far cells of it.
 """
 
 import math
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import BudgetExceeded, DegenerateInput, InvalidOrder
 from .extremals import cutoff_field
 from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
-from .spectral import (Field, _convolve, _half_spectrum_energy, _offset_distances, _same_grid,
-                       apply_multiplier, frac_power)
+from .spectral import (Field, _check_finite, _convolve, _half_spectrum_energy, _image_of_rows,
+                       _offset_distances, _same_grid, frac_power)
 
 __all__ = [
     "CellMeasure",
@@ -142,6 +144,27 @@ def _grow(window, cells, M):
     return tuple(slice(max(w.start - cells, 0), min(w.stop + cells, M)) for w in window)
 
 
+def _within(inner, outer):
+    """Index slices ``inner`` relative to the start of ``outer``, which holds them."""
+    return tuple(slice(a.start - b.start, a.stop - b.start) for a, b in zip(inner, outer))
+
+
+def _block_bounds(masses, b):
+    """Per block of b cells per axis, the mass of the 3^N blocks about it,
+    none past the box edge: a bound on the mass of every ball of reach
+    below b about a cell of the block."""
+    N, nb = masses.ndim, masses.shape[0] // b
+    bound = masses.reshape((nb, b) * N)
+    # one in-block axis at a time, the outermost first: whole rows add
+    for ax in range(1, N + 1):
+        bound = bound.sum(axis=ax)
+    for ax in range(N):
+        lead = (slice(None),) * ax
+        pad = np.pad(bound, [(1, 1) if a == ax else (0, 0) for a in range(N)])
+        bound = sum(pad[lead + (slice(d, d + nb),)] for d in range(3))
+    return bound
+
+
 def atom_detect(m, nu, radius, threshold):
     """Greedy extraction of concentration atoms from an energy measure.
 
@@ -149,16 +172,24 @@ def atom_detect(m, nu, radius, threshold):
     mass, records the ball masses of both measures, zeroes the ball and
     excludes centers within ``radius`` of chosen atoms, stopping when the
     best ball holds no positive mass or less than ``threshold * total``, or
-    DEFAULT_ATOM_CAP were found.  The ball sums are one linear convolution of
-    the whole box with the ball; zeroing a ball moves them only within
-    2 reach of its center (the reach of ``_ball_sample``), so after each
-    atom that box is convolved again from the input within 3 reach.  The
-    center is ``_best_cell`` of the sums, and the masses and the threshold
-    test use the exact sum over that ball's cells.  Neither measure is
+    DEFAULT_ATOM_CAP were found.  The center is ``_best_cell`` of the ball
+    sums, and the masses and the threshold test use the exact sum over
+    that ball's cells.
+
+    The sums are formed only where a center can be recorded.  A ball about
+    a cell of a block of b cells per axis, b the smallest power of two
+    above the reach of ``_ball_sample``, lies in the 3^N blocks about it,
+    so their mass bounds its sum (``_block_bounds``).  A block whose bound
+    is below ``threshold * total`` by more than twice the tie band holds
+    no center that is recorded or ties with one, so the sums are one
+    linear convolution with the ball on the box of the other blocks, and
+    none when there are none.  Zeroing a ball moves the sums only within
+    2 reach of its center, so after each atom that part of the box is
+    convolved again from the input within reach of it.  Neither measure is
     copied: the zeroed cells are exactly those no longer allowed as
     centers, so a ball mass, or the input of a local convolution, reads
-    the measure where allowed and zero elsewhere, on its own box.  ``nu`` must lie on the grid of ``m`` (InvalidGrid
-    otherwise).
+    the measure where allowed and zero elsewhere, on its own box.  ``nu``
+    must lie on the grid of ``m`` (InvalidGrid otherwise).
     """
     grid = m.grid
     _same_grid(grid, nu.grid, "nu", "m")
@@ -169,17 +200,26 @@ def atom_detect(m, nu, radius, threshold):
     M = grid.points_per_dim
     sample = _ball_sample(grid, radius)
     reach = len(sample) - 1
+    total = m.total
+    # reach < M, so b <= M divides M
+    b = 1 << reach.bit_length()
+    blocks = np.argwhere(_block_bounds(m.masses, b)
+                         >= threshold * total - 2.0 * _TIE_TOL * total)
+    if not len(blocks):
+        return AtomList(entries=())
+    region = tuple(slice(int(lo) * b, (int(hi) + 1) * b)
+                   for lo, hi in zip(blocks.min(axis=0), blocks.max(axis=0)))
     allowed = np.ones(grid.shape, dtype=bool)
 
     def zeroed(masses, box):
         """``masses`` on ``box``, zero on the balls already extracted."""
         return np.where(allowed[box], masses[box], 0.0)
 
-    total = m.total
-    sums = _convolve(sample, (m.masses,))[0]
+    src = _grow(region, reach, M)
+    sums = _convolve(sample, (m.masses[src],))[0][_within(region, src)]
     entries = []
     for _ in range(DEFAULT_ATOM_CAP):
-        idx = _best_cell(sums, total)
+        idx = tuple(int(i) + w.start for i, w in zip(_best_cell(sums, total), region))
         point = tuple(slice(i, i + 1) for i in idx)
         box = _grow(point, reach, M)
         # the ball about idx on its box: the sample at |offset| per axis
@@ -193,11 +233,12 @@ def atom_detect(m, nu, radius, threshold):
         entries.append(AtomEntry(location=center, mu=mu,
                                  nu=float(zeroed(nu.masses, box)[ball].sum())))
         allowed[box][ball] = False
-        near, src = _grow(point, 2 * reach, M), _grow(point, 3 * reach, M)
-        local = _convolve(sample, (zeroed(m.masses, src),))[0]
-        sums[near] = local[tuple(slice(a.start - b.start, a.stop - b.start)
-                                 for a, b in zip(near, src))]
-        sums[near][~allowed[near]] = -np.inf
+        near = tuple(slice(max(i - 2 * reach, w.start), min(i + 2 * reach + 1, w.stop))
+                     for i, w in zip(idx, region))
+        src = _grow(near, reach, M)
+        moved = sums[_within(near, region)]
+        moved[...] = _convolve(sample, (zeroed(m.masses, src),))[0][_within(near, src)]
+        moved[~allowed[near]] = -np.inf
     return AtomList(entries=tuple(entries))
 
 
@@ -241,13 +282,20 @@ def _tail_mass(m, near):
 
 def tail_energy(u, s, mask, margin):
     """Energy mass over cells farther than ``margin`` from the domain; a
-    mask on another grid than u raises InvalidGrid.  The energy measure
-    reads the image that u keeps, so after ``energy_density(u, s)`` no
-    transform runs."""
+    mask on another grid than u raises InvalidGrid, an order s <= 0
+    InvalidOrder.  The image that u keeps is read at the far cells only,
+    each squared and scaled as ``energy_density`` does, and summed in the
+    order of ``_tail_mass``, so after ``energy_density(u, s)`` no transform
+    runs and the sum is that of its measure."""
+    if not s > 0:
+        raise InvalidOrder(f"s must be positive, got {s}")
     if not margin > 0:
         raise InvalidOrder(f"margin must be positive, got {margin}")
     _same_grid(u.grid, mask.grid, "mask", "u")
-    return _tail_mass(energy_density(u, s), _near_domain(mask, margin))
+    far = frac_power(u, s).values[~_near_domain(mask, margin)]
+    far *= far
+    far *= u.grid.cell_volume
+    return float(far.sum())
 
 
 def top_octave_share(u, s):
@@ -300,21 +348,26 @@ def commutator_residual(u, phi, s):
     """L2 norm of  phi * (-Lap)^(s/2) u - (-Lap)^(s/2)(phi u).
 
     ``phi`` is a Field on the grid of u (InvalidGrid otherwise).  Both
-    products are formed only on the box of the cells where phi is nonzero
-    (empty for phi == 0), as phi u is zero elsewhere, and so is
-    phi (-Lap)^(s/2) u; phi u is checked finite, as a Field is.
-    (-Lap)^(s/2) u is the image that u keeps (``frac_power``); the image of
-    phi u is a fresh array, on which the difference is taken and squared
-    in place.
+    products are formed only on the box of the cells where phi is nonzero,
+    as phi u is zero elsewhere, and so is phi (-Lap)^(s/2) u; for phi == 0
+    the norm is 0.  phi u is checked finite, as a Field is, and its image
+    is transformed from the rows of that box along axis 0
+    (``spectral._image_of_rows``).  (-Lap)^(s/2) u is the image that u
+    keeps (``frac_power``); the image of phi u is a fresh array, on which
+    the difference is taken and squared in place.
     """
     g = u.grid
     _same_grid(g, phi.grid, "phi", "u")
     phi_vals = phi.values
-    box = _narrow_support(phi_vals, g.points_per_dim) or (slice(0, 0),) * g.dim
+    box = _narrow_support(phi_vals, g.points_per_dim)
+    if not box:
+        return 0.0
     a = phi_vals[box] * frac_power(u, s).values[box]
-    phi_u = np.zeros(g.shape)
-    phi_u[box] = phi_vals[box] * u.values[box]
-    b = apply_multiplier(Field(grid=g, values=phi_u).values, g, s)
+    phi_u = phi_vals[box] * u.values[box]
+    _check_finite(phi_u)
+    slab = np.zeros((box[0].stop - box[0].start,) + g.shape[1:])
+    slab[(slice(None),) + box[1:]] = phi_u
+    b = _image_of_rows(slab, box[0].start, g, s)
     b[box] -= a
     b *= b
     return math.sqrt(float(np.sum(b)) * g.cell_volume)

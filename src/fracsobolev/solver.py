@@ -21,8 +21,9 @@ Eisenstat & Walker (SIAM J. Sci. Comput. 1996).  Near the fixed point
 which Golub & Ye tie the inner tolerance, is linear in it: the square root
 sizes the inner solve to the outer error, not to its square.  The ascent
 argument holds for exact solves only, so a plain step from a CG that
-stopped above CG_TOL and would lower F_eps resumes the same CG from its w
-and A w down to CG_TOL and is retaken.  A solve ends only on a step
+stopped above CG_TOL and would lower F_eps, or that took no step, as from a
+converged start, resumes the same CG from its w and A w down to CG_TOL and
+is retaken.  A solve ends only on a step
 solved to CG_TOL: a looser step that meets the stop test makes the next
 step exact.
 
@@ -443,8 +444,9 @@ def solve(pack, mask, config, init=None):
         k, res = _cg(apply_op, precond, rhs, w, Aw, max(eta, CG_TOL), CG_MAX_ITERS, work)
         w_norm, g, Ag, F_new = plain_step()
         more = 0
-        if res > CG_TOL and F_new < F_old:
-            # only an exact solve is sure to ascend: finish this one
+        if res > CG_TOL and (k == 0 or F_new < F_old):
+            # only an exact solve is sure to ascend, and a CG that took no
+            # step moved nothing: finish this one
             more, res = _cg(apply_op, precond, rhs, w, Aw, CG_TOL, CG_MAX_ITERS, work)
             w_norm, g, Ag, F_new = plain_step()
         cg_iters.append(k + more)

@@ -16,6 +16,10 @@ Every |xi|^sigma image of a whole-box field comes from one transform pair,
 ``apply_multiplier``: ``rfftn`` of the real samples, times the weight on the
 half-spectrum lattice (``Grid.half_shape``), then the inverse, in place on
 that one spectrum; the h^(N/2) factors of the unitary convention cancel.
+In 2-D and up only the rows along axis 0 from the first to the last that
+hold a nonzero sample run the transforms along the other axes, and the
+rest take one zero row's spectrum, so the image is the whole-box pair's
+to the bit (``_image_of_rows``).
 ``Grid.multiplier`` builds the weight once per grid and order, read-only;
 its zero mode is 1 for sigma == 0 and 0 otherwise (for sigma < 0 the
 pseudo-inverse on mean-zero fields).  A Field's values are read-only for
@@ -220,14 +224,19 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise InvalidGrid(f"field shape {v.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidGrid("field contains non-finite entries")
+        _check_finite(v)
         if v.base is not None:
             v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         # frac_power images per order, which frac_power fills
         object.__setattr__(self, "_images", {})
+
+
+def _check_finite(values):
+    """Raise InvalidGrid unless every sample of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidGrid("field contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,33 +272,84 @@ def forward_transform(u):
     return SpectralField(grid=g, coeffs=coeffs)
 
 
-def _transform_pair(values, weight, n, spec, out):
+def _forward_rows(values, n, dest):
+    """The transforms of ``values`` along every axis but the first, into
+    ``dest``, a slab of a half-spectrum lattice with as many rows along
+    axis 0: ``rfft`` along the last axis, zero-padded to n, then ``fft``
+    along the axes between, the rows zero-padded to ``dest``'s shape."""
+    corner = (slice(None),) + tuple(slice(0, m) for m in values.shape[1:-1])
+    np.fft.rfft(values, n=n, axis=-1, out=dest[corner])
+    for ax in range(1, dest.ndim - 1):
+        dest[corner[:ax] + (slice(values.shape[ax], None),)] = 0.0
+    for ax in reversed(range(1, dest.ndim - 1)):
+        np.fft.fft(dest, axis=ax, out=dest)
+
+
+def _transform_pair(values, weight, n, spec, out, first=None):
     """``weight`` times the half spectrum of ``values`` zero-padded to the
-    lattice of ``spec`` (last axis n long), transformed back into ``out``
-    (``values.shape[:-1] + (n,)``).  Every step runs in place on ``spec``,
-    in the axis order of ``rfftn``/``irfftn``, so results match theirs to the bit.
+    lattice of ``spec`` (last axis n long), transformed back into ``out``.
+
+    By default ``values`` sits in the lattice's corner and ``out`` is
+    ``values.shape[:-1] + (n,)``.  Given ``first`` (N >= 2), ``values``
+    holds the whole lattice rows first, first + 1, ... along axis 0, the
+    other rows are zero and take one zero row's spectrum, signed zeros and
+    all, and ``out`` is every row, ``spec.shape[:-1] + (n,)``.  Only the
+    rows that hold input are transformed along the axes after the first.
+    Every step runs in place on ``spec``, in the axis order of
+    ``rfftn``/``irfftn``, so results match theirs to the bit.
     """
-    corner = tuple(slice(0, m) for m in values.shape[:-1])
-    np.fft.rfft(values, n=n, axis=-1, out=spec[corner])
-    for ax in range(len(corner)):
-        spec[corner[:ax] + (slice(values.shape[ax], None),)] = 0.0
-    for ax in reversed(range(len(corner))):
-        np.fft.fft(spec, axis=ax, out=spec)
+    lead = spec.ndim - 1
+    if lead == 0:
+        np.fft.rfft(values, n=n, out=spec)
+    elif first is None:
+        _forward_rows(values, n, spec[:len(values)])
+        spec[len(values):] = 0.0
+    else:
+        rows = slice(first, first + len(values))
+        _forward_rows(values, n, spec[rows])
+        if len(values) < len(spec):
+            zero = np.empty((1,) + spec.shape[1:], dtype=complex)
+            _forward_rows(np.zeros((1,) + values.shape[1:]), n, zero)
+            spec[:first] = zero
+            spec[rows.stop:] = zero
+    if lead:
+        np.fft.fft(spec, axis=0, out=spec)
     spec *= weight
-    for ax in range(len(corner)):
+    for ax in range(lead):
         np.fft.ifft(spec, axis=ax, out=spec)
-    return np.fft.irfft(spec[corner], n=n, axis=-1, out=out)
+    back = spec if first is not None else spec[tuple(slice(0, m) for m in values.shape[:-1])]
+    return np.fft.irfft(back, n=n, axis=-1, out=out)
+
+
+def _image_of_rows(values, first, grid, sigma):
+    """|xi|^sigma applied to the field on ``grid`` that is ``values`` on the
+    rows first, first + 1, ... along axis 0 and zero on the others; returns
+    the whole image, a raw ndarray of ``grid.shape``.  In 2-D and up only
+    those rows run the last-axis transform (``_transform_pair``); a 1-D
+    field is padded to the box."""
+    M = grid.points_per_dim
+    if grid.dim == 1 and len(values) < M:
+        values = np.pad(values, (first, M - first - len(values)))
+    spec = np.empty(grid.half_shape, dtype=complex)
+    return _transform_pair(values, grid.multiplier(sigma), M, spec, None,
+                           first if grid.dim > 1 else None)
 
 
 def apply_multiplier(values, grid, sigma):
     """|xi|^sigma applied to real samples of ``grid.shape``; returns a raw
     ndarray.  No mean check: for sigma < 0 the zero mode is simply
-    annihilated.
+    annihilated.  In 2-D and up one reduction finds the rows along axis 0
+    from the first to the last that hold a nonzero sample, and only they
+    run the last-axis transform (``_image_of_rows``).
     """
     if values.shape != grid.shape:
         raise InvalidGrid(f"values of shape {values.shape} do not match grid shape {grid.shape}")
-    spec = np.empty(grid.half_shape, dtype=complex)
-    return _transform_pair(values, grid.multiplier(sigma), grid.points_per_dim, spec, None)
+    first, stop = 0, grid.points_per_dim
+    if grid.dim > 1:
+        held = np.flatnonzero(values.any(axis=tuple(range(1, grid.dim))))
+        if held.size:
+            first, stop = int(held[0]), int(held[-1]) + 1
+    return _image_of_rows(values[first:stop], first, grid, sigma)
 
 
 def _half_spectrum_energy(values, weight, shape):

@@ -198,7 +198,7 @@ def test_import_leaves_scipy_out():
 DEFAULT_CSVS = {
     "bubble-verify": ("bubble_verify.csv",
         "N,s,M,L,eps,lam,sobolev_constant,quotient,rel_err\n"
-        "1,0.25,512,8.0,0.0,1.0,1.3932039296856769,19.58184466148634,13.055260858978652\n"),
+        "1,0.25,512,8.0,0.0,1.0,1.3932039296856769,19.581844661486343,13.055260858978656\n"),
     "norms-check": ("norms_check.csv",
         "quantity,N,M,L,s,value\n"
         "plancherel_max_rel_err,1,512,8.0,0.25,2.143242379283949e-16\n"
@@ -208,7 +208,7 @@ DEFAULT_CSVS = {
         "gagliardo_ratio_rel_gap,1,512,8.0,0.25,-0.0007873734125404633\n"),
     "solve": ("solve.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,residual\n"
-        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974066,18,true,3.169758692956788e-06\n"),
+        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,3.169758692956788e-06\n"),
     "sweep": ("sweep.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,argmax_coords,mass_r1,mass_r2,tail_energy\n"
         "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,0.0,0.8536967645395764,0.9111729857541402,0.04409855759887518\n"
@@ -248,6 +248,19 @@ def _read_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_solve_and_sweep_rows_agree(tmp_path, capsys):
+    # the default solve is the default sweep's first entry, and both write
+    # the solve's own multiplier 1 / F_eps
+    for command in ("solve", "sweep"):
+        assert main([command, "--seed", "0", "--reproducible", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, (solved,) = _read_rows(tmp_path / "solve.csv")
+    _, swept = _read_rows(tmp_path / "sweep.csv")
+    assert swept[0]["eps"] == solved["eps"] == "0.8"
+    for key in ("value", "multiplier"):
+        assert swept[0][key] == solved[key]
 
 
 class TestCommands:

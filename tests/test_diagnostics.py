@@ -14,7 +14,8 @@ from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
                          localized_bubble, lp_density, make_grid,
                          mass_in_ball, sobolev_constant, tail_energy,
                          top_octave_share)
-from fracsobolev.diagnostics import CellMeasure, _ball_sample, _near_domain, argmax_cell
+from fracsobolev.diagnostics import (CellMeasure, _ball_sample, _near_domain, _tail_mass,
+                                     argmax_cell)
 from fracsobolev.spectral import _convolve
 
 from conftest import random_field
@@ -356,6 +357,9 @@ class TestWindowsMatchWholeBox:
         # the bump at the corner is clipped on both axes
         (2, 64, 2.0, [(-0.8, 0.3), (1.95, -1.9), (0.5, 0.6), (0.5, 0.1)], 0.25),
         (2, 128, 2.0, [(-1.97, 1.97), (0.0, 0.0), (0.9, -0.4)], 5 * 4.0 / 128),
+        # atoms in opposite corners: the candidates' box is nearly the whole box
+        (2, 128, 2.0, [(-1.97, -1.97), (1.95, 1.96)], 5 * 4.0 / 128),
+        (3, 32, 2.0, [(-1.0, 0.5, 0.2), (1.9, -1.9, 1.9), (0.3, 0.3, -0.5)], 0.625),
     ])
     def test_atom_detect(self, monkeypatch, rng, dim, M, L, centers, radius):
         import fracsobolev.diagnostics as diagnostics_mod
@@ -390,6 +394,41 @@ class TestWindowsMatchWholeBox:
             found = atom_detect(mu, nu, radius=0.25, threshold=threshold)
             assert found == atom_detect_full(mu, nu, 0.25, threshold, cap)
             assert len(found) >= 1
+
+    @pytest.mark.parametrize("dim,M,L,radius", [
+        (1, 512, 8.0, 0.25), (2, 64, 2.0, 0.25), (3, 16, 2.0, 0.5)])
+    def test_atom_detect_without_candidates(self, pair_shapes, rng, dim, M, L, radius):
+        # an even spread leaves no block near the threshold, so no sum is
+        # formed; an all-zero measure leaves every block, and no atom
+        g = make_grid(dim, M, L)
+        spread = CellMeasure(grid=g, masses=1.0 + 1e-3 * rng.random(g.shape))
+        zero = CellMeasure(grid=g, masses=np.zeros(g.shape))
+        for m, pairs in ((spread, 0), (zero, 1)):
+            pair_shapes.clear()
+            found = atom_detect(m, m, radius=radius, threshold=0.5)
+            assert len(pair_shapes) == pairs
+            assert found == atom_detect_full(m, m, radius, 0.5) == AtomList(entries=())
+
+    @pytest.mark.parametrize("dim,M,L,radius,corners", [
+        (1, 512, 8.0, 0.25, [(50,), (150,), (250,), (350,), (450,)]),
+        (2, 64, 2.0, 0.25, [(10, 10), (10, 40), (40, 10), (40, 40), (55, 55)]),
+        (3, 16, 2.0, 0.75, [(1, 1, 1), (1, 1, 10), (1, 10, 1), (10, 1, 1), (12, 12, 12)]),
+    ])
+    def test_atom_detect_threshold_at_a_ball_mass(self, dim, M, L, radius, corners):
+        # unit cells in clusters of 16, 16, 16 and 15 cells, each inside one
+        # ball, and one lone cell: the total is 64, so the thresholds 16/64
+        # and 15/64 equal ball masses exactly, and such a ball is recorded
+        g = make_grid(dim, M, L)
+        cluster = np.argwhere(np.ones({1: (16,), 2: (4, 4), 3: (2, 2, 4)}[dim]))
+        masses = np.zeros(g.shape)
+        for corner, count in zip(corners, (16, 16, 16, 15, 1)):
+            masses[tuple((cluster[:count] + corner).T)] = 1.0
+        m = CellMeasure(grid=g, masses=masses)
+        assert m.total == 64.0
+        for threshold, n_atoms in ((16 / 64, 3), (15 / 64, 4)):
+            found = atom_detect(m, m, radius=radius, threshold=threshold)
+            assert found == atom_detect_full(m, m, radius, threshold)
+            assert [e.mu for e in found] == [16.0, 16.0, 16.0, 15.0][:n_atoms]
 
     @pytest.mark.parametrize("dim,M,L", [(1, 512, 8.0), (2, 64, 2.0)])
     def test_commutator_residual(self, rng, dim, M, L):
@@ -522,17 +561,22 @@ class TestNoWholeBoxCopies:
         g, pack, _, u = glued
         mu, nu = energy_density(u, pack.s), lp_density(u, pack.two_star)
         assert len(atom_detect(mu, nu, radius=0.15, threshold=0.1)) == 3
-        # the whole-box convolution, its lattice and spectra, is the floor
+        # the convolution runs on the candidates' box, a seventh of the box
+        # or less per axis here, so its lattice and spectra, and the allowed
+        # cells (an eighth of a box), stay far below the whole-box
+        # convolution's peak of over three boxes
         conv = _peak_boxes(g, lambda: _convolve(_ball_sample(g, 0.15), (mu.masses,)))
-        assert _peak_boxes(g, lambda: atom_detect(mu, nu, radius=0.15, threshold=0.1)) < conv + 0.5
+        peak = _peak_boxes(g, lambda: atom_detect(mu, nu, radius=0.15, threshold=0.1))
+        assert conv > 3.0 and peak < 0.5
 
     def test_commutator_residual(self, glued):
         g, pack, atoms, u = glued
         phi = cutoff_field(CutoffSpec(center=atoms.points[0], inner_radius=0.16), g)
-        # one transform pair, its spectrum and image, and phi u; u keeps
-        # its image, so the pair is measured on a fresh field each call
+        # one transform pair, its spectrum and image, and phi u on the rows
+        # of phi's box; u keeps its image, so the pair is measured on a
+        # fresh field each call
         pair = _peak_boxes(g, lambda: frac_power(Field(grid=g, values=u.values), pack.s))
-        assert _peak_boxes(g, lambda: commutator_residual(u, phi, pack.s)) < pair + 1.5
+        assert _peak_boxes(g, lambda: commutator_residual(u, phi, pack.s)) < pair + 0.25
 
     def test_glued_bubbles(self, glued):
         g, pack, atoms, _ = glued
@@ -557,18 +601,25 @@ def pair_shapes(monkeypatch):
 
 
 class TestWholeBoxWork:
-    def test_one_whole_box_pair_per_atom_detect(self, pair_shapes, rng):
+    def test_atom_detect_convolves_the_candidates_box(self, pair_shapes, rng):
         shapes = pair_shapes
         g = make_grid(2, 128, 4.0)
+        reach = len(_ball_sample(g, 0.3)) - 1
         spots = [(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0), (0.0, 0.0)]
         for n_atoms in (0, 1, 3, 5):
             mu, nu = _bump_measures(g, spots[:n_atoms], rng)
             shapes.clear()
             found = atom_detect(mu, nu, radius=0.3, threshold=0.05)
             assert len(found) == n_atoms
-            assert shapes.count(g.shape) == 1
-            # and one small convolution per atom
+            if n_atoms == 0:
+                # the noise floor leaves no block that can hold an atom
+                assert shapes == []
+                continue
+            # one pair on the candidates' box, smaller than the whole box,
+            # and one small pair per atom
             assert len(shapes) == 1 + n_atoms
+            assert all(n < g.points_per_dim for n in shapes[0])
+            assert all(n <= 6 * reach + 1 for shape in shapes[1:] for n in shape)
 
     def test_probes_share_one_image(self, pair_shapes):
         g = make_grid(2, 256, 4.0)
@@ -577,15 +628,24 @@ class TestWholeBoxWork:
         u = glued_bubbles(atoms, 1.0, g, None, pack, radii=[0.4] * 2)
         mask = DomainMask.from_shape(g, _BALL)
         phi = cutoff_field(CutoffSpec(center=atoms.points[0], inner_radius=0.4), g)
+        _near_domain(mask, 0.5)
         pair_shapes.clear()
         mu = energy_density(u, pack.s)
         tail = tail_energy(u, pack.s, mask, 0.5)
         comm = commutator_residual(u, phi, pack.s)
-        # the image of u, kept on u, and that of phi u
-        assert pair_shapes.count(g.shape) == 2
+
+        def rows(values):
+            held = np.flatnonzero(values.any(axis=1))
+            return (held[-1] + 1 - held[0], g.points_per_dim)
+
+        # the image of u, kept on u, and that of phi u, each run on the
+        # rows its field occupies
+        assert pair_shapes == [rows(u.values), rows(phi.values * u.values)]
+        assert all(n < g.points_per_dim for n, _ in pair_shapes)
         fresh = Field(grid=g, values=u.values)
         assert np.array_equal(energy_density(fresh, pack.s).masses, mu.masses)
         assert tail == tail_energy(Field(grid=g, values=u.values), pack.s, mask, 0.5)
+        assert tail == _tail_mass(mu, _near_domain(mask, 0.5))
         assert comm == commutator_residual_full(fresh, phi, pack.s)
 
 
@@ -637,6 +697,17 @@ class TestCommutator:
         for g in (make_grid(2, 64, 2.0), make_grid(2, 32, 4.0)):
             with pytest.raises(InvalidGrid, match="half-width"):
                 commutator_residual(u, Field(grid=g, values=np.ones(g.shape)), 0.5)
+
+    @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
+    def test_overflowing_product_raises(self, dim, M):
+        # phi and u are finite, their product on phi's box is not; NumPy's
+        # overflow warning is not what is tested here
+        g = make_grid(dim, M, 2.0)
+        u = Field(grid=g, values=np.full(g.shape, 1e200))
+        vals = np.zeros(g.shape)
+        vals[(slice(5, 9),) * dim] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(InvalidGrid, match="non-finite"):
+            commutator_residual(u, Field(grid=g, values=vals), 0.5)
 
     def test_2d_bubble_family_halves(self):
         g = make_grid(2, 2048, 4.0)

@@ -269,8 +269,10 @@ class TestInexactInnerSolves:
         assert result.converged and exact.converged
         assert result.cg_residuals[-1] <= CG_TOL
         assert result.iters <= exact.iters + 1
+        # from its own maximizer the first CG takes no step and is resumed
+        # to CG_TOL, so one outer iteration ends the solve
         again = solve(pack, mask, cfg, init=result.maximizer)
-        assert again.converged and again.iters <= 2
+        assert again.converged and again.iters == 1
 
     def test_ascent_guard_resumes_loose_solves(self, monkeypatch):
         # with the first inner solve this loose, the box's plain step would

@@ -254,6 +254,36 @@ class TestMultiplier:
         ref = np.fft.irfftn(g.multiplier(sigma) * np.fft.rfftn(v, axes=axes), s=g.shape, axes=axes)
         assert np.array_equal(apply_multiplier(v, g, sigma), ref)
 
+    @pytest.mark.parametrize("dim,M,rows", [
+        (2, 64, (0, 5)), (2, 64, (63, 64)), (2, 64, (58, 64)), (2, 64, (20, 31)),
+        (3, 16, (0, 3)), (3, 16, (15, 16)), (3, 16, (5, 9)),
+    ])
+    @pytest.mark.parametrize("sigma", [0.5, -0.5, 1.5])
+    def test_slab_image_matches_whole_box_pair(self, monkeypatch, rng, dim, M, rows, sigma):
+        # a field held on a slab of rows along axis 0 runs the last-axis
+        # transform on that slab only; as int64 the image is the whole-box
+        # pair's, signed zeros and all
+        import fracsobolev.spectral as spectral_mod
+        g = make_grid(dim, M, 2.0)
+        v = np.zeros(g.shape)
+        v[rows[0]:rows[1]] = rng.standard_normal((rows[1] - rows[0],) + g.shape[1:])
+        # a zero row inside the slab is transformed with it
+        v[rows[0] + 1:rows[0] + 2] = 0.0
+        whole = spectral_mod._transform_pair(v, g.multiplier(sigma), M,
+                                             np.empty(g.half_shape, dtype=complex), None)
+        real_pair = spectral_mod._transform_pair
+        shapes = []
+
+        def counting(values, *args):
+            shapes.append(values.shape)
+            return real_pair(values, *args)
+
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
+        slab = apply_multiplier(v, g, sigma)
+        occupied = np.flatnonzero(v.any(axis=tuple(range(1, dim))))
+        assert shapes == [(occupied[-1] + 1 - occupied[0],) + g.shape[1:]]
+        assert np.array_equal(slab.view(np.int64), whole.view(np.int64))
+
     # (19, 9) fits inside the 64^2 box, but only whole-box samples are taken
     @pytest.mark.parametrize("shape", [(65, 8), (8, 65), (8,), (4, 4, 4), (19, 9)])
     def test_rejects_values_that_do_not_fit(self, grid2d, shape):

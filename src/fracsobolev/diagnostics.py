@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegenerateInput, InvalidOrder
 from .extremals import cutoff_field
-from .norms import _narrow_support, hs_dot_norm_sq, lp_integral, sobolev_constant
+from .norms import hs_dot_norm_sq, lp_integral, sobolev_constant
 from .spectral import (Field, _check_finite, _convolve, _half_spectrum_energy, _image_of_rows,
-                       _offset_distances, _same_grid, frac_power)
+                       _narrow_support, _offset_distances, _same_grid, frac_power)
 
 __all__ = [
     "CellMeasure",
@@ -275,18 +275,13 @@ def _near_domain(mask, margin):
     return near
 
 
-def _tail_mass(m, near):
-    """Mass of the measure ``m`` over the cells outside ``near``."""
-    return float(m.masses[~near].sum())
-
-
 def tail_energy(u, s, mask, margin):
     """Energy mass over cells farther than ``margin`` from the domain; a
     mask on another grid than u raises InvalidGrid, an order s <= 0
     InvalidOrder.  The image that u keeps is read at the far cells only,
-    each squared and scaled as ``energy_density`` does, and summed in the
-    order of ``_tail_mass``, so after ``energy_density(u, s)`` no transform
-    runs and the sum is that of its measure."""
+    each squared and scaled as ``energy_density`` does, and summed in C
+    order, so after ``energy_density(u, s)`` no transform runs and the sum
+    is that of its measure's far cells."""
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
     if not margin > 0:
@@ -350,11 +345,12 @@ def commutator_residual(u, phi, s):
     ``phi`` is a Field on the grid of u (InvalidGrid otherwise).  Both
     products are formed only on the box of the cells where phi is nonzero,
     as phi u is zero elsewhere, and so is phi (-Lap)^(s/2) u; for phi == 0
-    the norm is 0.  phi u is checked finite, as a Field is, and its image
+    the norm is 0.  Both products are checked finite, as a Field is, so an
+    overflow raises InvalidGrid, not a warning, before the image of phi u
     is transformed from the rows of that box along axis 0
-    (``spectral._image_of_rows``).  (-Lap)^(s/2) u is the image that u
-    keeps (``frac_power``); the image of phi u is a fresh array, on which
-    the difference is taken and squared in place.
+    (``spectral._image_of_rows``).  (-Lap)^(s/2) u is the image that u keeps
+    (``frac_power``); the image of phi u is a fresh array, on which the
+    difference is taken and squared in place.
     """
     g = u.grid
     _same_grid(g, phi.grid, "phi", "u")
@@ -362,8 +358,11 @@ def commutator_residual(u, phi, s):
     box = _narrow_support(phi_vals, g.points_per_dim)
     if not box:
         return 0.0
-    a = phi_vals[box] * frac_power(u, s).values[box]
-    phi_u = phi_vals[box] * u.values[box]
+    image = frac_power(u, s).values[box]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = phi_vals[box] * image
+        phi_u = phi_vals[box] * u.values[box]
+    _check_finite(a)
     _check_finite(phi_u)
     slab = np.zeros((box[0].stop - box[0].start,) + g.shape[1:])
     slab[(slice(None),) + box[1:]] = phi_u

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import (BudgetExceeded, InvalidGrid, InvalidOrder, OverlappingAtoms, TailTooFat,
                      UnderResolved)
-from .norms import (ExponentPack, _vanishes_off, _window_norm_sq, critical_exponent,
-                    hs_dot_norm_sq, sobolev_constant)
-from .spectral import Field, _same_grid
+from .norms import ExponentPack, _vanishes_off, critical_exponent, hs_dot_norm_sq, sobolev_constant
+from .spectral import Field, _same_grid, _window_norm_sq
 
 __all__ = [
     "BubbleSpec",
@@ -204,7 +203,7 @@ def localized_bubble(spec, cut, eps, grid):
     support inside the double ball of ``cut``, and pre_norm is the norm of
     the truncated field before normalization.  The bubble and the cutoff
     are sampled only on the double ball's window, and the norm is taken
-    on that window (``norms._window_norm_sq``).
+    on that window (``spectral._window_norm_sq``).
     """
     vals, box, pre_norm = _localized_window(spec, cut, eps, grid)
     full = np.zeros(grid.shape)
@@ -311,20 +310,19 @@ def recovery_sequence(u, atoms, sigma, eps, mask, pack):
 
     ``sigma`` is the hole radius rho_sigma: phi_sigma vanishes on
     B_sigma(x_j) and equals one outside B_2sigma(x_j).  The glued bubbles
-    are localized inside the holes.  Raises InvalidGrid when the mask lies
-    on another grid than u, InvalidMask when u is nonzero outside the mask
-    and BudgetExceeded when ||u||^2 + sum mu_j reaches one.
+    are localized inside the holes, each about the inside cell nearest its
+    atom.  The mask is required: InvalidGrid when it lies on another grid
+    than u, InvalidMask when u is nonzero outside it, and BudgetExceeded
+    when ||u||^2 + sum mu_j reaches one.
     """
     grid = u.grid
-    if mask is not None:
-        _vanishes_off(u, mask, "recovery base field")
+    _vanishes_off(u, mask, "recovery base field")
     energy = hs_dot_norm_sq(u, pack.s)
     if energy + sum(atoms.masses) >= 1.0:
         raise BudgetExceeded(f"energy {energy:.6f} + atom mass exceeds the unit budget")
     phi = np.ones(grid.shape)
-    snapped = [_snap_to_mask(p, mask) if mask is not None else p for p in atoms.points]
-    for p in snapped:
-        box, hole = _cutoff_window(grid, p, sigma)
+    for p in atoms.points:
+        box, hole = _cutoff_window(grid, _snap_to_mask(p, mask), sigma)
         phi[box] -= hole
     phi = np.clip(phi, 0.0, 1.0)
     vals = u.values * phi

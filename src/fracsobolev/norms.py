@@ -5,10 +5,11 @@ The critical exponent 2* (``critical_exponent``) and the sharp constant S*
 package re-export both.  Domain masks sample a user-supplied shape at cell
 centers.  The homogeneous norm is the spectral sum of |xi|^(2s)|u_hat|^2,
 one forward transform of the whole box or of a support at most M/4 cells
-wide.  The Gagliardo double integral is an off-diagonal pair sum of
-zero-padded FFT convolutions (``spectral.offset_convolve``), plus a diagonal
-correction and, in 1-D, an exact exterior-tail term, so the
-Fourier/Gagliardo ratio is stable under refinement.
+wide, which ``spectral`` chooses between.  The Gagliardo double integral
+is an off-diagonal pair sum of zero-padded FFT convolutions
+(``spectral.offset_convolve``), plus a diagonal correction and, in 1-D, an
+exact exterior-tail term, so the Fourier/Gagliardo ratio is stable under
+refinement.
 """
 
 import math
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import (ConstraintViolated, DegenerateInput, InvalidMask,
                      InvalidOrder, UnsupportedOrder)
-from .spectral import (_half_spectrum_energy, _kernel_sample, _kernel_spectrum, _same_grid,
-                       offset_convolve)
+from .spectral import _narrow_support, _same_grid, _window_norm_sq, offset_convolve
 
 __all__ = [
     "DomainMask",
@@ -206,54 +206,15 @@ def lp_integral(u, p, mask=None):
     return float(np.sum(v) * u.grid.cell_volume)
 
 
-def _narrow_support(values, width):
-    """Index slices of the bounding box of the nonzero cells of ``values``
-    when it spans at most ``width`` cells along every axis, () when no cell
-    is nonzero, else None.  One reduction reads the whole array; the other
-    axes are read on the slab that the support spans along axis 0.
-    """
-    N = values.ndim
-    hits = np.flatnonzero(values.any(axis=tuple(range(1, N))))
-    if hits.size == 0:
-        return ()
-    slab = values[hits[0]:hits[-1] + 1]
-    box = []
-    for ax in range(N):
-        if ax > 0:
-            hits = np.flatnonzero(slab.any(axis=tuple(a for a in range(N) if a != ax)))
-        if hits[-1] - hits[0] >= width:
-            return None
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
-    return tuple(box)
-
-
 def hs_dot_norm_sq(u, s):
     """Squared homogeneous norm: spectral sum of |xi|^(2s)|u_hat|^2, one
-    forward transform.  A field whose support fits in a box of at most M/4
-    cells along every axis takes <u, K * u> h^N on that box, with K the
-    periodic kernel of |xi|^(2s) (``Grid.kernel``), whose offsets there are
-    all below M/4, so the linear convolution is the periodic one: by
-    Parseval the sum of K_hat |U|^2 / P^N over the box's padded lattice.
-    Any other field takes the whole box's sum.  No nonzero cell gives 0.
+    forward transform, on the box of a support at most M/4 cells wide or
+    on the whole box (``spectral._window_norm_sq``).  No nonzero cell
+    gives 0.
     """
     if not s > 0:
         raise InvalidOrder(f"s must be positive, got {s}")
     return _window_norm_sq(u.values, u.grid, s)
-
-
-def _window_norm_sq(values, grid, s):
-    """``hs_dot_norm_sq`` of the field equal to ``values`` (the whole box or a
-    window of it, as |u_hat| does not depend on where it lies), zero elsewhere."""
-    box = _narrow_support(values, grid.points_per_dim // 4)
-    if box is None:
-        dens = _half_spectrum_energy(values, grid.multiplier(2.0 * s), grid.shape)
-        return float(np.sum(dens)) / grid.total_points * grid.cell_volume
-    if not box:
-        return 0.0
-    vals = values[box]
-    P, kernel_spec = _kernel_spectrum(_kernel_sample(grid, 2.0 * s, vals.shape), vals.shape)
-    dens = _half_spectrum_energy(vals, kernel_spec.real, P)
-    return float(np.sum(dens)) / math.prod(P) * grid.cell_volume
 
 
 def gagliardo_seminorm_sq(u, s):

@@ -47,9 +47,10 @@ costs no transform.
 Every array of a solve covers only the domain's window, the bounding box of
 its cells, W per axis.  There P |xi|^sigma P is the periodic kernel of
 |xi|^sigma at the offsets (-W, W), a Toeplitz operator: one real FFT pair
-on its circulant embedding, smooth(2W) long per axis.  Only ``_domain_op``
-makes it, from the grid's cached kernel (``Grid.kernel``), for a solve at
-+-2s and for ``el_residual`` at 2s.  CG starts from ||w|| u with the image
+on its circulant embedding, smooth(2W) long per axis (``spectral._toeplitz``).
+``_domain_op`` only chooses the kernel, the grid's cached one
+(``Grid.kernel``), and masks the image to the domain, for a solve at +-2s
+and for ``el_residual`` at 2s.  CG starts from ||w|| u with the image
 ||w|| A u, which on an unextended plain step are the previous w and A w,
 and keeps A w = rhs - r from its recurrence with w, which gives
 ||w||^2 = <w, A w>; so a CG that takes k steps runs 2k pairs: the first
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
 from .norms import _ball_value, _vanishes_off, hoelder_envelope, hs_dot_norm_sq
-from .spectral import Field, _kernel_sample, _kernel_spectrum, _same_grid, _transform_pair
+from .spectral import Field, _kernel_sample, _same_grid, _toeplitz
 from . import diagnostics
 
 __all__ = [
@@ -222,30 +223,24 @@ def default_initial_field(mask, seed=0):
 
 def _domain_op(mask, *sigmas):
     """P |xi|^sigma P on the domain's window (``DomainMask.window``), one
-    ``apply(src, out)`` per order, on the grid's cached kernel (``Grid.kernel``)
-    at the window's offsets.  Arrays have the window's shape, and ``src`` must
-    vanish off the domain, so the right-hand P is the identity on it.  An apply
-    writes ``out`` and returns it; the applies share one half spectrum and one
-    row buffer of the padded lattice, allocated here, so none allocates."""
+    ``apply(src, out)`` per order: a ``spectral._toeplitz`` apply with the
+    grid's cached kernel at the window's offsets (``_kernel_sample``), zero
+    off the domain.  Arrays have the window's shape, and ``src`` must
+    vanish off the domain, so the right-hand P is the identity on it.  An
+    apply writes ``out``, returns it and allocates nothing."""
     inside = mask.inside[mask.window]
     outside = ~inside
     # SPD on domain-supported fields, which are never constant, so
     # annihilating the zero mode loses nothing and needs no mean check
-    spectra = [_kernel_spectrum(_kernel_sample(mask.grid, sigma, inside.shape), inside.shape)
-               for sigma in sigmas]
-    P = spectra[0][0]
-    rows = np.empty(inside.shape[:-1] + (P[-1],))
-    spec = np.empty(spectra[0][1].shape, dtype=complex)
+    def restricted(sigma):
+        conv = _toeplitz(_kernel_sample(mask.grid, sigma, inside.shape), inside.shape)
 
-    def restricted(kernel_spec):
         def apply(src, out):
-            _transform_pair(src, kernel_spec, P[-1], spec, rows)
-            np.copyto(out, rows[..., :inside.shape[-1]])
-            np.copyto(out, 0.0, where=outside)
+            np.copyto(conv(src, out), 0.0, where=outside)
             return out
         return apply
 
-    return tuple(restricted(kernel_spec) for _, kernel_spec in spectra)
+    return tuple(restricted(sigma) for sigma in sigmas)
 
 
 def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
@@ -497,10 +492,10 @@ def eps_sweep(pack_template, mask, config, init=None):
     recorded and the sweep continues.  Returns a list of SweepEntry with
     concentration statistics from the energy measure and the top-octave
     resolution indicator, which flags a lattice spike but raises nothing.
-    The tail is ``diagnostics.tail_energy``'s, taken from the entry's
-    measure and the mask's near-domain set, the same for every eps."""
+    The tail is ``diagnostics.tail_energy``'s, read from the image that
+    the entry's measure made and the near-domain set that the mask keeps,
+    so it runs no transform and one dilation per sweep."""
     diam = mask.diameter
-    near = diagnostics._near_domain(mask, TAIL_MARGIN_FRACTION * diam)
     entries = []
     prev = init
     for eps in config.eps_schedule:
@@ -514,13 +509,13 @@ def eps_sweep(pack_template, mask, config, init=None):
             continue
         # a throwaway field over the maximizer's values keeps the image, so
         # the entry holds no image that nothing reads again
-        u = result.maximizer
-        measure = diagnostics.energy_density(Field(grid=u.grid, values=u.values), pack.s)
+        u = Field(grid=mask.grid, values=result.maximizer.values)
+        measure = diagnostics.energy_density(u, pack.s)
         argmax = diagnostics.argmax_cell(measure)
         total = measure.total
         mass_r1 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[0] * diam) / total
         mass_r2 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[1] * diam) / total
-        tail = diagnostics._tail_mass(measure, near) / total
+        tail = diagnostics.tail_energy(u, pack.s, mask, TAIL_MARGIN_FRACTION * diam) / total
         entries.append(SweepEntry(eps=eps, result=result,
                                   envelope=hoelder_envelope(pack, mask),
                                   argmax=argmax, mass_r1=mass_r1, mass_r2=mass_r2,

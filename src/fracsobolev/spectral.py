@@ -29,15 +29,15 @@ runs no transform.  Energy sums  sum weight |V|^2  run only the forward
 half (``_half_spectrum_energy``).  ``forward_transform`` gives the full
 unitary spectrum.
 
-Linear convolutions with a kernel even in each axis run through the same
-pair on a zero-padded lattice, whose kernel spectrum ``_kernel_spectrum``
-builds from the kernel's samples at offsets 0..r; ``_convolve`` is the two
-together, for arrays of any shape.  ``Grid.kernel`` is the periodic kernel
-of |xi|^sigma at the offsets 0..M/2 per axis, the inverse transform of the
+Only this module builds a zero-padded lattice.  A linear convolution with a
+kernel even in each axis is a ``_toeplitz`` apply, the same pair on that
+lattice with the mirrored samples' ``rfftn`` as weight (``_kernel_spectrum``);
+``_convolve`` runs one per array.  ``Grid.kernel`` is the periodic kernel of
+|xi|^sigma at the offsets 0..M/2 per axis, the inverse transform of the
 weight, built once per grid and order, read-only.  Cropped to a window's
-offsets (``_kernel_sample``) it is a Toeplitz operator there, and the
-padded lattice is its circulant embedding: the solver's operator on a
-domain's window and the homogeneous norm of a narrow support run so.
+offsets (``_kernel_sample``) it is a Toeplitz operator there, and the padded
+lattice is its circulant embedding: the solver's operator on a domain's
+window and the norm of a narrow support (``_window_norm_sq``) run so.
 """
 
 import json
@@ -335,21 +335,38 @@ def _image_of_rows(values, first, grid, sigma):
                            first if grid.dim > 1 else None)
 
 
+def _narrow_support(values, width):
+    """Index slices of the bounding box of the nonzero cells of ``values``
+    when it spans at most ``width`` cells along every axis, () when no cell
+    is nonzero, else None.  One reduction reads the whole array; the other
+    axes are read on the slab that the support spans along axis 0.
+    """
+    N = values.ndim
+    hits = np.flatnonzero(values.any(axis=tuple(range(1, N))))
+    if hits.size == 0:
+        return ()
+    slab = values[hits[0]:hits[-1] + 1]
+    box = []
+    for ax in range(N):
+        if ax > 0:
+            hits = np.flatnonzero(slab.any(axis=tuple(a for a in range(N) if a != ax)))
+        if hits[-1] - hits[0] >= width:
+            return None
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
 def apply_multiplier(values, grid, sigma):
     """|xi|^sigma applied to real samples of ``grid.shape``; returns a raw
     ndarray.  No mean check: for sigma < 0 the zero mode is simply
-    annihilated.  In 2-D and up one reduction finds the rows along axis 0
-    from the first to the last that hold a nonzero sample, and only they
-    run the last-axis transform (``_image_of_rows``).
+    annihilated.  In 2-D and up only the rows along axis 0 of the support's
+    box (``_narrow_support``) run the last-axis transform (``_image_of_rows``).
     """
     if values.shape != grid.shape:
         raise InvalidGrid(f"values of shape {values.shape} do not match grid shape {grid.shape}")
-    first, stop = 0, grid.points_per_dim
-    if grid.dim > 1:
-        held = np.flatnonzero(values.any(axis=tuple(range(1, grid.dim))))
-        if held.size:
-            first, stop = int(held[0]), int(held[-1]) + 1
-    return _image_of_rows(values[first:stop], first, grid, sigma)
+    box = _narrow_support(values, grid.points_per_dim) if grid.dim > 1 else None
+    rows = box[0] if box else slice(0, grid.points_per_dim)
+    return _image_of_rows(values[rows], rows.start, grid, sigma)
 
 
 def _half_spectrum_energy(values, weight, shape):
@@ -382,34 +399,20 @@ def _smooth_length(n):
 
 
 def _kernel_spectrum(sample, shape):
-    """P per axis and the half spectrum of the padded lattice kernel of a
-    linear convolution of arrays of ``shape``.  ``sample`` holds a kernel
-    even in each axis at the offsets 0..r; an axis n long is zero-padded to
-    the smallest 5-smooth P >= n + r + 1, so no periodic image enters, and
-    the sample is mirrored to the negative offsets.  Only the lattice's
-    nonzero rows along axis 0 are transformed along the other axes, and the
-    mirrored rows share the spectra of theirs, and the zero rows that of
-    one zero row; the values are those of ``rfftn`` of the whole lattice.
+    """P per axis and the ``rfftn`` half spectrum of the padded lattice
+    kernel of a linear convolution of arrays of ``shape``.  ``sample`` holds
+    a kernel even in each axis at the offsets 0..r; an axis n long is
+    zero-padded to the smallest 5-smooth P >= n + r + 1, so no periodic
+    image enters, and the sample is mirrored to the negative offsets.
     """
     P = tuple(_smooth_length(n + k) for n, k in zip(shape, sample.shape))
-    k0, N = sample.shape[0], len(P)
-    # the lattice in 1-D; its first k0 rows along axis 0 otherwise
-    lattice = np.zeros((P[0] if N == 1 else k0,) + P[1:])
+    lattice = np.zeros(P)
     lattice[tuple(slice(0, k) for k in sample.shape)] = sample
     # fftfreq order per axis: offsets 0, ..., r, then -r, ..., -1
-    for ax in range(0 if N == 1 else 1, N):
-        p, k = P[ax], sample.shape[ax]
+    for ax, (p, k) in enumerate(zip(P, sample.shape)):
         lead = (slice(None),) * ax
         lattice[lead + (slice(p - k + 1, p),)] = lattice[lead + (slice(k - 1, 0, -1),)]
-    if N == 1:
-        return P, np.fft.rfft(lattice)
-    rows = np.fft.rfftn(lattice, axes=tuple(range(1, N)))
-    spec = np.empty(P[:-1] + rows.shape[-1:], dtype=complex)
-    spec[:k0] = rows
-    # a zero row's spectrum, signed zeros and all
-    spec[k0:P[0] - k0 + 1] = np.fft.rfftn(np.zeros(P[1:]))
-    spec[P[0] - k0 + 1:] = rows[k0 - 1:0:-1]
-    return P, np.fft.fft(spec, axis=0, out=spec)
+    return P, np.fft.rfftn(lattice)
 
 
 def _kernel_sample(grid, sigma, shape):
@@ -421,20 +424,61 @@ def _kernel_sample(grid, sigma, shape):
     return grid.kernel(sigma)[np.ix_(*(np.minimum(d, M - d) for d in map(np.arange, shape)))]
 
 
+def _toeplitz(sample, shape):
+    """The linear convolution of real arrays of ``shape`` with the kernel
+    even in each axis whose samples at the offsets 0..r ``sample`` holds, as
+    ``apply(src, out)``: one pair on the lattice of ``_kernel_spectrum``,
+    cropped into ``out``, which it returns.  The apply owns the kernel
+    spectrum, a work spectrum and a row buffer, built here, so it allocates
+    nothing and must not run in two threads at once.
+    """
+    P, kernel_spec = _kernel_spectrum(sample, shape)
+    spec = np.empty(kernel_spec.shape, dtype=complex)
+    rows = np.empty(shape[:-1] + (P[-1],))
+    crop = rows[..., :shape[-1]]
+
+    def apply(src, out):
+        _transform_pair(src, kernel_spec, P[-1], spec, rows)
+        np.copyto(out, crop)
+        return out
+
+    return apply
+
+
 def _convolve(sample, arrays):
     """Linear convolutions of real arrays of one shape, any shape, with the
     kernel even in each axis whose samples at the offsets 0..r ``sample``
-    holds, on the lattice of ``_kernel_spectrum``.  The arrays run one at
-    a time through one work spectrum.  Returns a raw ndarray of shape
+    holds, one ``_toeplitz`` apply each.  Returns a raw ndarray of shape
     (len(arrays),) + shape.
     """
-    shape = arrays[0].shape
-    P, kernel_spec = _kernel_spectrum(sample, shape)
-    spec = np.empty(kernel_spec.shape, dtype=complex)
-    out = np.empty((len(arrays),) + shape[:-1] + (P[-1],))
+    apply = _toeplitz(sample, arrays[0].shape)
+    out = np.empty((len(arrays),) + arrays[0].shape)
     for a, dest in zip(arrays, out):
-        _transform_pair(a, kernel_spec, P[-1], spec, dest)
-    return out[..., :shape[-1]]
+        apply(a, dest)
+    return out
+
+
+def _window_norm_sq(values, grid, s):
+    """sum |xi|^(2s) |u_hat|^2, one forward transform, for the field on
+    ``grid`` equal to ``values`` (the box or a window of it, as |u_hat| does
+    not depend on where it lies) and zero elsewhere.  A support at most M/4
+    cells wide per axis takes <u, K * u> h^N on its box, K the periodic
+    kernel of |xi|^(2s) at the box's offsets (``_kernel_sample``): the sum
+    of K_hat |U|^2 / P^N on its padded lattice.  That is exact on any
+    support, an offset d past M/2 reading K at M - d; the M/4 only keeps the
+    lattice below the box's size.  Else the whole box's sum; no nonzero
+    cell gives 0.
+    """
+    box = _narrow_support(values, grid.points_per_dim // 4)
+    if box is None:
+        dens = _half_spectrum_energy(values, grid.multiplier(2.0 * s), grid.shape)
+        return float(np.sum(dens)) / grid.total_points * grid.cell_volume
+    if not box:
+        return 0.0
+    vals = values[box]
+    P, kernel_spec = _kernel_spectrum(_kernel_sample(grid, 2.0 * s, vals.shape), vals.shape)
+    dens = _half_spectrum_energy(vals, kernel_spec.real, P)
+    return float(np.sum(dens)) / math.prod(P) * grid.cell_volume
 
 
 def offset_convolve(grid, kernel, arrays):

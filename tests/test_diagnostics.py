@@ -14,8 +14,7 @@ from fracsobolev import (AtomEntry, AtomList, AtomSpec, BubbleSpec,
                          localized_bubble, lp_density, make_grid,
                          mass_in_ball, sobolev_constant, tail_energy,
                          top_octave_share)
-from fracsobolev.diagnostics import (CellMeasure, _ball_sample, _near_domain, _tail_mass,
-                                     argmax_cell)
+from fracsobolev.diagnostics import CellMeasure, _ball_sample, _near_domain, argmax_cell
 from fracsobolev.spectral import _convolve
 
 from conftest import random_field
@@ -645,7 +644,7 @@ class TestWholeBoxWork:
         fresh = Field(grid=g, values=u.values)
         assert np.array_equal(energy_density(fresh, pack.s).masses, mu.masses)
         assert tail == tail_energy(Field(grid=g, values=u.values), pack.s, mask, 0.5)
-        assert tail == _tail_mass(mu, _near_domain(mask, 0.5))
+        assert tail == float(mu.masses[~_near_domain(mask, 0.5)].sum())
         assert comm == commutator_residual_full(fresh, phi, pack.s)
 
 
@@ -700,14 +699,33 @@ class TestCommutator:
 
     @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
     def test_overflowing_product_raises(self, dim, M):
-        # phi and u are finite, their product on phi's box is not; NumPy's
-        # overflow warning is not what is tested here
+        # phi and u are finite, their product on phi's box is not: the
+        # error is InvalidGrid, raised as no overflow warning
         g = make_grid(dim, M, 2.0)
         u = Field(grid=g, values=np.full(g.shape, 1e200))
         vals = np.zeros(g.shape)
         vals[(slice(5, 9),) * dim] = 1e200
-        with np.errstate(over="ignore"), pytest.raises(InvalidGrid, match="non-finite"):
+        with pytest.raises(InvalidGrid, match="non-finite"):
             commutator_residual(u, Field(grid=g, values=vals), 0.5)
+
+    @pytest.mark.parametrize("dim,M", [(1, 64), (2, 32)])
+    def test_overflowing_image_product_raises(self, dim, M, monkeypatch):
+        # u vanishes on phi's box, so phi u is zero there, but the image of
+        # u does not, and phi times it overflows; no pair runs for phi u
+        import fracsobolev.diagnostics as diagnostics_mod
+        g = make_grid(dim, M, 2.0)
+        vals = np.zeros(g.shape)
+        vals[(M // 2,) * dim] = 1e200
+        u = Field(grid=g, values=vals)
+        phi = np.zeros(g.shape)
+        phi[(slice(M // 2 + 2, M // 2 + 5),) * dim] = 1e200
+
+        def refuse(*args):
+            raise AssertionError("the image of phi u was transformed")
+
+        monkeypatch.setattr(diagnostics_mod, "_image_of_rows", refuse)
+        with pytest.raises(InvalidGrid, match="non-finite"):
+            commutator_residual(u, Field(grid=g, values=phi), 0.5)
 
     def test_2d_bubble_family_halves(self):
         g = make_grid(2, 2048, 4.0)

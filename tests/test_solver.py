@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,8 +316,7 @@ class TestInexactInnerSolves:
 
         runs = []
         with pytest.MonkeyPatch.context() as mp:
-            for mod in (spectral_mod, solver_mod):
-                mp.setattr(mod, "_transform_pair", counting)
+            mp.setattr(spectral_mod, "_transform_pair", counting)
             for eta_max in (ETA_MAX, CG_TOL):
                 mp.setattr(solver_mod, "ETA_MAX", eta_max)
                 pairs.clear()
@@ -383,7 +383,6 @@ class TestExtendedStep:
         # the pair count of a solve where the extension fires is still the
         # start's image and 2k per outer iteration; the drift sweep has
         # already built the grid's kernels
-        import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         pack, mask, entries = drift
         real_pair = spectral_mod._transform_pair
@@ -393,8 +392,7 @@ class TestExtendedStep:
             lengths.append(n)
             return real_pair(values, weight, n, spec, out)
 
-        for mod in (spectral_mod, solver_mod):
-            monkeypatch.setattr(mod, "_transform_pair", counting)
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
         result = solve(pack.with_eps(0.1), mask, SolverConfig(eps_schedule=(0.1,)),
                        init=entries[2].result.maximizer)
         assert any(result.extended)
@@ -567,6 +565,30 @@ class TestWindow:
             ref = np.where(inside, _convolve(kernel, (src,))[0], 0.0)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("kind", ["interval-8192", "ball"])
+    def test_applies_allocate_nothing(self, rng, kind):
+        # the spectra and the row buffer are built once per order, so 20
+        # applies allocate less than one window array
+        from fracsobolev.solver import _domain_op
+        if kind == "ball":
+            _, mask = TestInexactInnerSolves._disc()
+        else:
+            g = make_grid(1, 2 ** 13, 8.0)
+            mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-1.0, 1.0]})
+        inside = mask.inside[mask.window]
+        src = np.where(inside, rng.standard_normal(inside.shape), 0.0)
+        out = np.empty(inside.shape)
+        ops = _domain_op(mask, 0.5, -0.5)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                for apply in ops:
+                    assert apply(src, out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < src.nbytes
+
     def test_cached_kernels_change_no_bit(self):
         # two solves on one grid, the second on its cached kernels, give
         # what a solve on a fresh grid gives
@@ -602,8 +624,7 @@ class TestWindow:
             lengths.append(n)
             return real_pair(values, weight, n, spec, out)
 
-        for mod in (spectral_mod, solver_mod):
-            monkeypatch.setattr(mod, "_transform_pair", counting)
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
         monkeypatch.setattr(solver_mod, "CG_TOL", cg_tol)
         monkeypatch.setattr(solver_mod, "ETA_MAX", eta_max)
         result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
@@ -636,7 +657,6 @@ class TestElResidual:
         # (-Lap)^s u on the window for the residual, the multiplier, which on
         # the unit sphere is the solver's 1 / F_eps, and the unit-ball norm;
         # the residual's scale runs forward-only
-        import fracsobolev.solver as solver_mod
         import fracsobolev.spectral as spectral_mod
         g, mask = ctx
         pack, result = solved
@@ -647,8 +667,7 @@ class TestElResidual:
             pairs.append(1)
             return real_pair(*args)
 
-        for mod in (spectral_mod, solver_mod):
-            monkeypatch.setattr(mod, "_transform_pair", counting)
+        monkeypatch.setattr(spectral_mod, "_transform_pair", counting)
         mult, _ = el_residual(result.maximizer, pack, mask)
         assert len(pairs) == 1
         assert mult == pytest.approx(result.multiplier, rel=1e-12)
@@ -751,11 +770,13 @@ class TestEpsSweep:
             assert b >= a - 0.01
 
     def test_one_near_domain_set_per_sweep(self, ctx, monkeypatch):
-        # each entry's tail comes from the measure the entry already holds
-        # and from one dilation per sweep, and equals tail_energy's
+        # each entry's tail comes from the image its measure made and from
+        # one dilation per sweep, which a fresh mask keeps, and equals
+        # tail_energy's
         from fracsobolev import diagnostics, tail_energy
         from fracsobolev.solver import TAIL_MARGIN_FRACTION
         g, mask = ctx
+        mask = DomainMask(grid=g, inside=mask.inside)
         calls = []
 
         def counted(fn):
@@ -764,11 +785,12 @@ class TestEpsSweep:
                 return fn(*args)
             return wrapper
 
-        for name in ("_near_domain", "energy_density"):
+        # the dilation is the only convolution a sweep runs
+        for name in ("_convolve", "energy_density"):
             monkeypatch.setattr(diagnostics, name, counted(getattr(diagnostics, name)))
         pack = ExponentPack(dim=1, s=0.25, eps=0.8)
         entries = eps_sweep(pack, mask, SolverConfig(eps_schedule=(0.8, 0.4)))
-        assert calls.count("_near_domain") == 1
+        assert calls.count("_convolve") == 1
         assert calls.count("energy_density") == len(entries) == 2
         monkeypatch.undo()
         for e in entries:

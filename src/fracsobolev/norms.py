@@ -104,6 +104,9 @@ class DomainMask:
         object.__setattr__(self, "_window", _narrow_support(ins, self.grid.points_per_dim))
         # near-domain sets per margin, read-only, which diagnostics._near_domain fills
         object.__setattr__(self, "_near", {})
+        # (P, spectrum) of the window's operator per order, read-only, which
+        # solver._mask_kernel fills for the solver and el_residual
+        object.__setattr__(self, "_spectra", {})
 
     @property
     def measure(self):
@@ -123,8 +126,10 @@ class DomainMask:
         return float(np.sqrt(sq))
 
     def centroid(self):
-        return np.array([np.broadcast_to(c, self.inside.shape)[self.inside].mean()
-                         for c in np.ix_(*[self.grid.axis] * self.grid.dim)])
+        """Mean cell center of the inside cells, read on the window."""
+        inside = self.inside[self.window]
+        return np.array([np.broadcast_to(c, inside.shape)[inside].mean()
+                         for c in np.ix_(*(self.grid.axis[w] for w in self.window))])
 
     def restrict(self, values):
         return np.where(self.inside, values, 0.0)

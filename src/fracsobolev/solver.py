@@ -31,7 +31,13 @@ The accelerated step is Anderson mixing of depth ANDERSON_DEPTH (Walker & Ni,
 SIAM J. Numer. Anal. 2011) on the last plain images g_i and residuals
 f_i = g_i - u_i: x = g_k - dG gamma, with gamma the least-squares fit of f_k
 by the residual differences dF, renormalized on the sphere.  A is linear, so
-A x = A g_k - dAG gamma costs no transform.  A monotone safeguard (Zhang,
+A x = A g_k - dAG gamma costs no transform.  Each difference is formed once,
+when its entry joins the history, with its row of the Gram matrix <dF_i,
+dF_j>; a step adds at most 2 ANDERSON_DEPTH inner products, that row and
+<dF_i, f_k>, and gamma comes from the Cholesky factor of the at most
+ANDERSON_DEPTH-square Gram matrix in Python floats, a difference whose
+remainder keeps no more than _DEPENDENT_TOL of its norm dropped as
+dependent on the newer ones.  A monotone safeguard (Zhang,
 O'Donoghue & Boyd, SIAM J. Optim. 2020) takes x only if F_eps(x) >=
 F_eps(g_k), and otherwise takes g_k and keeps only the newest history entry,
 so no step lowers F_eps.
@@ -45,20 +51,27 @@ Manifolds, 2008), is taken while F_eps(x) strictly rises; A d = A g_k - A u_k
 costs no transform.
 
 Every array of a solve covers only the domain's window, the bounding box of
-its cells, W per axis.  There P |xi|^sigma P is the periodic kernel of
-|xi|^sigma at the offsets (-W, W), a Toeplitz operator: one real FFT pair
-on its circulant embedding, smooth(2W) long per axis (``spectral._toeplitz``).
-``_domain_op`` only chooses the kernel, the grid's cached one
-(``Grid.kernel``), and masks the image to the domain, for a solve at +-2s
-and for ``el_residual`` at 2s.  CG starts from ||w|| u with the image
-||w|| A u, which on an unextended plain step are the previous w and A w,
-and keeps A w = rhs - r from its recurrence with w, which gives
-||w||^2 = <w, A w>; so a CG that takes k steps runs 2k pairs: the first
-preconditioning, k operator and k-1 preconditioner applies.  A solve runs
-1 + sum 2k_i pairs: one for its start's image and 2k_i for each CG it
-runs, resumed ones included.  Every inner product is ``_dot``: ``np.dot``
-on blocks that OpenBLAS sums on one thread, added exactly, so no result
-depends on the BLAS thread settings.
+its cells, W per axis, and every iterate travels with its image as one
+(2,) + window array: u and A u, w and A w, g and A g, x and A x, and the
+extension's d and A d.  On the window P |xi|^sigma P is the periodic kernel
+of |xi|^sigma at the offsets (-W, W), a Toeplitz operator: one real FFT
+pair on its circulant embedding, smooth(2W) long per axis
+(``spectral._toeplitz``).  The mask keeps that embedding's spectrum per
+order, read-only, built from the grid's cached kernel (``Grid.kernel``) the
+first time a solve or ``el_residual`` asks for it (``_mask_kernel``), so a
+sweep builds three, at 2s, -2s and 4s, then none.  ``_domain_op`` hands
+each call's applies their own work buffers on those spectra and masks the
+image to the domain, for a solve at +-2s and for ``el_residual`` at 2s;
+``el_residual`` takes its scale ||(-Lap)^s u||^2 from the spectrum at 4s,
+one forward transform.  CG starts from ||w|| u with the image ||w|| A u,
+which on an unextended plain step are the previous w and A w, and keeps
+A w = rhs - r from its recurrence with w, which gives ||w||^2 = <w, A w>;
+so a CG that takes k steps runs 2k pairs: the first preconditioning, k
+operator and k-1 preconditioner applies.  A solve runs 1 + sum 2k_i pairs:
+one for its start's image and 2k_i for each CG it runs, resumed ones
+included.  Every inner product is ``_dot``: ``ndarray.dot`` on blocks that
+OpenBLAS sums on one thread, added exactly, so no result depends on the
+BLAS thread settings.
 """
 
 import math
@@ -68,8 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, FracSobolevError, InnerSolveFailed, InvalidOrder
-from .norms import _ball_value, _vanishes_off, hoelder_envelope, hs_dot_norm_sq
-from .spectral import Field, _kernel_sample, _same_grid, _toeplitz
+from .norms import _ball_value, _vanishes_off, hoelder_envelope
+from .spectral import Field, _kernel_energy, _same_grid, _toeplitz, _window_kernel
 from . import diagnostics
 
 __all__ = [
@@ -106,9 +119,11 @@ CG_MAX_ITERS = 2000
 # is quadratic near the fixed point; the first step stops at ETA_MAX
 ETA_MAX = 1e-3
 ETA_FACTOR = 1e-2
-# a difference whose Gram-Schmidt remainder keeps less than this share of its
-# norm is dropped from the fit as dependent on the newer ones
-_DEPENDENT_TOL = 1e-10
+# a difference whose remainder in the Cholesky factor of the Gram matrix
+# keeps no more than this share of its norm is dropped from the fit as
+# dependent on the newer ones; the Gram matrix squares the remainder, so
+# its rounding leaves about sqrt(machine eps) of the norm
+_DEPENDENT_TOL = 1e-7
 # longest block _dot hands to np.dot: OpenBLAS splits a dot product of more
 # than 10,000 elements across threads, so its rounding follows the thread
 # count (scipy-openblas 0.3.31: 10,000 elements keep one CPU busy, 10,001 two)
@@ -171,13 +186,13 @@ class SweepEntry:
 
 
 def _dot(a, b):
-    """<a, b> of the flattened arrays: ``np.dot`` up to _DOT_BLOCK elements,
-    else the correctly rounded sum (``math.fsum``) of ``np.dot`` over
-    consecutive _DOT_BLOCK-long blocks."""
+    """<a, b> of the flattened arrays: ``ndarray.dot`` up to _DOT_BLOCK
+    elements, else the correctly rounded sum (``math.fsum``) of
+    ``ndarray.dot`` over consecutive _DOT_BLOCK-long blocks."""
     a, b = a.ravel(), b.ravel()
     if a.size <= _DOT_BLOCK:
-        return float(np.dot(a, b))
-    return math.fsum(float(np.dot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK]))
+        return float(a.dot(b))
+    return math.fsum(float(a[i:i + _DOT_BLOCK].dot(b[i:i + _DOT_BLOCK]))
                      for i in range(0, a.size, _DOT_BLOCK))
 
 
@@ -188,8 +203,11 @@ def el_residual(u, pack, mask):
     ``u`` must lie on the mask's grid and vanish off the domain, as a solve's
     maximizer does (InvalidGrid, InvalidMask).  One apply of ``_domain_op``
     gives (-Lap)^s u on the domain and <u, (-Lap)^s u> h^N, the unit-ball
-    norm and the multiplier's numerator; the residual's scale, the whole
-    box's ||(-Lap)^s u||, is by Parseval sqrt(hs_dot_norm_sq(u, 2s))."""
+    norm and the multiplier's numerator.  The residual's scale, the whole
+    box's ||(-Lap)^s u||, is by Parseval <u, K * u> h^N for K the kernel of
+    |xi|^(4s) on the window, one forward transform on the mask's order-4s
+    spectrum (``_mask_kernel``): ``hs_dot_norm_sq(u, 2s)``'s narrow sum, to
+    the bit when u's support box is the window."""
     _vanishes_off(u, mask, "u")
     window = mask.window
     vals, inside = u.values[window], mask.inside[window]
@@ -202,38 +220,59 @@ def el_residual(u, pack, mask):
     multiplier = nrm / feps
     u_in = vals[inside]
     res = Au[inside] - multiplier * np.abs(u_in) ** (pack.subcritical_exponent - 2.0) * u_in
-    return multiplier, math.sqrt(_dot(res, res) * h_vol / hs_dot_norm_sq(u, 2.0 * pack.s))
+    Au_sq = _kernel_energy(vals, _mask_kernel(mask, 4.0 * pack.s)) * h_vol
+    return multiplier, math.sqrt(_dot(res, res) * h_vol / Au_sq)
 
 
 def default_initial_field(mask, seed=0):
     """Centered smooth bump over the domain plus a small seeded perturbation,
     built on the mask's window: the bump's peak, at the cell nearest the
-    centroid, lies in it, and the noise is the whole box's draw cut to it."""
+    centroid, lies in it, and the noise is the whole box's draw cut to it.
+    The draw fills the box in C order, so only its values up to the
+    window's last cell are drawn."""
     grid, window = mask.grid, mask.window
     inside = mask.inside[window]
     r = grid.radii(mask.centroid(), window)
     extent = float(np.max(r[inside]))
     bump = np.clip(1.0 - (r / max(extent, grid.spacing)) ** 2, 0.0, None) ** 2
-    noise = np.random.default_rng(seed).standard_normal(grid.shape)[window]
-    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * noise
+    noise = np.empty(grid.shape)
+    last = np.ravel_multi_index(tuple(w.indices(n)[1] - 1 for w, n in zip(window, grid.shape)),
+                                grid.shape)
+    np.random.default_rng(seed).standard_normal(out=noise.reshape(-1)[:last + 1])
+    bump = bump + INITIAL_PERTURBATION * float(np.max(bump)) * noise[window]
     values = np.zeros(grid.shape)
     values[window] = np.where(inside, bump, 0.0)
     return Field(grid=grid, values=values)
 
 
+def _mask_kernel(mask, sigma):
+    """(P, spectrum) of P |xi|^sigma P on the mask's window
+    (``spectral._window_kernel``, on the grid's cached kernel).  The mask,
+    frozen with a read-only ``inside``, keeps it per order, read-only, so
+    it is built once per mask and order."""
+    key = float(sigma)
+    kernel = mask._spectra.get(key)
+    if kernel is None:
+        kernel = _window_kernel(mask.grid, key, mask.inside[mask.window].shape)
+        # setdefault keeps one spectrum per order when threads race here
+        kernel = mask._spectra.setdefault(key, kernel)
+    return kernel
+
+
 def _domain_op(mask, *sigmas):
     """P |xi|^sigma P on the domain's window (``DomainMask.window``), one
-    ``apply(src, out)`` per order: a ``spectral._toeplitz`` apply with the
-    grid's cached kernel at the window's offsets (``_kernel_sample``), zero
-    off the domain.  Arrays have the window's shape, and ``src`` must
-    vanish off the domain, so the right-hand P is the identity on it.  An
-    apply writes ``out``, returns it and allocates nothing."""
+    ``apply(src, out)`` per order: a ``spectral._toeplitz`` apply on the
+    spectrum the mask keeps (``_mask_kernel``), zero off the domain.
+    Arrays have the window's shape, and ``src`` must vanish off the domain,
+    so the right-hand P is the identity on it.  An apply writes ``out``,
+    returns it and allocates nothing; every call builds its applies their
+    own work buffers, so applies from two calls share only the spectra."""
     inside = mask.inside[mask.window]
     outside = ~inside
     # SPD on domain-supported fields, which are never constant, so
     # annihilating the zero mode loses nothing and needs no mean check
     def restricted(sigma):
-        conv = _toeplitz(_kernel_sample(mask.grid, sigma, inside.shape), inside.shape)
+        conv = _toeplitz(_mask_kernel(mask, sigma), inside.shape)
 
         def apply(src, out):
             np.copyto(conv(src, out), 0.0, where=outside)
@@ -293,87 +332,105 @@ def _cg(apply_op, precond, rhs, x, Ax, tol, max_iters, work):
     )
 
 
-def _lstsq_weights(target, columns):
-    """gamma minimizing ||target - sum_j gamma_j columns[j]||_2, by modified
-    Gram-Schmidt on flat arrays, which it overwrites.  A column whose
-    remainder keeps less than _DEPENDENT_TOL of its norm gets weight 0;
-    returns None when every column does."""
-    basis, coef, kept = [], [], []
-    for j, v in enumerate(columns):
-        norm = math.sqrt(_dot(v, v))
-        r = []
-        for qv in basis:
-            r.append(_dot(qv, v))
-            v -= r[-1] * qv
-        rest = math.sqrt(_dot(v, v))
-        if not rest > _DEPENDENT_TOL * norm:
+def _gram_weights(gram, rhs):
+    """gamma minimizing ||f - sum_j gamma_j dF_j||_2 from the Gram matrix
+    gram[i][j] = <dF_i, dF_j> and rhs[j] = <dF_j, f>: the Cholesky factor R
+    of the Gram matrix, column by column in Python floats, then two
+    triangular solves.  A column whose remainder, its diagonal entry of R,
+    keeps no more than _DEPENDENT_TOL of its norm gets weight 0, as
+    dependent on the columns before it; returns None when every column
+    does."""
+    kept, cols = [], []
+    for j in range(len(rhs)):
+        # column j of R: its rows on the kept columns, then its remainder
+        col = []
+        for c, i in enumerate(kept):
+            col.append((gram[i][j] - sum(cols[c][l] * col[l] for l in range(c))) / cols[c][c])
+        rest_sq = gram[j][j] - sum(r * r for r in col)
+        if not rest_sq > _DEPENDENT_TOL ** 2 * gram[j][j]:
             continue
-        v /= rest
-        basis.append(v)
-        coef.append(r + [rest])
+        col.append(math.sqrt(rest_sq))
         kept.append(j)
-    if not basis:
+        cols.append(col)
+    if not kept:
         return None
-    rhs = []
-    for qv in basis:
-        rhs.append(_dot(qv, target))
-        target -= rhs[-1] * qv
-    gamma = np.zeros(len(columns))
-    # back substitution on R, whose column l is coef[l]
-    sol = [0.0] * len(basis)
-    for i in reversed(range(len(basis))):
-        acc = rhs[i] - sum(coef[l][i] * sol[l] for l in range(i + 1, len(basis)))
-        sol[i] = acc / coef[i][i]
-    gamma[kept] = sol
+    # R^T y = rhs, then R sol = y, on the kept columns
+    y = []
+    for c, j in enumerate(kept):
+        y.append((rhs[j] - sum(cols[c][l] * y[l] for l in range(c))) / cols[c][c])
+    sol = [0.0] * len(kept)
+    for c in reversed(range(len(kept))):
+        acc = y[c] - sum(cols[l][c] * sol[l] for l in range(c + 1, len(kept)))
+        sol[c] = acc / cols[c][c]
+    gamma = [0.0] * len(rhs)
+    for j, v in zip(kept, sol):
+        gamma[j] = v
     return gamma
 
 
-def _to_sphere(x, Ax, h_vol):
-    """Scale ``x`` and its image ``Ax`` in place to <x, A x> = 1 and return
-    them; None when <x, A x> is not positive."""
-    x_sq = _dot(x, Ax) * h_vol
+def _to_sphere(xAx, h_vol):
+    """Scale ``xAx``, x and its image A x stacked, in place to
+    <x, A x> = 1 and return it; None when <x, A x> is not positive."""
+    x_sq = _dot(xAx[0], xAx[1]) * h_vol
     if not x_sq > 0.0:
         return None
-    x /= math.sqrt(x_sq)
-    Ax /= math.sqrt(x_sq)
-    return x, Ax
+    xAx /= math.sqrt(x_sq)
+    return xAx
+
+
+def _remember(history, entry):
+    """Append a plain step's ``entry``, (g, A g, f, A f) stacked with
+    f = g - u, to ``history`` as (entry, diff, gram).  ``diff`` is
+    (dG, dAG, dF) stacked, the entry's difference to the one before it, and
+    ``gram`` its Gram row: <dF, dF'> for its own dF' and those of the
+    entries before it that keep a difference once it is in, newest first.
+    Only an entry that has a predecessor in the history keeps a difference,
+    so the first entry and the one left by a cut hold none that is read."""
+    diffs = min(len(history) + 1, history.maxlen) - 1
+    if diffs == 0:
+        history.append((entry, None, ()))
+        return
+    diff = entry[:3] - history[-1][0][:3]
+    older = [e[1] for e in reversed(history)][:diffs - 1]
+    history.append((entry, diff, tuple(_dot(diff[2], d[2]) for d in [diff] + older)))
 
 
 def _anderson_candidate(history, h_vol):
-    """x = g_k - dG gamma and A x = A g_k - dAG gamma from the history of
-    (g_i, A g_i, f_i) triples, oldest first, with gamma the least-squares
-    fit of the newest f_k by the differences of consecutive f_i, newest
-    difference first; both are scaled to <x, A x> = 1.  None when no
-    difference is independent or x vanishes."""
-    hist = list(history)
-    pairs = list(zip(hist, hist[1:]))[::-1]
-    g, Ag, f = hist[-1]
-    gamma = _lstsq_weights(f.ravel().copy(), [(b[2] - a[2]).ravel() for a, b in pairs])
+    """x = g_k - dG gamma with A x = A g_k - dAG gamma, stacked, from the
+    newest history entry and the differences the history keeps (see
+    ``_remember``), newest first, with gamma the least-squares fit of the
+    newest f_k by the dF, from their Gram matrix (``_gram_weights``);
+    scaled to <x, A x> = 1.  None when no difference is independent or x
+    vanishes."""
+    newest = history[-1][0]
+    held = list(history)[:0:-1]
+    n = len(held)
+    gram = [[held[min(a, b)][2][abs(a - b)] for b in range(n)] for a in range(n)]
+    gamma = _gram_weights(gram, [_dot(d[2], newest[2]) for _, d, _ in held])
     if gamma is None:
         return None
-    x, Ax = g.copy(), Ag.copy()
-    for c, (a, b) in zip(gamma, pairs):
-        x -= c * (b[0] - a[0])
-        Ax -= c * (b[1] - a[1])
-    return _to_sphere(x, Ax, h_vol)
+    x = newest[:2].copy()
+    for c, (_, d, _) in zip(gamma, held):
+        x -= c * d[:2]
+    return _to_sphere(x, h_vol)
 
 
-def _extend_step(newest, Au, F_g, f_eps, h_vol):
-    """Doubling search from the newest history triple (g, A g, d = g - u_k),
-    with ``Au`` = A u_k: x = g + t d for t = 1, 2, 4, ..., scaled to
-    <x, A x> = 1, while F_eps(x) strictly rises.  Returns the last x taken,
-    A x, F_eps(x) and the doublings taken; (g, A g, F_g, 0) when none."""
-    g, Ag, d = newest
-    Ad = Ag - Au
-    best, taken, t = (g, Ag, F_g), 0, 1.0
+def _extend_step(newest, F_g, f_eps, h_vol):
+    """Doubling search from the newest history entry (g, A g, d, A d),
+    stacked, with d = g - u_k: x = g + t d and A x = A g + t A d for
+    t = 1, 2, 4, ..., scaled to <x, A x> = 1, while F_eps(x) strictly rises.
+    Returns the last (x, A x) taken, stacked, F_eps(x) and the doublings
+    taken; ((g, A g), F_g, 0) when none."""
+    gAg, dAd = newest[:2], newest[2:]
+    best, taken, t = (gAg, F_g), 0, 1.0
     while True:
-        step = _to_sphere(g + t * d, Ag + t * Ad, h_vol)
+        step = _to_sphere(gAg + t * dAd, h_vol)
         if step is None:
             break
         F_x = f_eps(step[0])
-        if not F_x > best[2]:
+        if not F_x > best[1]:
             break
-        best, taken, t = step + (F_x,), taken + 1, 2.0 * t
+        best, taken, t = (step, F_x), taken + 1, 2.0 * t
     return best + (taken,)
 
 
@@ -396,8 +453,10 @@ def solve(pack, mask, config, init=None):
     pexp = pack.subcritical_exponent
     h_vol = grid.cell_volume
     start = default_initial_field(mask, seed=config.seed) if init is None else init
-    u = np.where(inside, start.values[window], 0.0)
-    if not np.any(u):
+    # every iterate is carried with its image, stacked: uAu = (u, A u)
+    uAu = np.empty((2,) + inside.shape)
+    uAu[0] = np.where(inside, start.values[window], 0.0)
+    if not np.any(uAu[0]):
         raise DegenerateInput("initial field vanishes on the domain")
 
     apply_op, precond = _domain_op(mask, 2.0 * pack.s, -2.0 * pack.s)
@@ -406,25 +465,28 @@ def solve(pack, mask, config, init=None):
     def f_eps(v):
         return float(np.sum(np.abs(v[inside]) ** pexp)) * h_vol
 
-    Au = apply_op(u, np.empty(inside.shape))
-    if _to_sphere(u, Au, h_vol) is None:
+    apply_op(uAu[0], uAu[1])
+    if _to_sphere(uAu, h_vol) is None:
         raise DegenerateInput("initial field has zero homogeneous norm")
 
-    F_old = f_eps(u)
+    F_old = f_eps(uAu[0])
     trace = [F_old]
     cg_iters, cg_residuals, accelerated, extended, resumed = [], [], [], [], []
     history = deque(maxlen=ANDERSON_DEPTH + 1)
     rhs = np.zeros(inside.shape)
-    w = np.empty(inside.shape)
-    Aw = np.empty(inside.shape)
+    wAw = np.empty((2,) + inside.shape)
+    w, Aw = wAw
 
     def plain_step():
+        # ||w||, the history entry whose first half is (g, A g) with
+        # g = w / ||w||, and F_eps(g)
         w_sq = _dot(w, Aw) * h_vol
         if not 0.0 < w_sq < math.inf:
             raise DegenerateInput("iteration collapsed to numerical zero")
         w_norm = math.sqrt(w_sq)
-        g = w / w_norm
-        return w_norm, g, Aw / w_norm, f_eps(g)
+        entry = np.empty((4,) + inside.shape)
+        np.divide(wAw, w_norm, out=entry[:2])
+        return w_norm, entry, f_eps(entry[0])
 
     # ||w|| = F_eps at the fixed point, so the first CG starts from F_eps u
     w_norm = F_old
@@ -432,35 +494,35 @@ def solve(pack, mask, config, init=None):
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        u_in = u[inside]
+        u_in = uAu[0][inside]
         rhs[inside] = np.abs(u_in) ** q * u_in
-        np.multiply(u, w_norm, out=w)
-        np.multiply(Au, w_norm, out=Aw)
+        np.multiply(uAu, w_norm, out=wAw)
         k, res = _cg(apply_op, precond, rhs, w, Aw, max(eta, CG_TOL), CG_MAX_ITERS, work)
-        w_norm, g, Ag, F_new = plain_step()
+        w_norm, entry, F_new = plain_step()
         more = 0
         if res > CG_TOL and (k == 0 or F_new < F_old):
             # only an exact solve is sure to ascend, and a CG that took no
             # step moved nothing: finish this one
             more, res = _cg(apply_op, precond, rhs, w, Aw, CG_TOL, CG_MAX_ITERS, work)
-            w_norm, g, Ag, F_new = plain_step()
+            w_norm, entry, F_new = plain_step()
         cg_iters.append(k + more)
         cg_residuals.append(res)
         resumed.append(more)
-        history.append((g, Ag, g - u))
-        Au_k = Au
-        u, Au = g, Ag
+        # the residual f = g - u and its image, the extension's direction
+        np.subtract(entry[:2], uAu, out=entry[2:])
+        _remember(history, entry)
+        uAu = entry[:2]
         cand = _anderson_candidate(history, h_vol)
         F_x = -math.inf if cand is None else f_eps(cand[0])
         took = F_x >= F_new
         doublings = 0
         if took:
-            (u, Au), F_new = cand, F_x
+            uAu, F_new = cand, F_x
         else:
             # a refusal after a plain step: the iterate drifts away from
             # the fixed point Anderson models, so follow the drift instead
             if cand is not None and not accelerated[-1]:
-                u, Au, F_new, doublings = _extend_step(history[-1], Au_k, F_new, f_eps, h_vol)
+                uAu, F_new, doublings = _extend_step(entry, F_new, f_eps, h_vol)
             while len(history) > 1:
                 history.popleft()
         accelerated.append(took)
@@ -477,7 +539,7 @@ def solve(pack, mask, config, init=None):
         F_old = F_new
 
     values = np.zeros(grid.shape)
-    values[window] = u
+    values[window] = uAu[0]
     value = trace[-1]
     # <u, A u> = 1 on the unit sphere
     return SolveResult(maximizer=Field(grid=grid, values=values), value=value,
@@ -489,7 +551,9 @@ def solve(pack, mask, config, init=None):
 
 def eps_sweep(pack_template, mask, config, init=None):
     """Solve along the eps schedule with warm starts; per-eps errors are
-    recorded and the sweep continues.  Returns a list of SweepEntry with
+    recorded and the sweep continues: an entry whose solve or statistics
+    raise holds no result, NaN statistics and the error, and the next
+    solve starts as this one did.  Returns a list of SweepEntry with
     concentration statistics from the energy measure and the top-octave
     resolution indicator, which flags a lattice spike but raises nothing.
     The tail is ``diagnostics.tail_energy``'s, read from the image that
@@ -500,28 +564,27 @@ def eps_sweep(pack_template, mask, config, init=None):
     prev = init
     for eps in config.eps_schedule:
         pack = pack_template.with_eps(eps)
+        envelope = hoelder_envelope(pack, mask)
         try:
             result = solve(pack, mask, config, init=prev if config.warm_start else init)
+            # a throwaway field over the maximizer's values keeps the image,
+            # so the entry holds no image that nothing reads again
+            u = Field(grid=mask.grid, values=result.maximizer.values)
+            measure = diagnostics.energy_density(u, pack.s)
+            argmax = diagnostics.argmax_cell(measure)
+            total = measure.total
+            mass_r1, mass_r2 = (diagnostics.mass_in_ball(measure, argmax, f * diam) / total
+                                for f in MASS_RADIUS_FRACTIONS)
+            tail = diagnostics.tail_energy(u, pack.s, mask, TAIL_MARGIN_FRACTION * diam) / total
+            top = diagnostics.top_octave_share(result.maximizer, pack.s)
         except FracSobolevError as exc:
-            entries.append(SweepEntry(eps=eps, result=None, envelope=hoelder_envelope(pack, mask),
-                                      argmax=(), mass_r1=float("nan"), mass_r2=float("nan"),
+            entries.append(SweepEntry(eps=eps, result=None, envelope=envelope, argmax=(),
+                                      mass_r1=float("nan"), mass_r2=float("nan"),
                                       tail_energy=float("nan"), error=str(exc)))
             continue
-        # a throwaway field over the maximizer's values keeps the image, so
-        # the entry holds no image that nothing reads again
-        u = Field(grid=mask.grid, values=result.maximizer.values)
-        measure = diagnostics.energy_density(u, pack.s)
-        argmax = diagnostics.argmax_cell(measure)
-        total = measure.total
-        mass_r1 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[0] * diam) / total
-        mass_r2 = diagnostics.mass_in_ball(measure, argmax, MASS_RADIUS_FRACTIONS[1] * diam) / total
-        tail = diagnostics.tail_energy(u, pack.s, mask, TAIL_MARGIN_FRACTION * diam) / total
-        entries.append(SweepEntry(eps=eps, result=result,
-                                  envelope=hoelder_envelope(pack, mask),
-                                  argmax=argmax, mass_r1=mass_r1, mass_r2=mass_r2,
-                                  tail_energy=tail,
-                                  top_octave=diagnostics.top_octave_share(result.maximizer,
-                                                                          pack.s)))
+        entries.append(SweepEntry(eps=eps, result=result, envelope=envelope, argmax=argmax,
+                                  mass_r1=mass_r1, mass_r2=mass_r2, tail_energy=tail,
+                                  top_octave=top))
         if config.warm_start:
             prev = result.maximizer
     return entries

@@ -32,12 +32,16 @@ unitary spectrum.
 Only this module builds a zero-padded lattice.  A linear convolution with a
 kernel even in each axis is a ``_toeplitz`` apply, the same pair on that
 lattice with the mirrored samples' ``rfftn`` as weight (``_kernel_spectrum``);
-``_convolve`` runs one per array.  ``Grid.kernel`` is the periodic kernel of
-|xi|^sigma at the offsets 0..M/2 per axis, the inverse transform of the
-weight, built once per grid and order, read-only.  Cropped to a window's
-offsets (``_kernel_sample``) it is a Toeplitz operator there, and the padded
-lattice is its circulant embedding: the solver's operator on a domain's
-window and the norm of a narrow support (``_window_norm_sq``) run so.
+``_toeplitz`` takes that spectrum, which it only reads, and gives each apply
+its own work buffers, so applies built on one spectrum share only a
+read-only array.  ``_convolve`` runs one apply per array.  ``Grid.kernel``
+is the periodic kernel of |xi|^sigma at the offsets 0..M/2 per axis, the
+inverse transform of the weight, built once per grid and order, read-only.
+Cropped to a window's offsets (``_kernel_sample``) it is a Toeplitz
+operator there, and the padded lattice is its circulant embedding
+(``_window_kernel``): the solver's operator on a domain's window, whose
+spectra the domain's mask keeps, and the norm of a narrow support
+(``_window_norm_sq``, ``_kernel_energy``) run so.
 """
 
 import json
@@ -424,15 +428,34 @@ def _kernel_sample(grid, sigma, shape):
     return grid.kernel(sigma)[np.ix_(*(np.minimum(d, M - d) for d in map(np.arange, shape)))]
 
 
-def _toeplitz(sample, shape):
-    """The linear convolution of real arrays of ``shape`` with the kernel
-    even in each axis whose samples at the offsets 0..r ``sample`` holds, as
-    ``apply(src, out)``: one pair on the lattice of ``_kernel_spectrum``,
-    cropped into ``out``, which it returns.  The apply owns the kernel
-    spectrum, a work spectrum and a row buffer, built here, so it allocates
-    nothing and must not run in two threads at once.
+def _window_kernel(grid, sigma, shape):
+    """``_kernel_spectrum`` of ``grid.kernel(sigma)`` at the offsets of a
+    window of ``shape`` (``_kernel_sample``): P per axis and the read-only
+    spectrum of P |xi|^sigma P on the window's padded lattice."""
+    P, kernel_spec = _kernel_spectrum(_kernel_sample(grid, sigma, shape), shape)
+    kernel_spec.setflags(write=False)
+    return P, kernel_spec
+
+
+def _kernel_energy(values, kernel):
+    """The cell sum <v, K * v> for the linear convolution K whose (P,
+    spectrum) ``kernel`` holds (``_kernel_spectrum``): the sum of
+    K_hat |V|^2 / P^N on the padded lattice, one forward transform."""
+    P, kernel_spec = kernel
+    dens = _half_spectrum_energy(values, kernel_spec.real, P)
+    return float(np.sum(dens)) / math.prod(P)
+
+
+def _toeplitz(kernel, shape):
+    """The linear convolution of real arrays of ``shape`` whose (P,
+    spectrum) on the padded lattice ``kernel`` holds (``_kernel_spectrum``),
+    as ``apply(src, out)``: one pair on that lattice, cropped into ``out``,
+    which it returns.  The spectrum is only read, so applies may share it.
+    Each call builds its apply a work spectrum and a row buffer of its own:
+    an apply allocates nothing and must not run in two threads at once, but
+    applies from two calls may.
     """
-    P, kernel_spec = _kernel_spectrum(sample, shape)
+    P, kernel_spec = kernel
     spec = np.empty(kernel_spec.shape, dtype=complex)
     rows = np.empty(shape[:-1] + (P[-1],))
     crop = rows[..., :shape[-1]]
@@ -451,8 +474,9 @@ def _convolve(sample, arrays):
     holds, one ``_toeplitz`` apply each.  Returns a raw ndarray of shape
     (len(arrays),) + shape.
     """
-    apply = _toeplitz(sample, arrays[0].shape)
-    out = np.empty((len(arrays),) + arrays[0].shape)
+    shape = arrays[0].shape
+    apply = _toeplitz(_kernel_spectrum(sample, shape), shape)
+    out = np.empty((len(arrays),) + shape)
     for a, dest in zip(arrays, out):
         apply(a, dest)
     return out
@@ -476,9 +500,7 @@ def _window_norm_sq(values, grid, s):
     if not box:
         return 0.0
     vals = values[box]
-    P, kernel_spec = _kernel_spectrum(_kernel_sample(grid, 2.0 * s, vals.shape), vals.shape)
-    dens = _half_spectrum_energy(vals, kernel_spec.real, P)
-    return float(np.sum(dens)) / math.prod(P) * grid.cell_volume
+    return _kernel_energy(vals, _window_kernel(grid, 2.0 * s, vals.shape)) * grid.cell_volume
 
 
 def offset_convolve(grid, kernel, arrays):

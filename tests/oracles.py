@@ -7,7 +7,9 @@ gradient ascent, atom locations from an exhaustive ball scan, the
 Gagliardo pair sum from the dense O(M^(2N)) sum over every cell pair, the
 cells near a domain from scipy's exact Euclidean distance transform, the
 solver's restricted operator from full-box transforms of masked copies, and
-its accelerated outer loop from plain normalized inverse iteration.  The
+its accelerated outer loop from plain normalized inverse iteration, and
+the Anderson least-squares weights from modified Gram-Schmidt on the
+differences themselves.  The
 localized diagnostics, which work on the windows of their supports, have
 whole-box forms here: the cutoff and the localized bubble sampled on every
 cell, ball masses over every cell's radius, the dilation and the ball sums
@@ -306,3 +308,44 @@ def plain_inverse_iteration(pack, mask, tol, init=None, seed=0, cg_tol=1e-9,
         F_old = F
     raise AssertionError(f"plain inverse iteration did not reach tol {tol:g} "
                          f"in {max_iters} iterations")
+
+
+# the share of its norm below which lstsq_weights_mgs drops a column
+MGS_DEPENDENT_TOL = 1e-10
+
+
+def lstsq_weights_mgs(target, columns, tol=MGS_DEPENDENT_TOL):
+    """gamma minimizing ||target - sum_j gamma_j columns[j]||_2, by modified
+    Gram-Schmidt on flat arrays, which it overwrites: the solver's Anderson
+    weights before they came from the Gram matrix.  A column whose
+    remainder keeps less than ``tol`` of its norm gets weight 0; returns
+    None when every column does."""
+    from fracsobolev.solver import _dot
+    basis, coef, kept = [], [], []
+    for j, v in enumerate(columns):
+        norm = math.sqrt(_dot(v, v))
+        r = []
+        for qv in basis:
+            r.append(_dot(qv, v))
+            v -= r[-1] * qv
+        rest = math.sqrt(_dot(v, v))
+        if not rest > tol * norm:
+            continue
+        v /= rest
+        basis.append(v)
+        coef.append(r + [rest])
+        kept.append(j)
+    if not basis:
+        return None
+    rhs = []
+    for qv in basis:
+        rhs.append(_dot(qv, target))
+        target -= rhs[-1] * qv
+    gamma = np.zeros(len(columns))
+    # back substitution on R, whose column l is coef[l]
+    sol = [0.0] * len(basis)
+    for i in reversed(range(len(basis))):
+        acc = rhs[i] - sum(coef[l][i] * sol[l] for l in range(i + 1, len(basis)))
+        sol[i] = acc / coef[i][i]
+    gamma[kept] = sol
+    return gamma

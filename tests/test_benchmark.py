@@ -9,6 +9,7 @@ are imported, never edited.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -67,3 +68,29 @@ def test_workload_passes_traced(name, traced, tmp_path):
         assert metrics["spectral.transform_points"] > 0
     if name in ("sweep-1d", "solve-2d", "cli-batch"):
         assert metrics["solver.outer_iters"] > 0
+
+
+def _job_mask(fn):
+    """The mask that the job ``fn`` reads, a default argument of it or a
+    name it closes over."""
+    params = inspect.signature(fn).parameters
+    if "mask" in params:
+        return params["mask"].default
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))["mask"]
+
+
+@pytest.mark.parametrize("name,prefix,orders", [
+    # no solver runs there, so its mask holds no window spectrum, which
+    # would cost that workload resident memory and minor faults
+    ("analysis-2d", "bubbles", set()),
+    # the operator, its preconditioner and el_residual's scale, at s = 0.5
+    ("solve-2d", "solve", {1.0, -1.0, 2.0}),
+])
+def test_masks_keep_spectra_only_where_a_solver_runs(name, prefix, orders, tmp_path):
+    ctx = workloads.Context(root=PERFBENCH.parent, out_dir=tmp_path, env={}, in_process=True)
+    jobs = [fn for job_name, fn in workloads.WORKLOADS[name](0, ctx)
+            if job_name.startswith(prefix)]
+    assert jobs
+    for fn in jobs:
+        assert fn() == []
+        assert set(_job_mask(fn)._spectra) == orders

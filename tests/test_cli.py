@@ -174,6 +174,22 @@ class TestExitCodes:
             assert "config error: config: " in capsys.readouterr().err
         assert not (tmp_path / "solve.csv").exists()
 
+    def test_sweep_records_failed_probes_exit_1(self, tmp_path, capsys):
+        # one cell: the solve succeeds, the sweep's radius-0 probes fail
+        omega = json.dumps({"kind": "interval", "bounds": [-0.01, 0.01]})
+        assert main(["solve", "--omega", omega, "--out", str(tmp_path / "solve")]) == 0
+        assert main(["sweep", "--omega", omega, "--out", str(tmp_path / "sweep")]) == 1
+        assert "radius must be positive" in capsys.readouterr().err
+        rows = [ln.split(",") for ln in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        header, body = rows[0], rows[1:]
+        assert len(body) == len(SolverConfig().eps_schedule)
+        for row in body:
+            cells = dict(zip(header, row))
+            assert cells["converged"] == "false" and cells["argmax_coords"] == ""
+            assert all(cells[k] == "nan" for k in ("value", "multiplier", "mass_r1",
+                                                  "mass_r2", "tail_energy"))
+
     def test_not_converged_exit_1(self, tmp_path, capsys):
         code = main(["solve", "--M", "128", "--max-iters", "2", "--tol", "1e-14",
                      "--out", str(tmp_path)])
@@ -208,7 +224,7 @@ DEFAULT_CSVS = {
         "gagliardo_ratio_rel_gap,1,512,8.0,0.25,-0.0007873734125404633\n"),
     "solve": ("solve.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,residual\n"
-        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,3.169758692956788e-06\n"),
+        "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,3.1697586964859905e-06\n"),
     "sweep": ("sweep.csv",
         "N,s,M,L,eps,value,envelope,multiplier,iters,converged,argmax_coords,mass_r1,mass_r2,tail_energy\n"
         "1,0.25,512,8.0,0.8,0.8869810383274493,1.4929658260103178,1.1274198170974057,18,true,0.0,0.8536967645395764,0.9111729857541402,0.04409855759887518\n"

@@ -15,10 +15,11 @@ from fracsobolev import (DegenerateInput, DomainMask, ExponentPack, Field,
                          InnerSolveFailed, InvalidGrid, InvalidMask, InvalidOrder, SolverConfig,
                          apply_multiplier, el_residual, eps_sweep, hoelder_envelope,
                          hs_dot_norm_sq, make_grid, solve)
-from fracsobolev.solver import _DOT_BLOCK, CG_TOL, ETA_MAX, _dot, default_initial_field
+from fracsobolev.solver import (_DOT_BLOCK, CG_TOL, ETA_MAX, _dot, _gram_weights,
+                                default_initial_field)
 
 from oracles import (el_residual_full, full_box_ops, gradient_ascent_oracle,
-                     initial_field_full, plain_inverse_iteration)
+                     initial_field_full, lstsq_weights_mgs, plain_inverse_iteration)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,15 @@ class TestSolve:
         assert "relative residual" in str(err.value)
 
 
+# windows that reach the last cells a domain may hold, one before the outer
+# layer, so the initial field's draw runs to the box's last rows
+_EDGE_WINDOWS = [
+    (1, 64, {"kind": "interval", "bounds": [2.0, 3.8]}),
+    (2, 32, {"kind": "box", "lower": [1.0, -3.6], "upper": [3.6, 3.6]}),
+    (3, 16, {"kind": "box", "lower": [1.0, 1.0, 1.0], "upper": [3.2, 3.2, 3.2]}),
+]
+
+
 class TestInitialField:
     @pytest.mark.parametrize("dim,M,shape", [
         (1, 64, {"kind": "interval", "bounds": [-1.0, 1.3]}),
@@ -169,12 +179,18 @@ class TestInitialField:
                                                  [-0.9, -0.9], [-0.9, 1.5], [-1.5, 1.5]]}),
         (3, 16, {"kind": "box", "lower": [-1.0, -0.5, -1.5], "upper": [1.2, 1.0, 0.5]}),
         (3, 16, {"kind": "ball", "center": [0.0, 0.2, -0.3], "radius": 1.5}),
-    ])
+    ] + _EDGE_WINDOWS)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_the_whole_box_formula(self, dim, M, shape, seed):
         mask = DomainMask.from_shape(make_grid(dim, M, 4.0), shape)
         got = default_initial_field(mask, seed=seed).values
         assert got.tobytes() == initial_field_full(mask, seed).tobytes()
+
+    @pytest.mark.parametrize("dim,M,shape", _EDGE_WINDOWS)
+    def test_edge_windows_reach_the_last_rows(self, dim, M, shape):
+        # so the draw of those cases runs to the last cell it may read
+        mask = DomainMask.from_shape(make_grid(dim, M, 4.0), shape)
+        assert all(w.stop == M - 1 for w in mask.window)
 
 
 class TestAnderson:
@@ -235,15 +251,76 @@ class TestAnderson:
             if len(history) < 2:
                 return None
             offers.append(1)
-            return history[0][0].copy(), history[0][1].copy()
+            # the entry's first half is the plain image and its image
+            return history[0][0][:2].copy()
 
         monkeypatch.setattr(solver_mod, "_anderson_candidate", previous_image)
         monkeypatch.setattr(solver_mod, "_extend_step",
-                            lambda newest, Au, F_g, f_eps, h_vol: newest[:2] + (F_g, 0))
+                            lambda newest, F_g, f_eps, h_vol: (newest[:2], F_g, 0))
         result = solve(pack, mask, cfg)
         assert len(offers) == result.iters - 1
         assert not any(result.accelerated)
         assert result.iters == plain.iters and result.trace == plain.trace
+
+
+class TestGramWeights:
+    """Anderson's least-squares weights from the Gram matrix of the
+    differences against modified Gram-Schmidt on the differences
+    themselves (``oracles.lstsq_weights_mgs``), newest difference first."""
+
+    @staticmethod
+    def _weights(columns, target):
+        gram = [[_dot(a, b) for b in columns] for a in columns]
+        got = _gram_weights(gram, [_dot(c, target) for c in columns])
+        ref = lstsq_weights_mgs(target.copy(), [c.copy() for c in columns])
+        return np.asarray(got), ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_modified_gram_schmidt(self, n, seed):
+        # differences that shrink as a history converges, and a residual
+        # that they nearly span
+        rng = np.random.default_rng(seed)
+        columns = [rng.standard_normal(1024) * 10.0 ** -k for k in range(n)]
+        target = sum(rng.standard_normal() * c for c in columns)
+        target = target + 1e-3 * np.linalg.norm(target) / 32.0 * rng.standard_normal(1024)
+        got, ref = self._weights(columns, target)
+        assert np.all(ref != 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("last", [0, 1, 2])
+    @pytest.mark.parametrize("kick", [0.0, 1e-12])
+    def test_both_drop_a_dependent_difference(self, last, kick):
+        # one of three differences is a combination of the other two, up to
+        # a kick below both tolerances: the one fitted last gets weight 0
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 1024))
+        dep = 0.7 * a - 1.3 * b
+        dep += kick * np.linalg.norm(dep) / 32.0 * rng.standard_normal(1024)
+        columns = [a, b]
+        columns.insert(last, dep)
+        target = rng.standard_normal(1024)
+        got, ref = self._weights(columns, target)
+        assert got[-1] == 0.0 and ref[-1] == 0.0
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_drops_what_its_rounding_cannot_tell(self):
+        # the Gram matrix squares the remainder, so a difference whose
+        # remainder keeps 1e-8 of its norm, which modified Gram-Schmidt
+        # still fits, is dropped; the fit of the others is the fit without it
+        rng = np.random.default_rng(6)
+        a, b, c = rng.standard_normal((3, 1024))
+        c -= (_dot(c, a) / _dot(a, a)) * a
+        near = a + 1e-8 * np.linalg.norm(a) / np.linalg.norm(c) * c
+        target = rng.standard_normal(1024)
+        got, ref = self._weights([b, a, near], target)
+        assert got[-1] == 0.0 and ref[-1] != 0.0
+        alone, _ = self._weights([b, a], target)
+        assert np.array_equal(got[:2], alone)
+
+    def test_no_independent_difference(self):
+        assert _gram_weights([[0.0]], [0.0]) is None
+        assert _gram_weights([], []) is None
 
 
 class TestInexactInnerSolves:
@@ -646,6 +723,85 @@ class TestWindow:
         assert all(mask.grid._kernels[k] is kern for k, kern in kernels.items())
 
 
+def _held_arrays(fn):
+    """The arrays that ``fn`` and the functions it closes over hold."""
+    found, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            obj = cell.cell_contents
+            if isinstance(obj, np.ndarray):
+                found.append(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                todo.append(obj)
+    return found
+
+
+class TestKeptSpectra:
+    """The mask keeps its window operator's spectra, one per order."""
+
+    @staticmethod
+    def _count_spectra(monkeypatch):
+        import fracsobolev.spectral as spectral_mod
+        real = spectral_mod._kernel_spectrum
+        built = []
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(spectral_mod, "_kernel_spectrum", counting)
+        return built
+
+    @pytest.mark.parametrize("kind", ["interval", "ball"])
+    def test_second_solve_and_el_residual_build_none(self, monkeypatch, kind):
+        pack, mask = _domain_case(kind)
+        cfg = SolverConfig(eps_schedule=(pack.eps,))
+        built = self._count_spectra(monkeypatch)
+        first = solve(pack, mask, cfg)
+        el_residual(first.maximizer, pack, mask)
+        # the operator, its preconditioner and the residual's scale
+        assert len(built) == 3
+        built.clear()
+        again = solve(pack, mask, cfg)
+        el_residual(again.maximizer, pack, mask)
+        assert built == []
+        assert again.maximizer.values.tobytes() == first.maximizer.values.tobytes()
+
+    def test_kept_spectra_are_read_only(self):
+        pack, mask = _domain_case("ball")
+        result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
+        el_residual(result.maximizer, pack, mask)
+        s = pack.s
+        assert set(mask._spectra) == {2.0 * s, -2.0 * s, 4.0 * s}
+        for P, spec in mask._spectra.values():
+            assert not spec.flags.writeable
+            with pytest.raises(ValueError):
+                spec[(0,) * spec.ndim] = 0.0
+
+    def test_two_calls_share_only_read_only_arrays(self):
+        from fracsobolev.solver import _domain_op
+        _, mask = _domain_case("ball")
+        first, second = _domain_op(mask, 0.5), _domain_op(mask, 0.5)
+        mine, theirs = _held_arrays(first[0]), _held_arrays(second[0])
+        shared = [(a, b) for a in mine for b in theirs if np.shares_memory(a, b)]
+        # the spectrum, which both read
+        assert shared
+        assert all(not a.flags.writeable and not b.flags.writeable for a, b in shared)
+
+    def test_el_residual_scale_is_the_narrow_norm(self):
+        # the order-4s spectrum gives hs_dot_norm_sq(u, 2s)'s narrow sum to
+        # the bit on a field whose support box is the window
+        from fracsobolev.solver import _mask_kernel
+        from fracsobolev.spectral import _kernel_energy
+        pack, mask = _domain_case("ball")
+        result = solve(pack, mask, SolverConfig(eps_schedule=(pack.eps,)))
+        u = result.maximizer
+        assert mask.grid.points_per_dim // 4 >= max(w.stop - w.start for w in mask.window)
+        vals = u.values[mask.window]
+        got = _kernel_energy(vals, _mask_kernel(mask, 4.0 * pack.s)) * mask.grid.cell_volume
+        assert got == hs_dot_norm_sq(u, 2.0 * pack.s)
+
+
 class TestElResidual:
     def test_zero_field_degenerate(self, ctx):
         g, mask = ctx
@@ -855,6 +1011,24 @@ class TestSweepErrorHandling:
         assert entries[0].result is not None
         assert entries[1].result is None and "synthetic" in entries[1].error
         assert entries[2].result is not None
+
+    def test_failing_probe_recorded(self, ctx):
+        # a one-cell domain solves, but its diameter is 0, so the balls and
+        # the margin of its statistics have radius 0 and raise; each entry
+        # is recorded as a failed solve is
+        g, _ = ctx
+        mask = DomainMask.from_shape(g, {"kind": "interval", "bounds": [-0.01, 0.01]})
+        assert mask.inside.sum() == 1 and mask.diameter == 0.0
+        pack = ExponentPack(dim=1, s=0.25, eps=0.8)
+        cfg = SolverConfig(eps_schedule=(0.8, 0.4))
+        assert solve(pack, mask, cfg).converged
+        entries = eps_sweep(pack, mask, cfg)
+        assert [e.eps for e in entries] == [0.8, 0.4]
+        for e in entries:
+            assert e.result is None and "radius must be positive" in e.error
+            assert e.argmax == ()
+            assert all(math.isnan(v) for v in (e.mass_r1, e.mass_r2, e.tail_energy))
+            assert e.envelope == hoelder_envelope(pack.with_eps(e.eps), mask)
 
     def test_inner_solve_failure_recorded(self, ctx, monkeypatch):
         import fracsobolev.solver as solver_mod

@@ -377,18 +377,18 @@ class TestKernelSpectrum:
 
 class TestToeplitz:
     def test_1d_matches_numpy_linear_convolution(self, rng):
-        from fracsobolev.spectral import _toeplitz
+        from fracsobolev.spectral import _kernel_spectrum, _toeplitz
         for r, n in ((5, 40), (59, 37)):
             sample = rng.standard_normal(r + 1)
             a = rng.standard_normal(n)
             ref = np.convolve(a, np.concatenate([sample[:0:-1], sample]))[r:r + n]
-            got = _toeplitz(sample, a.shape)(a, np.empty(n))
+            got = _toeplitz(_kernel_spectrum(sample, a.shape), a.shape)(a, np.empty(n))
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_2d_matches_direct_sum_past_half_the_box(self, rng):
         # a 13 x 11 window of M = 16 reads the kernel at offsets past M/2,
         # which _kernel_sample takes at M - d
-        from fracsobolev.spectral import _kernel_sample, _toeplitz
+        from fracsobolev.spectral import _kernel_sample, _kernel_spectrum, _toeplitz
         g = make_grid(2, 16, 1.0)
         shape = (13, 11)
         sample = _kernel_sample(g, 0.5, shape)
@@ -396,14 +396,14 @@ class TestToeplitz:
         I, J = np.indices(shape)
         ref = np.array([[np.sum(a * sample[np.abs(I - i), np.abs(J - j)])
                          for j in range(shape[1])] for i in range(shape[0])])
-        got = _toeplitz(sample, shape)(a, np.empty(shape))
+        got = _toeplitz(_kernel_spectrum(sample, shape), shape)(a, np.empty(shape))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_apply_returns_out_and_repeats(self, rng):
-        from fracsobolev.spectral import _toeplitz
+        from fracsobolev.spectral import _kernel_spectrum, _toeplitz
         sample = rng.standard_normal((4, 3))
         a = rng.standard_normal((10, 7))
-        apply = _toeplitz(sample, a.shape)
+        apply = _toeplitz(_kernel_spectrum(sample, a.shape), a.shape)
         out = np.empty(a.shape)
         assert apply(a, out) is out
         first = out.copy()
